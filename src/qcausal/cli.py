@@ -49,19 +49,25 @@ class _Parser(argparse.ArgumentParser):
     invariant failures, so usage problems exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {message} (see {self.prog} --help)", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
 
 
 def _angles_triple(raw: str) -> tuple[float, float, float]:
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated angles, got {raw!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad angle in {raw!r}") from None
+    return tuple(_finite_float(p) for p in parts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,14 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
 
     p = sub.add_parser("bell", parents=[], help="entangled-pair correlations")
-    p.add_argument("--angle-a", type=float, default=None, help="wing A analyzer angle, degrees")
-    p.add_argument("--angle-b", type=float, default=None, help="wing B analyzer angle, degrees")
+    p.add_argument("--angle-a", type=_finite_float, default=None, help="wing A analyzer angle, degrees")
+    p.add_argument("--angle-b", type=_finite_float, default=None, help="wing B analyzer angle, degrees")
     p.add_argument("--angles", type=_angles_triple, default=None, help="a,b,c for the three-pair scan")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runtime", choices=("centralized", "refined"), default="centralized")
     p.add_argument("--form", choices=bell.FORMS, default="identical")
-    p.add_argument("--spindir", type=float, default=None, help="fix the emission direction (default: uniform)")
+    p.add_argument(
+        "--spindir", type=_finite_float, default=None, help="fix the emission direction (default: uniform)"
+    )
     p.add_argument("--scheduler", choices=("round-robin", "randomized"), default="round-robin")
     add_common(p)
 
@@ -96,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wave", help="lattice wave automaton")
     p.add_argument("--cells", type=int, default=200)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--courant", type=float, default=1.0, help="v dt/dx (dx = dt = 1)")
+    p.add_argument("--courant", type=_finite_float, default=1.0, help="v dt/dx (dx = dt = 1)")
     p.add_argument("--init", choices=("gaussian", "sine"), default="gaussian")
-    p.add_argument("--sigma", type=float, default=None, help="gaussian width (default cells/16)")
+    p.add_argument("--sigma", type=_finite_float, default=None, help="gaussian width (default cells/16)")
     p.add_argument("--mode", type=int, default=1, help="sine mode number")
     p.add_argument(
         "--velocity",
@@ -112,12 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pendulum", help="coupled pendulums vs closed forms")
     p.add_argument("--mode", choices=pendulum.MODES, required=True)
-    p.add_argument("--k", type=float, default=0.5, help="coupling spring constant")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0, help="uncoupled frequency omega_0")
+    p.add_argument("--k", type=_finite_float, default=0.5, help="coupling spring constant")
+    p.add_argument("--m", type=_finite_float, default=1.0)
+    p.add_argument("--omega", type=_finite_float, default=1.0, help="uncoupled frequency omega_0")
     p.add_argument("--steps", type=int, default=1024, help="integration steps per period")
-    p.add_argument("--periods", type=float, default=10.0)
-    p.add_argument("--amplitude", type=float, default=1.0)
+    p.add_argument("--periods", type=_finite_float, default=10.0)
+    p.add_argument("--amplitude", type=_finite_float, default=1.0)
     add_common(p)
 
     p = sub.add_parser("analyze", help="classify a model declaration file")
@@ -141,7 +149,11 @@ def _output_dir(args) -> Path:
 
 def _write_json(outdir: Path, name: str, payload: dict) -> Path:
     path = outdir / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity would make the file invalid JSON
+        raise InvariantViolation(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n")
     return path
 
 
@@ -241,6 +253,10 @@ def cmd_wave(args) -> int:
     outdir = _output_dir(args)
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    if args.sigma is not None and not args.sigma > 0:
+        raise ConfigError(f"--sigma must be > 0, got {args.sigma}")
     n = args.cells
     v = args.courant  # dx = dt = 1
     oracle = None
@@ -395,7 +411,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"qcausal: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input file, unwritable output directory
         print(f"qcausal: error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -29,8 +29,9 @@ so equal-angle agreement is an exact model property, not a float accident.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from ..engine import RngState, random_draw
 from ..errors import ConfigError
@@ -49,6 +50,8 @@ from ..state import (
     QuantumObject,
     Space,
     SystemState,
+    _evolve,
+    _norm_angle,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -96,6 +99,8 @@ def fresh_state(seed_rng: RngState) -> SystemState:
     return SystemState(space=Space(dims=1, extent=(3,), delta_x=1.0), rng=seed_rng)
 
 
+# make_pump and make_screen are cached, so every trial shares their objects;
+# their attribute blocks are read-only views, so no trial can write into another
 @lru_cache(maxsize=None)
 def make_pump(object_id: str, cell=SOURCE_CELL, mass: float = 0.5) -> QuantumObject:
     return QuantumObject(
@@ -110,7 +115,8 @@ def make_pump(object_id: str, cell=SOURCE_CELL, mass: float = 0.5) -> QuantumObj
                 ),
             ),
         ),
-        conserved={"energy": mass, "momentum": (0.0,), "angularmomentum": (0.0,)},
+        global_attrs=MappingProxyType({}),
+        conserved=MappingProxyType({"energy": mass, "momentum": (0.0,), "angularmomentum": (0.0,)}),
     )
 
 
@@ -128,7 +134,8 @@ def make_screen(object_id: str, cell, mass: float = 1.0) -> QuantumObject:
                 ),
             ),
         ),
-        conserved={"energy": mass, "momentum": (0.0,), "angularmomentum": (0.0,)},
+        global_attrs=MappingProxyType({}),
+        conserved=MappingProxyType({"energy": mass, "momentum": (0.0,), "angularmomentum": (0.0,)}),
     )
 
 
@@ -184,7 +191,7 @@ def drift(obj: QuantumObject) -> QuantumObject:
     new_paths = []
     for path in obj.paths:
         states = tuple(
-            replace(
+            _evolve(
                 ps,
                 spacepoints=frozenset(
                     tuple(int(c + round(m)) for c, m in zip(pt, ps.momentum)) for pt in ps.spacepoints
@@ -192,8 +199,8 @@ def drift(obj: QuantumObject) -> QuantumObject:
             )
             for ps in path.pathstates
         )
-        new_paths.append(replace(path, pathstates=states))
-    return replace(obj, paths=tuple(new_paths))
+        new_paths.append(_evolve(path, pathstates=states))
+    return _evolve(obj, paths=tuple(new_paths))
 
 
 def apply_stern_gerlach(obj: QuantumObject, particle_index: int, angle: float) -> QuantumObject:
@@ -209,11 +216,13 @@ def apply_stern_gerlach(obj: QuantumObject, particle_index: int, angle: float) -
     s = obj.paths[0].pathstates[particle_index].spindir
     c = cos_deg(s - angle)
     sn = sin_deg(s - angle)
-    up_axis = angle % 360.0
-    down_axis = (angle + 90.0) % 360.0
+    # normalized once here, as the PathState constructor would per cell
+    up_axis = _norm_angle(angle % 360.0)
+    down_axis = _norm_angle((angle + 90.0) % 360.0)
 
     def retagged(path: Path, axis: float, amplitude: complex) -> Path:
-        states = tuple(replace(ps, spindir=axis) for ps in path.pathstates)
+        states = tuple(_evolve(ps, spindir=axis) for ps in path.pathstates)
+        # Path() coerces: _unit_phase may return the float 1.0
         return Path(amplitude=amplitude, pathstates=states)
 
     if len(obj.paths) == 1:
@@ -233,7 +242,7 @@ def apply_stern_gerlach(obj: QuantumObject, particle_index: int, angle: float) -
         raise ConfigError(
             f"object {obj.object_id!r}: analyzer defined for 1- or 2-row tables, not {len(obj.paths)}"
         )
-    return replace(obj, paths=ports)
+    return _evolve(obj, paths=ports)
 
 
 def _unit_phase(amplitude: complex) -> complex:

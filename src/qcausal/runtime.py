@@ -79,7 +79,6 @@ class ObjectEngine:
     """Worker owning exactly one object; sees the world only via RoundView."""
 
     object_id: str
-    rng: RngState
     proper_time: int = 0
 
     def detect(self, view: "RoundView"):
@@ -250,7 +249,6 @@ class RefinedRuntime:
     ):
         self.state = state
         self.policy = policy
-        self.rng = rng
         self.mediator = SpaceMediator(rng.substream("events"), scheduler)
         self.keep_ledger = keep_ledger
         self.ledger: list[LedgerEntry] = []
@@ -264,9 +262,7 @@ class RefinedRuntime:
     def spawn_engine(self, object_id: str):
         if object_id in self.engines:
             raise ConfigError(f"engine for {object_id!r} already exists")
-        self.engines[object_id] = ObjectEngine(
-            object_id=object_id, rng=self.rng.substream("obj", object_id)
-        )
+        self.engines[object_id] = ObjectEngine(object_id)
 
     def retire_missing_engines(self):
         for object_id in [oid for oid in self.engines if oid not in self.state.objects]:

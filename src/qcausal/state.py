@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -77,8 +77,27 @@ class FieldGrid:
 
 
 def _norm_angle(deg: float) -> float:
+    """Angle in [0, 360).  Idempotent, so a stored spindir never moves when
+    a record is copied."""
     a = math.fmod(float(deg), 360.0)
-    return a + 360.0 if a < 0 else a
+    if a < 0:
+        a += 360.0
+        if a == 360.0:  # a tiny negative angle rounds up to the full turn
+            a = 0.0
+    return a
+
+
+def _evolve(record, **changes):
+    """Copy a frozen record with some fields changed, skipping __post_init__.
+
+    Only for building from parts that are already valid: a value taken from
+    an existing record, or one computed with the same type the constructor
+    would have coerced it to.  Input from outside goes through the
+    constructor, which validates and coerces.
+    """
+    new = object.__new__(record.__class__)
+    new.__dict__.update(record.__dict__, **changes)
+    return new
 
 
 @dataclass(frozen=True)
@@ -182,8 +201,8 @@ def normalize_amplitudes(obj: QuantumObject) -> QuantumObject:
     if abs(norm - 1.0) <= NORM_TOL:
         return obj
     scale = 1.0 / math.sqrt(norm)
-    new_paths = tuple(replace(p, amplitude=p.amplitude * scale) for p in obj.paths)
-    return replace(obj, paths=new_paths)
+    new_paths = tuple(_evolve(p, amplitude=p.amplitude * scale) for p in obj.paths)
+    return _evolve(obj, paths=new_paths)
 
 
 def reduce_to_path(obj: QuantumObject, path_index: int) -> QuantumObject:
@@ -203,8 +222,8 @@ def reduce_to_path(obj: QuantumObject, path_index: int) -> QuantumObject:
         raise DegenerateObjectError(
             f"object {obj.object_id!r}: cannot reduce to zero-amplitude path {path_index}"
         )
-    new = replace(chosen, amplitude=chosen.amplitude / mod)
-    return replace(obj, paths=(new,))
+    new = _evolve(chosen, amplitude=chosen.amplitude / mod)
+    return _evolve(obj, paths=(new,))
 
 
 def object_footprint(obj: QuantumObject) -> frozenset:

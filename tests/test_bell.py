@@ -26,6 +26,7 @@ from qcausal.experiments.bell import (
     fresh_state,
     lhv_oracle,
     make_pump,
+    make_screen,
     measure_wing,
     model_correlation,
     pair_table,
@@ -156,6 +157,17 @@ def test_analyzer_rejects_tall_tables():
     )
     with pytest.raises(ConfigError):
         apply_stern_gerlach(tall, 0, 0.0)
+
+
+def test_cached_blocks_are_read_only():
+    blocks = (make_pump("pump-1"), make_screen("screen-a", WING_A_CELL))
+    for obj in blocks:
+        with pytest.raises(TypeError):
+            obj.conserved["energy"] = 99.0
+        with pytest.raises(TypeError):
+            obj.global_attrs["position"] = WING_A_CELL
+    assert bell_trial(0.0, 0.0, 30.0, RngState(0).substream(0)) in {(True, True), (False, False)}
+    assert [obj.conserved["energy"] for obj in blocks] == [0.5, 1.0]
 
 
 def test_measure_wing_collapses_partner():

@@ -208,6 +208,38 @@ def test_analyze_malformed_model(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bell", "--angles", "nan,0,0"],
+        ["bell", "--angle-a", "0", "--angle-b", "0", "--spindir", "nan"],
+        ["bell", "--angle-a", "inf", "--angle-b", "0"],
+        ["wave", "--sigma", "0"],
+        ["wave", "--courant", "nan"],
+        ["wave", "--steps", "-3"],
+        ["analyze", "DIRECTORY"],
+        ["pendulum", "--mode", "in-phase", "--periods", "inf"],
+        ["pendulum", "--mode", "in-phase", "--amplitude", "nan"],
+    ],
+)
+def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(tmp_path) if a == "DIRECTORY" else a for a in argv]
+    if argv[0] == "bell":
+        argv += ["--trials", "10"]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "error" in err and "Traceback" not in err
+    assert not out.exists() or not list(out.glob("*.json"))
+
+
+def test_non_finite_output_is_refused(tmp_path):
+    with pytest.raises(InvariantViolation):
+        cli._write_json(tmp_path, "x", {"v": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_invariant_failures_exit_two(monkeypatch, capsys):
     def explode(args):
         raise InvariantViolation("ledger unbalanced")

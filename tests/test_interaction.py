@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcausal.engine import RngState
 from qcausal.errors import ConfigError, UnknownObjectError
+from qcausal.experiments import bell, doubleslit
 from qcausal.interaction import (
     InteractionCandidate,
     OutcomeRow,
@@ -29,6 +30,8 @@ from qcausal.state import (
     QuantumObject,
     Space,
     SystemState,
+    _evolve,
+    reduce_to_path,
     total_conserved,
 )
 
@@ -313,6 +316,100 @@ def test_eliminate_unaffected_paths_is_reduce():
     kept = eliminate_unaffected_paths(obj, 0)
     assert kept.n_paths == 1
     assert kept.paths[0].pathstates[0].spacepoints == frozenset({(0,)})
+
+
+# --- collapse before drop: equal to the paper's drop-then-eliminate order ------------
+
+def _paper_order_interaction(state, a_id, b_id, cand, table):
+    """Reference: drop both particles from the full tables, then collapse."""
+    a, b = state.objects[a_id], state.objects[b_id]
+    ia = create_interaction_object(a, b, cand, table, tag=str(len(state.event_log)))
+    survivor_a = drop_particle(state, a_id, cand.particle_index_1, cand.path_index_1)
+    survivor_b = drop_particle(state, b_id, cand.particle_index_2, cand.path_index_2)
+    if survivor_a is not None:
+        state.objects[a_id] = eliminate_unaffected_paths(survivor_a, cand.path_index_1)
+    if survivor_b is not None:
+        state.objects[b_id] = eliminate_unaffected_paths(survivor_b, cand.path_index_2)
+    result = process_interaction_object(ia)
+    state.add_object(result)
+    state.event_log.append(
+        {"event": "interaction", "participants": [a_id, b_id], "position": cand.position,
+         "result": result.object_id}
+    )
+    return result
+
+
+def _assert_same_as_paper_order(state, a_id, b_id, cand, table):
+    ref = SystemState(space=state.space, objects=dict(state.objects), event_log=list(state.event_log))
+    out = perform_interaction(state, a_id, b_id, cand, table)
+    ref_out = _paper_order_interaction(ref, a_id, b_id, cand, table)
+    assert out == ref_out
+    assert state.objects == ref.objects
+    # repr shows float vs complex amplitudes and the sign of zero, which == hides
+    assert repr(state.objects) == repr(ref.objects)
+    assert state.event_log == ref.event_log
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_bell_pair_interaction_matches_paper_order(row):
+    state = bell.fresh_state(RngState(0))
+    pair_id = bell.emit_entangled_pair(state, theta=30.0, rng=RngState(0).substream("emit"))
+    state.objects[pair_id] = bell.apply_stern_gerlach(bell.drift(state.objects[pair_id]), 0, 0.0)
+    state.add_object(bell.make_screen("screen-a", bell.WING_A_CELL))
+    cands = determine_potential_interactions(state.objects[pair_id], state.objects["screen-a"])
+    cand = next(c for c in cands if c.path_index_1 == row)
+    table = bell.absorb_table(bell.WING_A_CELL, 0.0 if row == 0 else 90.0)
+    _assert_same_as_paper_order(state, pair_id, "screen-a", cand, table)
+    assert len(state.objects[pair_id].particles) == 1  # the partner survives, collapsed
+
+
+def test_marked_two_slit_interaction_matches_paper_order():
+    geometry = doubleslit.DEFAULT_GEOMETRY
+    marked = doubleslit._marked_templates(geometry)[1]
+    screen = doubleslit.screen_object(geometry)
+    assert marked.n_paths == 128 and len(marked.particles) == 2
+    cands = determine_potential_interactions(marked, screen)
+    assert len(cands) == 128
+    photon, mark = doubleslit.photon_at_slits(geometry), doubleslit.marker_object(geometry)
+    (mark_cand,) = [c for c in determine_potential_interactions(photon, mark) if c.path_index_1 == 1]
+    for cand in cands:
+        # the centralized driver's sequence: mark at slit 1, swap in the fan
+        state = SystemState(space=geometry.space())
+        state.add_object(photon)
+        state.add_object(mark)
+        perform_interaction(state, "photon", "marker", mark_cand, doubleslit.continue_table(geometry, 1))
+        state.objects[marked.object_id] = marked
+        state.add_object(screen)
+        table = doubleslit.absorb_table(cand.position)
+        _assert_same_as_paper_order(state, marked.object_id, screen.object_id, cand, table)
+
+
+def test_evolved_records_equal_constructed_ones():
+    base = ps((0,), momentum=(1.0,), spindir=30.0)
+    moved = _evolve(base, spacepoints=frozenset({(1,)}))
+    built = PathState(frozenset({(1,)}), (1.0,), (0.0,), 30.0)
+    assert moved == built and hash(moved) == hash(built)
+    assert bell.drift(particle("d", [Path(1.0, (base,))])).paths[0].pathstates == (built,)
+    wide = particle("w", [Path(INV2, (base,)), Path(-INV2, (built,))])
+    reduced = reduce_to_path(wide, 1).paths[0]
+    assert reduced == Path(-1.0, (built,)) and hash(reduced) == hash(Path(-1.0, (built,)))
+
+
+def test_screen_merge_sees_evolved_and_constructed_states_as_one():
+    # Rows from both slits merge at the screen only if their spectator
+    # columns hash equal; here one spectator is built, the other evolved.
+    geometry = doubleslit.SMALL_GEOMETRY
+    lo, hi = geometry.slit_cells
+    spectator = PathState(frozenset({(0, 1)}), (0.0, 0.0), (0.0,), spindir=90.0)
+    evolved = _evolve(PathState(frozenset({(1, 1)}), (0.0, 0.0), (0.0,), 90.0),
+                      spacepoints=frozenset({(0, 1)}))
+    photon = QuantumObject(
+        "photon", ObjectKind.PARTICLE_COLLECTION,
+        (ParticleInfo("photon", 1.0), ParticleInfo("spectator", 0.0)),
+        (Path(INV2, (PathState(frozenset({(lo, 0)}), (0.0, 0.0), (0.0,)), spectator)),
+         Path(INV2, (PathState(frozenset({(hi, 0)}), (0.0, 0.0), (0.0,)), evolved))),
+    )
+    assert doubleslit.propagate_to_screen(photon, geometry).n_paths == geometry.n_cells
 
 
 # --- sweep ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_detect_proposes_per_overlapping_object():
         med.publish(ad)
     med.flip()
     for oid in ("a", "b", "c"):
-        ObjectEngine(oid, RngState(0)).detect(RoundView(med, oid))
+        ObjectEngine(oid).detect(RoundView(med, oid))
     events = med.collect_events()
     assert events == [ProposedEvent(pair=("a", "b"), cells=((2,),))]
 
@@ -230,7 +230,7 @@ def test_detect_collects_all_shared_cells():
         med.publish(_ad("b", cell))
     med.flip()
     for oid in ("a", "b"):
-        ObjectEngine(oid, RngState(0)).detect(RoundView(med, oid))
+        ObjectEngine(oid).detect(RoundView(med, oid))
     (event,) = med.collect_events()
     assert event.cells == ((1,), (2,), (4,))
 

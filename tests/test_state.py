@@ -90,6 +90,7 @@ def test_pathstate_normalizes_spin_angle():
     assert ps((0,), spindir=-30.0).spindir == 330.0
     assert ps((0,), spindir=360.0).spindir == 0.0
     assert ps((0,), spindir=725.0).spindir == 5.0
+    assert ps((0,), spindir=-1e-20).spindir == 0.0  # never the full turn 360.0
 
 
 def test_pathstate_requires_cells():
