@@ -14,15 +14,7 @@ two-slit interference with and without a which-path marker, a lattice
 wave automaton, and coupled pendulums as the non-local contrast case.
 """
 
-from .engine import (
-    EngineConfig,
-    Law,
-    RngState,
-    RunTrace,
-    random_draw,
-    run,
-    step,
-)
+from .engine import RngState, random_draw
 from .errors import (
     ConfigError,
     DegenerateObjectError,
@@ -35,7 +27,6 @@ from .interaction import (
     InteractionObject,
     OutcomeRow,
     OutcomeTable,
-    apply_qft_interactions,
     create_interaction_object,
     determine_potential_interactions,
     drop_particle,
@@ -53,7 +44,6 @@ from .locality import (
     parse_model_spec,
 )
 from .state import (
-    FieldGrid,
     ObjectKind,
     ParticleInfo,
     Path,
@@ -61,7 +51,6 @@ from .state import (
     QuantumObject,
     Space,
     SystemState,
-    build_system_state,
     normalize_amplitudes,
     reduce_to_path,
     total_conserved,
@@ -72,12 +61,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DegenerateObjectError",
-    "EngineConfig",
-    "FieldGrid",
     "InteractionCandidate",
     "InteractionObject",
     "InvariantViolation",
-    "Law",
     "LocalityClass",
     "LocalityReport",
     "ObjectKind",
@@ -89,12 +75,9 @@ __all__ = [
     "PathState",
     "QuantumObject",
     "RngState",
-    "RunTrace",
     "Space",
     "SystemState",
     "UnknownObjectError",
-    "apply_qft_interactions",
-    "build_system_state",
     "classify_law",
     "classify_model",
     "create_interaction_object",
@@ -108,8 +91,6 @@ __all__ = [
     "process_interaction_object",
     "random_draw",
     "reduce_to_path",
-    "run",
     "select_interaction",
-    "step",
     "total_conserved",
 ]

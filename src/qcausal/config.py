@@ -1,55 +1,32 @@
-"""Experiment configuration files.
+"""Block-format text parser.
 
-A small line-oriented block format, enough to declare a lattice, engine
-parameters, quantum objects with their path tables, fields, and interaction
-outcome tables:
+A small line-oriented block format:
 
     # comment
     space { dims = 1; extent = 100; delta_x = 1.0 }
-    engine { delta_t = 1.0; max_steps = 50; seed = 7; termination = none }
     object pair {
       kind = ParticleCollection
-      particles = electron:0.5, electron:0.5
       path {
         amplitude = 0.7071067811865476, 0.0
-        state { spacepoints = (50); momentum = (-1.0); angularmomentum = (0.0); spindir = 0.0 }
-        state { spacepoints = (50); momentum = (1.0); angularmomentum = (0.0); spindir = 0.0 }
-      }
-      ...
-    }
-    outcome_table capture {
-      row {
-        particles = detection:0.0
-        amplitude = 1.0, 0.0
-        state { spacepoints = (50); momentum = (0.0); angularmomentum = (0.0); spindir = 0.0 }
+        state { spacepoints = (50); momentum = (-1.0) }
       }
     }
 
 Grammar: `name {` or `kind name {` opens a block, `}` closes it, and
 `key = value` sets an entry; `;` separates items on one line.  Values are
 ints, floats, bare words, `(..)` integer tuples, or comma lists of these.
-Amplitudes are written as the pair `re, im`.  Parse and validation errors
-name the offending line or field.
+Parse errors name the offending line.
+
+Only the untyped parse tree is built here.  The typed loader that turned it
+into a `SystemState` was deleted with the guarded-law engine it fed; no
+subcommand reads a block file, so this parser is next in line for removal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .engine import EngineConfig
 from .errors import ConfigError, ParseError
-from .interaction import OutcomeRow, OutcomeTable
-from .state import (
-    FieldGrid,
-    ObjectKind,
-    ParticleInfo,
-    Path,
-    PathState,
-    QuantumObject,
-    Space,
-)
 
 
 @dataclass
@@ -189,165 +166,3 @@ def _parse_statement(stmt: str, lineno: int, stack: list):
         stack[-1].entries[key] = values[0] if len(values) == 1 else values
         return
     raise ParseError(f"cannot parse {stmt!r}", lineno)
-
-
-# -- typed builders -----------------------------------------------------------
-
-
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: amplitude must be 're, im', got {value!r}")
-
-
-def _as_points(value, where: str) -> frozenset:
-    pts = value if isinstance(value, list) else [value]
-    out = set()
-    for p in pts:
-        if not isinstance(p, tuple) or not all(isinstance(c, int) for c in p):
-            raise ConfigError(f"{where}: spacepoints must be integer tuples, got {p!r}")
-        out.add(p)
-    return frozenset(out)
-
-
-def _as_vector(value, where: str) -> tuple:
-    if isinstance(value, tuple):
-        return tuple(float(v) for v in value)
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    raise ConfigError(f"{where}: expected a numeric tuple, got {value!r}")
-
-
-def _build_pathstate(node: ConfigNode, where: str) -> PathState:
-    return PathState(
-        spacepoints=_as_points(node.require("spacepoints"), where),
-        momentum=_as_vector(node.require("momentum"), where),
-        angularmomentum=_as_vector(node.entries.get("angularmomentum", (0.0,)), where),
-        spindir=float(node.entries.get("spindir", 0.0)),
-    )
-
-
-def _build_particles(value, where: str) -> tuple[ParticleInfo, ...]:
-    items = value if isinstance(value, list) else [value]
-    out = []
-    for item in items:
-        if not isinstance(item, str) or ":" not in item:
-            raise ConfigError(f"{where}: particles entries must look like 'type:mass', got {item!r}")
-        type_, _, mass = item.partition(":")
-        try:
-            out.append(ParticleInfo(type_.strip(), float(mass)))
-        except ValueError:
-            raise ConfigError(f"{where}: bad mass in {item!r}") from None
-    return tuple(out)
-
-
-def _build_object(node: ConfigNode) -> QuantumObject:
-    where = f"object {node.name}"
-    if node.name is None:
-        raise ConfigError("object block needs a name")
-    kind_name = node.entries.get("kind", "Particle")
-    try:
-        kind = ObjectKind(kind_name)
-    except ValueError:
-        raise ConfigError(f"{where}.kind: unknown kind {kind_name!r}") from None
-    particles = _build_particles(node.require("particles"), where)
-    paths = []
-    for pnode in node.child("path"):
-        states = tuple(_build_pathstate(s, where) for s in pnode.child("state"))
-        paths.append(Path(amplitude=_as_complex(pnode.require("amplitude"), where), pathstates=states))
-    if not paths:
-        raise ConfigError(f"{where}: needs at least one path block")
-    conserved = {}
-    if "energy" in node.entries:
-        conserved = {
-            "energy": float(node.entries["energy"]),
-            "momentum": _as_vector(node.entries.get("momentum", (0.0,)), where),
-            "angularmomentum": _as_vector(node.entries.get("angularmomentum", (0.0,)), where),
-        }
-    return QuantumObject(
-        object_id=node.name,
-        kind=kind,
-        particles=particles,
-        paths=tuple(paths),
-        conserved=conserved,
-    )
-
-
-def _build_outcome_table(node: ConfigNode) -> OutcomeTable:
-    if node.name is None:
-        raise ConfigError("outcome_table block needs a name")
-    where = f"outcome_table {node.name}"
-    rows = []
-    for rnode in node.child("row"):
-        particles = _build_particles(rnode.require("particles"), where)
-        states = tuple(_build_pathstate(s, where) for s in rnode.child("state"))
-        rows.append(
-            OutcomeRow(
-                particles=particles,
-                pathstates=states,
-                amplitude=_as_complex(rnode.require("amplitude"), where),
-            )
-        )
-    return OutcomeTable(name=node.name, rows=tuple(rows))
-
-
-@dataclass
-class ExperimentConfig:
-    """Typed view of one parsed config file."""
-
-    space: Space
-    engine: EngineConfig
-    objects: list = field(default_factory=list)
-    fields: dict = field(default_factory=dict)
-    outcome_tables: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-
-def config_from_node(root: ConfigNode) -> ExperimentConfig:
-    spaces = root.child("space")
-    if len(spaces) != 1:
-        raise ConfigError("config needs exactly one space block")
-    snode = spaces[0]
-    extent = snode.require("extent")
-    extent = tuple(extent) if isinstance(extent, list) else (extent,) if isinstance(extent, int) else extent
-    space = Space(
-        dims=int(snode.entries.get("dims", len(extent))),
-        extent=tuple(int(e) for e in extent),
-        delta_x=float(snode.entries.get("delta_x", 1.0)),
-    )
-    engines = root.child("engine")
-    if len(engines) != 1:
-        raise ConfigError("config needs exactly one engine block")
-    enode = engines[0]
-    engine = EngineConfig(
-        delta_t=float(enode.require("delta_t")),
-        max_steps=int(enode.require("max_steps")),
-        seed=int(enode.entries.get("seed", 0)),
-        termination=enode.entries.get("termination", "none"),
-    )
-    cfg = ExperimentConfig(space=space, engine=engine)
-    for node in root.children:
-        if node.kind == "object":
-            cfg.objects.append(_build_object(node))
-        elif node.kind == "field":
-            if node.name is None:
-                raise ConfigError("field block needs a name")
-            init = node.entries.get("init", "zeros")
-            if init != "zeros":
-                raise ConfigError(f"field {node.name}.init: unknown init {init!r}")
-            cfg.fields[node.name] = FieldGrid(node.name, np.zeros(space.extent))
-        elif node.kind == "outcome_table":
-            table = _build_outcome_table(node)
-            cfg.outcome_tables[table.name] = table
-        elif node.kind not in ("space", "engine"):
-            cfg.extras[node.kind if node.name is None else f"{node.kind} {node.name}"] = node
-    return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a config file; raises ConfigError/ParseError."""
-    with open(path) as fh:
-        text = fh.read()
-    return config_from_node(parse_config_text(text))

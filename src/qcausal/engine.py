@@ -1,27 +1,19 @@
-"""Guarded-law physics engine with a deterministic stochastic term.
+"""Deterministic randomness: seeded generator state and the one draw primitive.
 
-A model is an ordered list of laws.  Each law is a guard plus a transition:
-if the guard holds on the current system state, the transition is applied.
-Laws are applied strictly in list order and in place, so a later law sees
-every write made by an earlier law within the same step.  One pass over the
-law list advances the global clock by exactly one delta-t.
-
-All randomness flows through random_draw on an explicit RngState.  The
-generator state is fully determined by (seed, substream key, draw count),
-which makes every run bit-reproducible and lets independent components
-(objects, trials, schedulers) own non-overlapping substreams derived from
-the one global seed.
+All randomness in the package flows through random_draw on an explicit
+RngState.  The generator state is fully determined by (seed, substream key,
+draw count), which makes every run bit-reproducible and lets independent
+components (trials, sources, the event scheduler) own non-overlapping
+substreams derived from the one global seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 
 PROB_TOL = 1e-9  # discrete distributions must sum to 1 within this
 
@@ -42,13 +34,12 @@ class RngState:
     sibling substreams see identical streams.
     """
 
-    __slots__ = ("seed", "key", "draws", "log", "_rng")
+    __slots__ = ("seed", "key", "draws", "_rng")
 
     def __init__(self, seed: int, key: tuple = ()):
         self.seed = int(seed)
         self.key = tuple(key)
         self.draws = 0
-        self.log = None  # a list while an engine step is recording
         self._rng = random.Random(_mix_seed(self.seed, self.key))
 
     def substream(self, *key) -> "RngState":
@@ -69,10 +60,10 @@ def random_draw(values, dist, rng: RngState):
     Two forms:
       * discrete: values is a sequence, dist a same-length sequence of
         probabilities (each >= 0, summing to 1 within 1e-9);
-      * continuous: values is a (lo, hi) pair and dist is the string
-        "uniform".
+      * continuous: values is a (lo, hi) pair of finite bounds and dist is
+        the string "uniform".
 
-    The drawn value is appended to rng.log when a trace is recording.
+    Malformed input, NaN and infinities included, raises ConfigError.
     """
     if isinstance(dist, str):
         if dist != "uniform":
@@ -81,8 +72,8 @@ def random_draw(values, dist, rng: RngState):
             lo, hi = values
         except (TypeError, ValueError):
             raise ConfigError("random_draw: uniform draw needs a (lo, hi) interval") from None
-        if not (hi >= lo):
-            raise ConfigError(f"random_draw: empty interval ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi >= lo):
+            raise ConfigError(f"random_draw: need finite bounds lo <= hi, got ({lo}, {hi})")
         value = lo + (hi - lo) * rng.random()
     else:
         values = list(values)
@@ -94,7 +85,7 @@ def random_draw(values, dist, rng: RngState):
         if any(p < 0 for p in probs):
             raise ConfigError("random_draw: negative probability")
         total = sum(probs)
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:  # written so that a NaN total fails too
             raise ConfigError(f"random_draw: probabilities sum to {total!r}, not 1")
         u = rng.random() * total
         acc = 0.0
@@ -104,110 +95,4 @@ def random_draw(values, dist, rng: RngState):
             if u < acc:
                 value = v
                 break
-    if rng.log is not None:
-        rng.log.append(value)
     return value
-
-
-@dataclass(frozen=True)
-class Law:
-    """One guarded transition: IF condition(state) THEN state = transition(state)."""
-
-    law_id: str
-    condition: Callable
-    transition: Callable
-    footprint: object = None  # optional declared access footprint (locality module)
-
-
-@dataclass
-class EngineConfig:
-    delta_t: float
-    max_steps: int
-    seed: int = 0
-    termination: object = None  # predicate name, callable, or None
-
-    def __post_init__(self):
-        if not self.delta_t > 0:
-            raise ConfigError(f"engine.delta_t must be > 0, got {self.delta_t}")
-        if self.max_steps < 0:
-            raise ConfigError(f"engine.max_steps must be >= 0, got {self.max_steps}")
-
-
-# Named termination predicates usable from config files.
-TERMINATION_REGISTRY: dict[str, Callable] = {
-    "none": lambda state: False,
-    "no_objects": lambda state: not state.objects,
-}
-
-
-def resolve_termination(spec) -> Callable:
-    if spec is None:
-        return TERMINATION_REGISTRY["none"]
-    if callable(spec):
-        return spec
-    try:
-        return TERMINATION_REGISTRY[spec]
-    except KeyError:
-        raise ConfigError(f"engine.termination: unknown predicate {spec!r}") from None
-
-
-@dataclass
-class RunTrace:
-    """Per-step record of law firings and random draws; JSON-lines serializable."""
-
-    seed: int
-    delta_t: float
-    law_ids: tuple[str, ...]
-    steps: list = field(default_factory=list)
-
-    def record(self, t: float, fired: list[str], draws: list):
-        self.steps.append({"t": t, "fired": list(fired), "draws": list(draws)})
-
-    def to_records(self) -> list[dict]:
-        head = {"seed": self.seed, "delta_t": self.delta_t, "laws": list(self.law_ids)}
-        return [head] + self.steps
-
-    def write_jsonl(self, path):
-        with open(path, "w") as fh:
-            for rec in self.to_records():
-                fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
-
-
-def step(state, delta_t: float, laws: Sequence[Law]):
-    """Apply each law in order (in place), then advance the clock one tick.
-
-    Returns (state, fired) where fired lists the ids of the laws whose
-    guards held this step.  A transition that breaks a state invariant
-    aborts with a diagnostic naming the law.
-    """
-    fired = []
-    for law in laws:
-        if law.condition(state):
-            state = law.transition(state)
-            fired.append(law.law_id)
-            problem = state.invariant_problem()
-            if problem is not None:
-                raise InvariantViolation(f"law {law.law_id!r} broke an invariant: {problem}")
-    state.advance_clock(delta_t)
-    return state, fired
-
-
-def run(state, cfg: EngineConfig, laws: Sequence[Law]):
-    """Drive the state until termination or max_steps; returns (state, trace).
-
-    The termination predicate is evaluated before each step, so a predicate
-    that is already true at t=0 yields zero steps.  The clock is recomputed
-    as step_count * delta_t each tick, never accumulated, so t stays an
-    exact multiple of delta_t for the whole run.
-    """
-    ids = [law.law_id for law in laws]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate law id in law list")
-    done = resolve_termination(cfg.termination)
-    trace = RunTrace(seed=cfg.seed, delta_t=cfg.delta_t, law_ids=tuple(ids))
-    while state.step_count < cfg.max_steps and not done(state):
-        state.rng.log = []
-        state, fired = step(state, cfg.delta_t, laws)
-        trace.record(state.t, fired, state.rng.log)
-        state.rng.log = None
-    return state, trace

@@ -353,6 +353,10 @@ class BellConfig:
             raise ConfigError(f"bell.runtime must be centralized or refined, got {self.runtime!r}")
         if not (self.spindir_policy == "uniform" or isinstance(self.spindir_policy, (int, float))):
             raise ConfigError(f"bell.spindir_policy must be 'uniform' or an angle, got {self.spindir_policy!r}")
+        for name in ("angle_a", "angle_b", "spindir_policy"):
+            value = getattr(self, name)
+            if value != "uniform" and not math.isfinite(value):
+                raise ConfigError(f"bell.{name} must be finite, got {value!r}")
 
 
 @dataclass

@@ -42,6 +42,10 @@ class PendulumParams:
     amplitude: float = 1.0  # C: initial displacement of bob a
 
     def __post_init__(self):
+        for name in ("m", "omega0", "k", "amplitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"pendulum.{name} must be finite, got {value!r}")
         if not self.m > 0:
             raise ConfigError(f"pendulum.m must be > 0, got {self.m}")
         if not self.omega0 > 0:
@@ -223,8 +227,8 @@ def run_pendulum(
     params = PendulumParams(m=m, omega0=omega0, k=k, amplitude=amplitude)
     if steps_per_period < 8:
         raise ConfigError(f"steps_per_period must be >= 8, got {steps_per_period}")
-    if not periods > 0:
-        raise ConfigError(f"periods must be > 0, got {periods}")
+    if not (periods > 0 and math.isfinite(periods)):
+        raise ConfigError(f"periods must be finite and > 0, got {periods}")
     period = 2.0 * math.pi / coupled_frequency(params)
     delta_t = period / steps_per_period
     steps = round(periods * steps_per_period)

@@ -366,32 +366,3 @@ def perform_interaction(
         }
     )
     return result
-
-
-def apply_qft_interactions(state: SystemState, table_for, rng: RngState) -> list[QuantumObject]:
-    """One engine-step sweep: at most one interaction per object pair.
-
-    table_for(a, b, candidate) supplies the outcome table for a selected
-    candidate (or None to veto the pair).  Pairs are visited in sorted id
-    order; each object participates in at most one interaction per sweep.
-    Returns the out collections created this sweep.
-    """
-    results = []
-    consumed: set[str] = set()
-    ids = sorted(state.objects)
-    for i, a_id in enumerate(ids):
-        for b_id in ids[i + 1 :]:
-            if a_id in consumed or b_id in consumed:
-                continue
-            if a_id not in state.objects or b_id not in state.objects:
-                continue
-            cands = determine_potential_interactions(state.objects[a_id], state.objects[b_id])
-            if not cands:
-                continue
-            chosen = select_interaction(cands, rng)
-            table = table_for(state.objects[a_id], state.objects[b_id], chosen)
-            if table is None:
-                continue
-            results.append(perform_interaction(state, a_id, b_id, chosen, table))
-            consumed.update((a_id, b_id))
-    return results

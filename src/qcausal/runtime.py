@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RngState
+from .engine import RngState, random_draw
 from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
 from .experiments import doubleslit as _ds
@@ -158,7 +158,6 @@ class SpaceMediator:
         self.board_by_object: dict[str, list[Advertisement]] = {}
         self._next: list[Advertisement] = []
         self._proposals: dict[tuple[str, str], dict[str, tuple]] = {}
-        self.granted = 0
         self.rejections: list[dict] = []
 
     def publish(self, ad: Advertisement):
@@ -201,7 +200,7 @@ class SpaceMediator:
 
     def _shuffle(self, items: list):
         for i in range(len(items) - 1, 0, -1):
-            j = int(self.rng.random() * (i + 1))
+            j = int(random_draw((0.0, i + 1.0), "uniform", self.rng))
             items[i], items[j] = items[j], items[i]
 
     def reject(self, event: ProposedEvent, round_index: int, reason: str):
@@ -252,8 +251,7 @@ class RefinedRuntime:
         self.mediator = SpaceMediator(rng.substream("events"), scheduler)
         self.keep_ledger = keep_ledger
         self.ledger: list[LedgerEntry] = []
-        self.ledger_checks = 0
-        self.interactions = 0
+        self.interactions = 0  # granted events, each checked against the ledger
         self.round_index = 0
         self.engines: dict[str, ObjectEngine] = {}
         for object_id in sorted(state.objects):
@@ -326,9 +324,7 @@ class RefinedRuntime:
                 f"conservation ledger unbalanced at {event.pair}: "
                 f"{entry.before} -> {entry.after}"
             )
-        self.ledger_checks += 1
         self.interactions += 1
-        self.mediator.granted += 1
         if self.keep_ledger:
             self.ledger.append(entry)
         self.retire_missing_engines()
@@ -376,20 +372,6 @@ class RefinedRuntime:
                 )
             self.run_round()
         return self.round_index
-
-
-def run_refined(
-    state: SystemState,
-    policy: RoundPolicy,
-    rng: RngState,
-    scheduler: str = "round-robin",
-    max_rounds: int = 64,
-    keep_ledger: bool = False,
-) -> RefinedRuntime:
-    """Convenience wrapper: build the runtime, run to completion, return it."""
-    runtime = RefinedRuntime(state, policy, rng, scheduler, keep_ledger=keep_ledger)
-    runtime.run(max_rounds)
-    return runtime
 
 
 # -- entangled-pair world under the decentralized runtime ---------------------------

@@ -1,4 +1,4 @@
-"""Core state model: lattice space, fields, and multi-path quantum objects.
+"""Core state model: lattice space and multi-path quantum objects.
 
 A quantum object is a rectangular table.  Each row is one path (one
 alternative history) and carries a single complex amplitude; each column is
@@ -21,8 +21,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
-
-import numpy as np
 
 from .engine import RngState
 from .errors import ConfigError, DegenerateObjectError, InvariantViolation, UnknownObjectError
@@ -58,22 +56,6 @@ class Space:
         return len(point) == self.dims and all(
             0 <= c < e for c, e in zip(point, self.extent)
         )
-
-
-@dataclass
-class FieldGrid:
-    """A named field with one (real or complex) value per lattice cell."""
-
-    name: str
-    values: np.ndarray
-
-    def check(self, space: Space):
-        if tuple(self.values.shape) != space.extent:
-            raise ConfigError(
-                f"field {self.name!r}: shape {self.values.shape} does not match extent {space.extent}"
-            )
-        if not np.all(np.isfinite(self.values.view(float) if np.iscomplexobj(self.values) else self.values)):
-            raise ConfigError(f"field {self.name!r}: non-finite value")
 
 
 def _norm_angle(deg: float) -> float:
@@ -245,25 +227,17 @@ def path_support(path: Path) -> frozenset:
 
 @dataclass
 class SystemState:
-    """Everything the laws act on: space, fields, objects, clock, RNG.
+    """One trial's world: the lattice, the live objects by id, the trial's RNG
+    stream, and the log of pipeline events.
 
-    The clock is recomputed as step_count * delta_t on every advance, so t
-    is an exact multiple of delta_t with no floating accumulation drift.
+    The interaction pipeline and both runtimes read and rewrite objects in
+    place; invariant_problem is the runtime's cheap check after objects move.
     """
 
     space: Space
-    fields: dict = field(default_factory=dict)
     objects: dict = field(default_factory=dict)
     rng: RngState = field(default_factory=lambda: RngState(0))
-    step_count: int = 0
-    t: float = 0.0
-    delta_t: float = 1.0
     event_log: list = field(default_factory=list)
-
-    def advance_clock(self, delta_t: float):
-        self.delta_t = delta_t
-        self.step_count += 1
-        self.t = self.step_count * delta_t
 
     def add_object(self, obj: QuantumObject):
         if obj.object_id in self.objects:
@@ -277,7 +251,7 @@ class SystemState:
             raise UnknownObjectError(object_id) from None
 
     def invariant_problem(self):
-        """Cheap post-law validation; returns a description or None."""
+        """Rectangular tables inside the lattice; returns a description or None."""
         for obj in self.objects.values():
             ncols = len(obj.particles)
             for i, p in enumerate(obj.paths):
@@ -287,32 +261,6 @@ class SystemState:
                 if not self.space.contains(pt):
                     return f"object {obj.object_id!r} occupies {pt} outside the lattice"
         return None
-
-
-def build_system_state(config) -> SystemState:
-    """Assemble a SystemState from a parsed ExperimentConfig.
-
-    Validates lattice bounds and table shapes; invalid values raise
-    ConfigError naming the offending field.
-    """
-    space = config.space
-    state = SystemState(space=space, rng=RngState(config.engine.seed), delta_t=config.engine.delta_t)
-    for name, grid in config.fields.items():
-        grid.check(space)
-        state.fields[name] = grid
-    for obj in config.objects:
-        for pt in object_footprint(obj):
-            if not space.contains(pt):
-                raise ConfigError(
-                    f"object {obj.object_id!r}: spacepoint {pt} outside extent {space.extent}"
-                )
-        norm = obj.amplitude_norm()
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ConfigError(
-                f"object {obj.object_id!r}: squared amplitudes sum to {norm}, expected 1"
-            )
-        state.add_object(obj)
-    return state
 
 
 def total_conserved(objects: Iterable[QuantumObject]) -> dict:

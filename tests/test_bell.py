@@ -240,6 +240,13 @@ def test_bell_config_validation():
         BellConfig(0.0, 0.0, trials=1, runtime="distributed")
     with pytest.raises(ConfigError):
         BellConfig(0.0, 0.0, trials=1, spindir_policy="gaussian")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="angle_a"):
+            BellConfig(bad, 0.0, trials=1)
+        with pytest.raises(ConfigError, match="angle_b"):
+            BellConfig(0.0, bad, trials=1)
+        with pytest.raises(ConfigError, match="spindir_policy"):
+            BellConfig(0.0, 0.0, trials=1, spindir_policy=bad)
     BellConfig(0.0, 0.0, trials=1, spindir_policy=45.0)
 
 

@@ -1,22 +1,11 @@
-"""Config file format: block parsing, typed building, bundled experiment file."""
+"""Block-format parser: raw block parsing, errors with line numbers, nodes."""
 
-import math
-import pathlib
 import textwrap
 
 import pytest
 
-import qcausal
-from qcausal.config import (
-    ConfigNode,
-    config_from_node,
-    load_config,
-    parse_config_text,
-)
+from qcausal.config import ConfigNode, parse_config_text
 from qcausal.errors import ConfigError, ParseError
-from qcausal.state import ObjectKind, build_system_state
-
-SPECS = pathlib.Path(qcausal.__file__).parent / "specs"
 
 
 def parse(text):
@@ -126,129 +115,7 @@ def test_parse_error_position_fields():
     assert isinstance(err, ConfigError)
 
 
-# --- typed building ------------------------------------------------------------
-
-FULL = """
-    space { dims = 1; extent = 9; delta_x = 1.0 }
-    engine { delta_t = 1.0; max_steps = 4; seed = 3; termination = no_objects }
-
-    object pair {
-      kind = ParticleCollection
-      particles = half:0.5, half:0.5
-      energy = 1.0; momentum = (0.0); angularmomentum = (0.0)
-      path {
-        amplitude = 0.7071067811865476, 0.0
-        state { spacepoints = (4); momentum = (-1.0); spindir = 0.0 }
-        state { spacepoints = (4); momentum = (1.0); spindir = 90.0 }
-      }
-      path {
-        amplitude = 0.0, 0.7071067811865476
-        state { spacepoints = (4); momentum = (-1.0); spindir = 90.0 }
-        state { spacepoints = (4); momentum = (1.0); spindir = 0.0 }
-      }
-    }
-
-    field potential { init = zeros }
-
-    outcome_table capture {
-      row {
-        particles = detection:0.0
-        amplitude = 1.0, 0.0
-        state { spacepoints = (4); momentum = (0.0) }
-      }
-    }
-
-    notes readme { text = hello }
-"""
-
-
-def test_config_from_node_full_file():
-    cfg = config_from_node(parse(FULL))
-    assert cfg.space.extent == (9,)
-    assert cfg.engine.max_steps == 4
-    assert cfg.engine.seed == 3
-    assert cfg.engine.termination == "no_objects"
-
-    (pair,) = cfg.objects
-    assert pair.object_id == "pair"
-    assert pair.kind is ObjectKind.PARTICLE_COLLECTION
-    assert [p.type for p in pair.particles] == ["half", "half"]
-    assert pair.n_paths == 2
-    assert pair.paths[1].amplitude == complex(0.0, 0.7071067811865476)
-    assert pair.paths[0].pathstates[1].spindir == 90.0
-    assert pair.conserved["energy"] == 1.0
-    assert math.isclose(pair.amplitude_norm(), 1.0, abs_tol=1e-12)
-
-    assert cfg.fields["potential"].values.shape == (9,)
-    assert set(cfg.outcome_tables) == {"capture"}
-    assert cfg.outcome_tables["capture"].rows[0].particles[0].type == "detection"
-    assert "notes readme" in cfg.extras
-
-
-def test_config_feeds_system_state():
-    state = build_system_state(config_from_node(parse(FULL)))
-    assert set(state.objects) == {"pair"}
-    assert state.rng.seed == 3
-
-
-def test_config_requires_space_and_engine():
-    with pytest.raises(ConfigError, match="space"):
-        config_from_node(parse("engine { delta_t = 1.0; max_steps = 1 }"))
-    with pytest.raises(ConfigError, match="engine"):
-        config_from_node(parse("space { extent = 4 }"))
-
-
-def test_config_missing_required_entry():
-    with pytest.raises(ConfigError, match="delta_t"):
-        config_from_node(parse("space { extent = 4 }\nengine { max_steps = 1 }"))
-
-
-def test_config_object_validation():
-    base = "space { extent = 4 }\nengine { delta_t = 1.0; max_steps = 1 }\n"
-    with pytest.raises(ConfigError, match="particles"):
-        config_from_node(parse(base + "object o { path { amplitude = 1.0, 0.0 } }"))
-    with pytest.raises(ConfigError, match="kind"):
-        config_from_node(parse(base + """
-            object o { kind = Blob; particles = x:1.0
-              path { amplitude = 1.0, 0.0; state { spacepoints = (0); momentum = (0.0) } } }
-        """))
-    with pytest.raises(ConfigError, match="path"):
-        config_from_node(parse(base + "object o { particles = x:1.0 }"))
-    with pytest.raises(ConfigError, match="type:mass"):
-        config_from_node(parse(base + """
-            object o { particles = massless
-              path { amplitude = 1.0, 0.0; state { spacepoints = (0); momentum = (0.0) } } }
-        """))
-
-
-def test_config_amplitude_shape():
-    base = "space { extent = 4 }\nengine { delta_t = 1.0; max_steps = 1 }\n"
-    with pytest.raises(ConfigError, match="amplitude"):
-        config_from_node(parse(base + """
-            object o { particles = x:1.0
-              path { amplitude = (1, 0); state { spacepoints = (0); momentum = (0.0) } } }
-        """))
-
-
-def test_config_field_init():
-    base = "space { extent = 4 }\nengine { delta_t = 1.0; max_steps = 1 }\n"
-    with pytest.raises(ConfigError, match="init"):
-        config_from_node(parse(base + "field v { init = random }"))
-
-
-def test_bundled_experiment_config_loads():
-    cfg = load_config(SPECS / "bell.config")
-    assert cfg.space.extent == (3,)
-    ids = sorted(o.object_id for o in cfg.objects)
-    assert ids == ["pump-1", "pump-2"]
-    assert set(cfg.outcome_tables) == {"pair-source", "screen-capture"}
-    pair = cfg.outcome_tables["pair-source"]
-    assert len(pair.rows) == 2
-    assert all(len(r.particles) == 2 for r in pair.rows)
-    assert math.isclose(sum(abs(r.amplitude) ** 2 for r in pair.rows), 1.0, abs_tol=1e-12)
-    state = build_system_state(cfg)
-    assert set(state.objects) == {"pump-1", "pump-2"}
-
+# --- nodes ---------------------------------------------------------------------
 
 def test_config_node_require():
     node = ConfigNode(kind="engine", entries={"delta_t": 1.0})

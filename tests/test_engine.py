@@ -1,32 +1,13 @@
-"""Engine core: deterministic RNG, random_draw, guarded-law stepping."""
+"""Deterministic RNG: seeded substreams and random_draw."""
 
-import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal.engine import (
-    EngineConfig,
-    Law,
-    RngState,
-    RunTrace,
-    random_draw,
-    resolve_termination,
-    run,
-    step,
-)
-from qcausal.errors import ConfigError, InvariantViolation
-from qcausal.state import (
-    ObjectKind,
-    ParticleInfo,
-    Path,
-    PathState,
-    QuantumObject,
-    Space,
-    SystemState,
-)
+from qcausal.engine import RngState, random_draw
+from qcausal.errors import ConfigError
 
 
 def test_rng_same_seed_same_sequence():
@@ -131,15 +112,14 @@ def test_random_draw_validation():
         random_draw((0.0, 1.0), "gaussian", rng)
     with pytest.raises(ConfigError):
         random_draw((1.0, 0.0), "uniform", rng)
-
-
-def test_random_draw_logs_when_recording():
-    rng = RngState(0)
-    rng.log = []
-    random_draw(["a"], [1.0], rng)
-    random_draw((0.0, 1.0), "uniform", rng)
-    assert rng.log[0] == "a"
-    assert 0.0 <= rng.log[1] < 1.0
+    nan, inf = math.nan, math.inf
+    for probs in ([nan, nan], [nan, 1.0], [inf, 0.0], [1.0, inf], [0.5, -inf]):
+        with pytest.raises(ConfigError):
+            random_draw(["a", "b"], probs, rng)
+    for interval in ((0.0, inf), (-inf, 0.0), (nan, 1.0), (0.0, nan)):
+        with pytest.raises(ConfigError):
+            random_draw(interval, "uniform", rng)
+    assert rng.draws == 0  # rejected before anything is drawn
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
@@ -155,158 +135,3 @@ def test_random_draw_respects_support(weights):
     rng = RngState(1)
     for _ in range(10):
         assert random_draw(values, probs, rng) in values
-
-
-# --- guarded-law stepping -------------------------------------------------
-
-def _point_object(object_id, cell=(0,)):
-    ps = PathState(frozenset({cell}), (0.0,), (0.0,))
-    return QuantumObject(
-        object_id=object_id,
-        kind=ObjectKind.PARTICLE,
-        particles=(ParticleInfo("marble", 1.0),),
-        paths=(Path(1.0 + 0j, (ps,)),),
-    )
-
-
-def _fresh_state(n_objects=3):
-    state = SystemState(space=Space(1, (8,), 1.0))
-    for i in range(n_objects):
-        state.add_object(_point_object(f"m-{i}", (i,)))
-    return state
-
-
-def _decay_law():
-    def cond(state):
-        return bool(state.objects)
-
-    def trans(state):
-        first = sorted(state.objects)[0]
-        del state.objects[first]
-        return state
-
-    return Law("decay", cond, trans)
-
-
-def test_step_applies_laws_in_order():
-    order = []
-    mk = lambda name: Law(
-        name,
-        lambda s: True,
-        lambda s, name=name: (order.append(name), s)[1],
-    )
-    state = _fresh_state(0)
-    state, fired = step(state, 1.0, [mk("first"), mk("second")])
-    assert order == ["first", "second"]
-    assert fired == ["first", "second"]
-    assert state.step_count == 1 and state.t == 1.0
-
-
-def test_step_skips_false_guards():
-    state = _fresh_state(1)
-    law = Law("never", lambda s: False, lambda s: pytest.fail("guard was false"))
-    state, fired = step(state, 0.5, [law])
-    assert fired == []
-    assert state.t == 0.5
-
-
-def test_step_detects_broken_invariant():
-    state = _fresh_state(1)
-
-    def escape(s):
-        s.objects["m-0"] = _point_object("m-0", (99,))  # outside extent 8
-        return s
-
-    with pytest.raises(InvariantViolation, match="break|outside|invariant"):
-        step(state, 1.0, [Law("escape", lambda s: True, escape)])
-
-
-def test_run_until_no_objects():
-    state = _fresh_state(3)
-    cfg = EngineConfig(delta_t=1.0, max_steps=10, termination="no_objects")
-    state, trace = run(state, cfg, [_decay_law()])
-    assert state.objects == {}
-    assert state.step_count == 3
-    assert [rec["fired"] for rec in trace.steps] == [["decay"]] * 3
-
-
-def test_run_max_steps_cap():
-    state = _fresh_state(2)
-    cfg = EngineConfig(delta_t=0.25, max_steps=5)
-    state, trace = run(state, cfg, [Law("idle", lambda s: False, lambda s: s)])
-    assert state.step_count == 5
-    assert state.t == 5 * 0.25
-    assert all(rec["fired"] == [] for rec in trace.steps)
-
-
-def test_run_termination_checked_before_first_step():
-    state = _fresh_state(0)
-    cfg = EngineConfig(delta_t=1.0, max_steps=10, termination="no_objects")
-    state, trace = run(state, cfg, [_decay_law()])
-    assert state.step_count == 0
-    assert trace.steps == []
-
-
-def test_run_rejects_duplicate_law_ids():
-    state = _fresh_state(1)
-    cfg = EngineConfig(delta_t=1.0, max_steps=1)
-    laws = [Law("x", lambda s: False, lambda s: s), Law("x", lambda s: False, lambda s: s)]
-    with pytest.raises(ConfigError):
-        run(state, cfg, laws)
-
-
-def test_clock_is_exact_multiple_of_delta_t():
-    # t is recomputed as step_count * delta_t, never accumulated.
-    state = _fresh_state(0)
-    cfg = EngineConfig(delta_t=0.1, max_steps=1000)
-    state, _ = run(state, cfg, [])
-    assert state.t == 1000 * 0.1
-    assert state.t != math.fsum([0.1] * 999) + 0.1 or state.t == 1000 * 0.1
-
-
-def test_engine_config_validation():
-    with pytest.raises(ConfigError):
-        EngineConfig(delta_t=0.0, max_steps=1)
-    with pytest.raises(ConfigError):
-        EngineConfig(delta_t=1.0, max_steps=-1)
-    with pytest.raises(ConfigError):
-        resolve_termination("heat_death")
-    assert resolve_termination(None)(None) is False
-    pred = lambda s: True
-    assert resolve_termination(pred) is pred
-
-
-def test_trace_records_draws(tmp_path):
-    state = _fresh_state(1)
-
-    def flip(s):
-        random_draw(["h", "t"], [0.5, 0.5], s.rng)
-        return s
-
-    cfg = EngineConfig(delta_t=1.0, max_steps=4, seed=0)
-    state, trace = run(state, cfg, [Law("flip", lambda s: True, flip)])
-    assert len(trace.steps) == 4
-    assert all(rec["draws"][0] in ("h", "t") for rec in trace.steps)
-
-    out = tmp_path / "trace.jsonl"
-    trace.write_jsonl(out)
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
-    assert lines[0]["laws"] == ["flip"]
-    assert len(lines) == 5  # header + 4 steps
-    assert lines[1]["t"] == 1.0
-
-
-def test_trace_runs_reproduce_bit_for_bit(tmp_path):
-    def make():
-        state = _fresh_state(2)
-        state.rng = RngState(77)
-
-        def jiggle(s):
-            random_draw((0.0, 1.0), "uniform", s.rng)
-            return s
-
-        cfg = EngineConfig(delta_t=1.0, max_steps=6, seed=77)
-        _, trace = run(state, cfg, [Law("jiggle", lambda s: True, jiggle)])
-        return trace.to_records()
-
-    assert make() == make()

@@ -13,7 +13,6 @@ from qcausal.interaction import (
     InteractionCandidate,
     OutcomeRow,
     OutcomeTable,
-    apply_qft_interactions,
     create_interaction_object,
     determine_potential_interactions,
     drop_particle,
@@ -410,28 +409,6 @@ def test_screen_merge_sees_evolved_and_constructed_states_as_one():
          Path(INV2, (PathState(frozenset({(hi, 0)}), (0.0, 0.0), (0.0,)), evolved))),
     )
     assert doubleslit.propagate_to_screen(photon, geometry).n_paths == geometry.n_cells
-
-
-# --- sweep ---------------------------------------------------------------------------
-
-def test_sweep_interacts_each_pair_at_most_once():
-    state = SystemState(space=Space(1, (8,), 1.0))
-    state.add_object(_consistent("a", (1,), 1.0, (0.0,)))
-    state.add_object(_consistent("b", (1,), 1.0, (0.0,)))
-    state.add_object(_consistent("c", (6,), 1.0, (0.0,)))
-    made = apply_qft_interactions(state, lambda a, b, c: table_at(c.position), RngState(0))
-    assert len(made) == 1
-    assert "c" in state.objects  # disjoint bystander untouched
-    assert made[0].object_id in state.objects
-
-
-def test_sweep_veto():
-    state = SystemState(space=Space(1, (8,), 1.0))
-    state.add_object(_consistent("a", (1,), 1.0, (0.0,)))
-    state.add_object(_consistent("b", (1,), 1.0, (0.0,)))
-    made = apply_qft_interactions(state, lambda a, b, c: None, RngState(0))
-    assert made == []
-    assert set(state.objects) == {"a", "b"}
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -187,9 +187,7 @@ def test_sweeping_references_are_non_local():
 
 
 def test_classify_law_requires_footprint():
-    from qcausal.engine import Law
-
-    bare = Law("engine-law", lambda s: True, lambda s: s)
+    bare = LawSpec("bare-law", footprint=None)
     with pytest.raises(ParseError):
         classify_law(bare)
 

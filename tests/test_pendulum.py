@@ -34,6 +34,11 @@ def test_params_validation():
         PendulumParams(k=-0.5)
     with pytest.raises(ConfigError):
         PendulumParams(amplitude=0.0)
+    for name in ("m", "omega0", "k", "amplitude"):
+        with pytest.raises(ConfigError, match=name):
+            PendulumParams(**{name: math.nan})
+        with pytest.raises(ConfigError, match=name):
+            PendulumParams(**{name: math.inf})
 
 
 def test_reference_trajectories():
@@ -123,6 +128,11 @@ def test_run_pendulum_validation():
         run_pendulum("in-phase", steps_per_period=4)
     with pytest.raises(ConfigError):
         run_pendulum("in-phase", periods=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="amplitude"):
+            run_pendulum("in-phase", amplitude=bad)
+        with pytest.raises(ConfigError, match="periods"):
+            run_pendulum("in-phase", periods=bad)
     with pytest.raises(ConfigError):
         run_pendulum("diagonal")
 

@@ -1,13 +1,11 @@
 """State model: lattice, path tables, normalization, collapse, conservation sums."""
 
 import math
-import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal.engine import EngineConfig, RngState
 from qcausal.errors import (
     ConfigError,
     DegenerateObjectError,
@@ -16,7 +14,6 @@ from qcausal.errors import (
 )
 from qcausal.state import (
     NORM_TOL,
-    FieldGrid,
     ObjectKind,
     ParticleInfo,
     Path,
@@ -24,7 +21,6 @@ from qcausal.state import (
     QuantumObject,
     Space,
     SystemState,
-    build_system_state,
     normalize_amplitudes,
     object_footprint,
     path_support,
@@ -71,17 +67,6 @@ def test_space_validation():
         Space(1, (0,), 1.0)
     with pytest.raises(ConfigError):
         Space(1, (4,), 0.0)
-
-
-def test_field_grid_shape_check():
-    sp = Space(2, (3, 2), 1.0)
-    FieldGrid("v", np.zeros((3, 2))).check(sp)
-    with pytest.raises(ConfigError):
-        FieldGrid("v", np.zeros((2, 3))).check(sp)
-    bad = np.zeros((3, 2))
-    bad[1, 1] = np.inf
-    with pytest.raises(ConfigError):
-        FieldGrid("v", bad).check(sp)
 
 
 # --- PathState / Path --------------------------------------------------------
@@ -239,14 +224,6 @@ def test_add_and_get_object():
         state.get_object("ghost")
 
 
-def test_clock_exactness():
-    state = SystemState(space=Space(1, (4,), 1.0))
-    for _ in range(1000):
-        state.advance_clock(0.1)
-    assert state.step_count == 1000
-    assert state.t == 1000 * 0.1  # recomputed, not accumulated
-
-
 def test_invariant_problem_flags_out_of_bounds():
     state = SystemState(space=Space(1, (4,), 1.0))
     state.objects["far"] = one_particle("far", [Path(1.0, (ps((9,)),))])
@@ -254,34 +231,6 @@ def test_invariant_problem_flags_out_of_bounds():
     assert problem is not None and "far" in problem
     state.objects.clear()
     assert state.invariant_problem() is None
-
-
-def test_build_system_state():
-    cfg = types.SimpleNamespace(
-        space=Space(1, (4,), 1.0),
-        engine=EngineConfig(delta_t=0.5, max_steps=3, seed=12),
-        fields={"v": FieldGrid("v", np.ones(4))},
-        objects=[one_particle("m", [Path(1.0, (ps((2,)),))])],
-    )
-    state = build_system_state(cfg)
-    assert state.delta_t == 0.5
-    assert state.rng.seed == 12
-    assert set(state.objects) == {"m"}
-    assert state.fields["v"].values.shape == (4,)
-
-
-def test_build_system_state_rejects_bad_objects():
-    base = dict(
-        space=Space(1, (4,), 1.0),
-        engine=EngineConfig(delta_t=1.0, max_steps=1, seed=0),
-        fields={},
-    )
-    stray = types.SimpleNamespace(**base, objects=[one_particle("m", [Path(1.0, (ps((7,)),))])])
-    with pytest.raises(ConfigError, match="outside"):
-        build_system_state(stray)
-    lop = types.SimpleNamespace(**base, objects=[one_particle("m", [Path(0.7, (ps((1,)),))])])
-    with pytest.raises(ConfigError, match="sum"):
-        build_system_state(lop)
 
 
 # --- total_conserved -------------------------------------------------------------
