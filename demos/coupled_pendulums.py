@@ -13,8 +13,6 @@ the uncoupled w0.  A discrepancy this clean is a feature: the local
 dynamics is the arbiter between the two reference formulas.
 """
 
-import numpy as np
-
 from qcausal.experiments.pendulum import (
     PendulumParams,
     coupled_frequency,

@@ -10,7 +10,8 @@ Every subcommand writes <name>.json and <name>.csv into the output
 directory (--out, else $QCAUSAL_OUTPUT_DIR, else the working directory)
 and prints a short text summary.  JSON is sorted and timestamp-free, so a
 repeated invocation with the same seed is byte-identical.  Exit codes:
-0 success, 1 configuration or usage error, 2 internal invariant failure.
+0 success, 1 configuration or usage error or out of memory, 2 internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, check_array_length
 from .experiments import bell, doubleslit, pendulum
 from .locality import classify_model, load_model_spec, ref_to_text
 from .wave import (
@@ -33,7 +34,6 @@ from .wave import (
     compare_analytic,
     make_grid,
     gaussian_profile,
-    run_wave,
     standing_wave_grid,
     traveling_pulse_grid,
     wave_energy,
@@ -257,6 +257,7 @@ def cmd_wave(args) -> int:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     if args.sigma is not None and not args.sigma > 0:
         raise ConfigError(f"--sigma must be > 0, got {args.sigma}")
+    check_array_length(args.cells, "--cells")
     n = args.cells
     v = args.courant  # dx = dt = 1
     oracle = None
@@ -411,8 +412,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"qcausal: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # unreadable input file, unwritable output directory
-        print(f"qcausal: error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # unreadable input, unwritable output, no memory
+        print(f"qcausal: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"qcausal: invariant failure: {exc}", file=sys.stderr)

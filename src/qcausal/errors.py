@@ -5,6 +5,8 @@ raise ConfigError; violations of internal model invariants raise
 InvariantViolation.  The CLI maps these to distinct exit codes.
 """
 
+import sys
+
 
 class ConfigError(ValueError):
     """A configuration value or file is invalid.  Message names the field."""
@@ -19,6 +21,13 @@ class ParseError(ConfigError):
         if line is not None:
             message = f"line {line}" + (f", col {column}" if column is not None else "") + f": {message}"
         super().__init__(message)
+
+
+def check_array_length(n, what: str):
+    """Raise ConfigError, before anything is allocated, when n values (an int
+    or a float count) are more than one float64 numpy array can address."""
+    if not n <= sys.maxsize // 8:
+        raise ConfigError(f"{what} = {n} is more values than one array can hold")
 
 
 class InvariantViolation(RuntimeError):

@@ -95,8 +95,9 @@ WING_B_CELL = (2,)
 
 
 def fresh_state(seed_rng: RngState) -> SystemState:
-    """Minimal 3-cell world: source in the middle, one wing per side."""
-    return SystemState(space=Space(dims=1, extent=(3,), delta_x=1.0), rng=seed_rng)
+    """Minimal 3-cell world: source in the middle, one wing per side.  seed_rng
+    is unused: each step draws from the stream its caller passes in."""
+    return SystemState(space=Space(dims=1, extent=(3,), delta_x=1.0))
 
 
 # make_pump and make_screen are cached, so every trial shares their objects;

@@ -26,7 +26,7 @@ the configured geometry alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -364,10 +364,6 @@ class ScreenHistogram:
 # -- drivers ----------------------------------------------------------------------
 
 
-def _fresh_state(geometry: SlitGeometry, rng: RngState) -> SystemState:
-    return SystemState(space=geometry.space(), rng=rng)
-
-
 def _marked_templates(geometry: SlitGeometry) -> list[QuantumObject]:
     """Post-marker collections (one per slit), already propagated to the screen."""
     out = []
@@ -421,7 +417,7 @@ def run_double_slit(
         probs = [c.joint_weight / total for c in cands]
         for trial in range(trials):
             rng = root.substream(trial)
-            state = _fresh_state(geometry, rng)
+            state = SystemState(space=geometry.space())
             state.add_object(flying)
             state.add_object(screen)
             chosen = random_draw(cands, probs, rng)
@@ -442,7 +438,7 @@ def run_double_slit(
             screen_probs.append([c.joint_weight / t for c in cl])
         for trial in range(trials):
             rng = root.substream(trial)
-            state = _fresh_state(geometry, rng)
+            state = SystemState(space=geometry.space())
             state.add_object(photon)
             state.add_object(mark)
             chosen = random_draw(mark_cands, mark_probs, rng)

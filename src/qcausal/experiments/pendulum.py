@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_array_length
 
 MODES = ("in-phase", "anti-phase")
 
@@ -229,9 +229,12 @@ def run_pendulum(
         raise ConfigError(f"steps_per_period must be >= 8, got {steps_per_period}")
     if not (periods > 0 and math.isfinite(periods)):
         raise ConfigError(f"periods must be finite and > 0, got {periods}")
+    check_array_length(steps_per_period, "steps_per_period")
+    samples = periods * steps_per_period
+    check_array_length(samples, "periods * steps_per_period")
     period = 2.0 * math.pi / coupled_frequency(params)
     delta_t = period / steps_per_period
-    steps = round(periods * steps_per_period)
+    steps = round(samples)
     times, local_a, local_b = integrate_local(mode, params, delta_t, steps)
     closed_a, closed_b = closed_form_trajectory(mode, params, times)
     mode_a, mode_b = normal_mode_trajectory(mode, params, times)

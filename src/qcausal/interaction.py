@@ -38,11 +38,10 @@ the sums recorded on the interaction object.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import RngState, random_draw
-from .errors import ConfigError, DegenerateObjectError, InvariantViolation
+from .errors import ConfigError, InvariantViolation
 from .state import (
     NORM_TOL,
     ObjectKind,
@@ -207,15 +206,13 @@ def _sub_conserved(x: dict, y: dict) -> dict:
     }
 
 
-_ia_counter = itertools.count()
-
-
 def create_interaction_object(
     a: QuantumObject,
     b: QuantumObject,
     candidate: InteractionCandidate,
     outcome_table: OutcomeTable | None = None,
-    tag: str | None = None,
+    *,
+    tag: str,
 ) -> InteractionObject:
     """Record the selected interaction at its position.
 
@@ -223,7 +220,7 @@ def create_interaction_object(
     rest energies, momenta and angular momenta, taken from the selected
     rows.  Provenance (object ids, selected path indices, position) is kept
     for traces and the conservation ledger.  tag names the interaction
-    object deterministically; without one, a process-wide counter is used.
+    object: its id is "ia-<tag>".
     """
     pos = candidate.position
     for obj, idx in ((a, candidate.path_index_1), (b, candidate.path_index_2)):
@@ -238,7 +235,7 @@ def create_interaction_object(
         _column_contribution(b, candidate.path_index_2, candidate.particle_index_2),
     )
     core = QuantumObject(
-        object_id=f"ia-{tag if tag is not None else next(_ia_counter)}",
+        object_id=f"ia-{tag}",
         kind=ObjectKind.INTERACTION_OBJECT,
         particles=(ParticleInfo("interaction", conserved["energy"]),),
         paths=(

@@ -47,7 +47,6 @@ that declared stencils cover observed accesses.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -484,9 +483,6 @@ class LocalityReport:
             "class": self.model_class.label,
             "laws": [entry.to_json_dict() for entry in self.laws],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"model {self.model_name}: {self.model_class.label}"]

@@ -529,7 +529,7 @@ def run_doubleslit_refined(
     counts = np.zeros(geometry.n_cells, dtype=np.int64)
     for trial in range(trials):
         rng = root.substream(trial)
-        state = SystemState(space=geometry.space(), rng=rng)
+        state = SystemState(space=geometry.space())
         state.add_object(_ds.photon_at_slits(geometry))
         if marker:
             state.add_object(_ds.marker_object(geometry))

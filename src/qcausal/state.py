@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .engine import RngState
 from .errors import ConfigError, DegenerateObjectError, InvariantViolation, UnknownObjectError
 
 NORM_TOL = 1e-9  # squared amplitude moduli must sum to 1 within this
@@ -125,10 +124,6 @@ class ParticleInfo:
     mass: float = 0.0
 
 
-def _zeros(n: int) -> tuple[float, ...]:
-    return (0.0,) * n
-
-
 @dataclass(frozen=True)
 class QuantumObject:
     """A rectangular path table plus global and conserved attribute blocks."""
@@ -227,8 +222,8 @@ def path_support(path: Path) -> frozenset:
 
 @dataclass
 class SystemState:
-    """One trial's world: the lattice, the live objects by id, the trial's RNG
-    stream, and the log of pipeline events.
+    """One trial's world: the lattice, the live objects by id, and the log of
+    pipeline events.
 
     The interaction pipeline and both runtimes read and rewrite objects in
     place; invariant_problem is the runtime's cheap check after objects move.
@@ -236,7 +231,6 @@ class SystemState:
 
     space: Space
     objects: dict = field(default_factory=dict)
-    rng: RngState = field(default_factory=lambda: RngState(0))
     event_log: list = field(default_factory=list)
 
     def add_object(self, obj: QuantumObject):

@@ -220,6 +220,9 @@ def test_analyze_malformed_model(tmp_path, capsys):
         ["analyze", "DIRECTORY"],
         ["pendulum", "--mode", "in-phase", "--periods", "inf"],
         ["pendulum", "--mode", "in-phase", "--amplitude", "nan"],
+        ["pendulum", "--mode", "in-phase", "--periods", "1e300"],
+        ["pendulum", "--mode", "in-phase", "--steps", "1" + "0" * 30],
+        ["wave", "--cells", "1" + "0" * 30],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
@@ -232,6 +235,22 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "error" in err and "Traceback" not in err
     assert not out.exists() or not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate 8.00 EiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_out_of_memory_is_a_one_line_error(exc, line, monkeypatch, capsys):
+    def exhaust(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "wave", exhaust)
+    assert run_cli("wave") == 1
+    assert capsys.readouterr().err == f"qcausal: error: {line}\n"
 
 
 def test_non_finite_output_is_refused(tmp_path):

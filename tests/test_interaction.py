@@ -182,9 +182,9 @@ def test_create_interaction_object_checks_coverage():
     a = particle("a", [Path(1.0, (ps((0,)),))])
     b = particle("b", [Path(1.0, (ps((0,)),))])
     with pytest.raises(ConfigError):
-        create_interaction_object(a, b, InteractionCandidate((4,), 0, 0, 1.0))
+        create_interaction_object(a, b, InteractionCandidate((4,), 0, 0, 1.0), tag="x")
     with pytest.raises(IndexError):
-        create_interaction_object(a, b, InteractionCandidate((0,), 3, 0, 1.0))
+        create_interaction_object(a, b, InteractionCandidate((0,), 3, 0, 1.0), tag="x")
 
 
 def test_drop_last_particle_removes_object():
@@ -239,7 +239,7 @@ def test_process_interaction_object():
 def test_process_requires_table():
     a = particle("a", [Path(1.0, (ps((1,)),))])
     b = particle("b", [Path(1.0, (ps((1,)),))])
-    ia = create_interaction_object(a, b, InteractionCandidate((1,), 0, 0, 1.0))
+    ia = create_interaction_object(a, b, InteractionCandidate((1,), 0, 0, 1.0), tag="x")
     with pytest.raises(ConfigError):
         process_interaction_object(ia)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcausal
-from qcausal.errors import ParseError
+from qcausal.errors import ConfigError, ParseError
 from qcausal.locality import (
     CellAbsolute,
     CellAt,
@@ -86,8 +86,9 @@ def test_parse_object_declarations():
 def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as exc:
         parse("model m\nlaw broken {\n  reads cell(0);\n}")
-    assert exc.value.line == 3
-    assert "line 3" in str(exc.value)
+    assert exc.value.line == 3 and exc.value.column == 9
+    assert str(exc.value).startswith("line 3, col 9:")
+    assert isinstance(exc.value, ConfigError)
 
 
 def test_parse_rejects_wide_tuples():

@@ -86,8 +86,8 @@ def _merge_table(cell):
     )
 
 
-def _world(*objects, seed=0):
-    state = SystemState(space=Space(dims=1, extent=(8,), delta_x=1.0), rng=RngState(seed))
+def _world(*objects):
+    state = SystemState(space=Space(dims=1, extent=(8,), delta_x=1.0))
     for obj in objects:
         state.add_object(obj)
     return state

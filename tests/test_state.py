@@ -13,7 +13,6 @@ from qcausal.errors import (
     UnknownObjectError,
 )
 from qcausal.state import (
-    NORM_TOL,
     ObjectKind,
     ParticleInfo,
     Path,
