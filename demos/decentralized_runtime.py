@@ -1,9 +1,9 @@
 """The decentralized runtime, watched one round at a time.
 
-Instead of a central loop scanning every object, each object runs its
-own engine and coordinates through an advertisement board: publish where
-you are, read where everyone was last round, propose interactions to
-whoever overlaps.  A mediator checks the two sides of every proposal
+Instead of a central loop claiming events in a fixed order, each object
+runs its own engine and coordinates through an advertisement board:
+publish where you are, read where everyone was last round, propose
+interactions to whoever overlaps.  A mediator checks the two sides of every proposal
 agree, grants at most one interaction per object per round, and every
 granted interaction is closed with an exact conservation ledger check.
 
@@ -13,30 +13,15 @@ distribution, to sampling noise, and bit-identical on reruns.
 """
 
 from qcausal.engine import RngState
-from qcausal.experiments.bell import (
-    BellConfig,
-    fresh_state,
-    make_pump,
-    make_screen,
-    run_bell_experiment,
-)
+from qcausal.experiments.bell import BellConfig, bell_world, run_bell_experiment
 from qcausal.runtime import BellRoundPolicy, RefinedRuntime
-
-
-def bell_world(rng):
-    state = fresh_state(rng)
-    state.add_object(make_pump("pump-1"))
-    state.add_object(make_pump("pump-2"))
-    state.add_object(make_screen("screen-a", (0,)))
-    state.add_object(make_screen("screen-b", (2,)))
-    return state
 
 
 # -- one trial, traced ---------------------------------------------------------
 
 rng = RngState(0).substream(0)
-policy = BellRoundPolicy(angle_a=0.0, angle_b=30.0, spindir_policy="uniform", rng=rng)
-runtime = RefinedRuntime(bell_world(rng), policy, rng, keep_ledger=True)
+policy = BellRoundPolicy(angle_a=0.0, angle_b=30.0, spindir_policy="uniform", rng=rng.substream("source"))
+runtime = RefinedRuntime(bell_world(), policy, rng, keep_ledger=True)
 
 print("one trial, analyzers at (0, 30) degrees:")
 while not policy.done(runtime.state):

@@ -34,10 +34,9 @@ from .wave import (
     compare_analytic,
     make_grid,
     gaussian_profile,
+    run_wave,
     standing_wave_grid,
     traveling_pulse_grid,
-    wave_energy,
-    wave_step,
     write_snapshots_csv,
 )
 
@@ -169,7 +168,17 @@ def _write_csv(outdir: Path, name: str, header: list, rows: list) -> Path:
 # -- subcommands --------------------------------------------------------------
 
 
+def _check_scheduler(args):
+    if args.scheduler != "round-robin" and args.runtime != "refined":
+        raise ConfigError(f"--scheduler {args.scheduler} needs --runtime refined")
+
+
 def cmd_bell(args) -> int:
+    _check_scheduler(args)
+    if args.angles is not None and args.spindir is not None:
+        raise ConfigError("--spindir applies to one angle pair, not to the --angles scan")
+    if args.angles is None and args.form != "identical":
+        raise ConfigError(f"--form {args.form} applies to the --angles scan only")
     outdir = _output_dir(args)
     spindir = "uniform" if args.spindir is None else args.spindir
     if args.angles is not None:
@@ -223,6 +232,7 @@ def cmd_bell(args) -> int:
 
 
 def cmd_doubleslit(args) -> int:
+    _check_scheduler(args)
     outdir = _output_dir(args)
     geometry = doubleslit.DEFAULT_GEOMETRY if args.geometry == "default" else doubleslit.SMALL_GEOMETRY
     hist = doubleslit.run_double_slit(
@@ -283,16 +293,10 @@ def cmd_wave(args) -> int:
         else:
             grid = make_grid(gaussian_profile(n, n / 2.0, sigma), v, 1.0, 1.0, boundary=args.boundary)
 
-    energies = [wave_energy(grid)]
-    traj = [(grid.t, grid.psi_now.copy())]
-    for step in range(1, args.steps + 1):
-        wave_step(grid)
-        energies.append(wave_energy(grid))
-        if step % args.stride == 0 or step == args.steps:
-            traj.append((grid.t, grid.psi_now.copy()))
-    e0 = energies[0]
-    drift = max(abs(e - e0) for e in energies) / e0 if e0 > 0 else 0.0
-    errors = compare_analytic(traj, oracle) if oracle is not None else None
+    run = run_wave(grid, args.steps, args.stride)
+    e0 = run.energy_initial
+    drift = run.max_energy_change / e0 if e0 > 0 else 0.0
+    errors = compare_analytic(run.trajectory, oracle) if oracle is not None else None
 
     payload = {
         "schema_version": 1,
@@ -309,13 +313,13 @@ def cmd_wave(args) -> int:
             "stride": args.stride,
         },
         "energy_initial": e0,
-        "energy_final": energies[-1],
+        "energy_final": run.energy_final,
         "energy_max_rel_drift": drift,
         "oracle_errors": errors,
     }
     jpath = _write_json(outdir, "wave", payload)
     cpath = outdir / "wave.csv"
-    write_snapshots_csv(traj, cpath)
+    write_snapshots_csv(run.trajectory, cpath)
     print(f"wave: {n} cells, {args.steps} steps, Courant {v}, init {args.init}")
     print(f"  energy drift (max relative) = {drift:.3e}")
     if errors is not None:

@@ -35,13 +35,7 @@ from types import MappingProxyType
 
 from ..engine import RngState, random_draw
 from ..errors import ConfigError
-from ..interaction import (
-    OutcomeRow,
-    OutcomeTable,
-    determine_potential_interactions,
-    perform_interaction,
-    select_interaction,
-)
+from ..interaction import OutcomeRow, OutcomeTable, RoundPolicy, claim
 from ..state import (
     ObjectKind,
     ParticleInfo,
@@ -92,12 +86,24 @@ def spin_probability(delta_deg: float) -> float:
 SOURCE_CELL = (1,)
 WING_A_CELL = (0,)
 WING_B_CELL = (2,)
+PUMP_IDS = ("pump-1", "pump-2")
+_AT_SOURCE = frozenset({SOURCE_CELL})
 
 
-def fresh_state(seed_rng: RngState) -> SystemState:
-    """Minimal 3-cell world: source in the middle, one wing per side.  seed_rng
+def fresh_state(seed_rng: RngState | None = None) -> SystemState:
+    """Empty 3-cell space: source in the middle, one wing per side.  seed_rng
     is unused: each step draws from the stream its caller passes in."""
     return SystemState(space=Space(dims=1, extent=(3,), delta_x=1.0))
+
+
+def bell_world() -> SystemState:
+    """The world both schedulers run: two pumps at the source, a screen per wing."""
+    state = fresh_state()
+    for pump_id in PUMP_IDS:
+        state.add_object(make_pump(pump_id))
+    state.add_object(make_screen("screen-a", WING_A_CELL))
+    state.add_object(make_screen("screen-b", WING_B_CELL))
+    return state
 
 
 # make_pump and make_screen are cached, so every trial shares their objects;
@@ -177,16 +183,6 @@ def absorb_table(cell, axis: float) -> OutcomeTable:
     )
 
 
-def emit_entangled_pair(state: SystemState, theta: float, rng: RngState) -> str:
-    """Source step: two pump particles interact into the two-row pair."""
-    state.add_object(make_pump("pump-1"))
-    state.add_object(make_pump("pump-2"))
-    cands = determine_potential_interactions(state.objects["pump-1"], state.objects["pump-2"])
-    chosen = select_interaction(cands, rng)
-    pair = perform_interaction(state, "pump-1", "pump-2", chosen, pair_table(theta))
-    return pair.object_id
-
-
 def drift(obj: QuantumObject) -> QuantumObject:
     """Translate every pathstate by its own momentum (whole cells per tick)."""
     new_paths = []
@@ -251,31 +247,69 @@ def _unit_phase(amplitude: complex) -> complex:
     return amplitude / mod if mod > 0.0 else 1.0
 
 
-def measure_wing(
-    state: SystemState,
-    obj_id: str,
-    particle_index: int,
-    screen_cell,
-    angle: float,
-    rng: RngState,
-    wing_tag: str,
-) -> bool:
-    """Analyzer plus screen at one wing; returns True for case1.
+class BellRoundPolicy(RoundPolicy):
+    """Source, drift, and two analyzer screens: what every Bell event means.
 
-    The analyzer ports reweight the table, the screen interaction selects a
-    port by squared amplitude and runs the full pipeline, collapsing the
-    shared table (and so the partner particle) to the selected row.
+    The pump pair becomes the two-row entangled collection, with the
+    emission direction drawn from rng under spindir_policy (a fixed angle
+    draws nothing).  The collection drifts one cell per column momentum,
+    and each screen claim applies the analyzer reweighting to the live
+    pair before candidates are recomputed.  The centralized trial and the
+    decentralized runtime both run their events through these hooks.
     """
-    obj = apply_stern_gerlach(state.get_object(obj_id), particle_index, angle)
-    state.objects[obj_id] = obj
-    screen_id = f"screen-{wing_tag}"
-    state.add_object(make_screen(screen_id, screen_cell))
-    cands = determine_potential_interactions(obj, state.objects[screen_id])
-    chosen = select_interaction(cands, rng)
-    case1 = chosen.path_index_1 == 0
-    axis = angle if case1 else angle + 90.0
-    perform_interaction(state, obj_id, screen_id, chosen, absorb_table(screen_cell, axis))
-    return case1
+
+    def __init__(self, angle_a: float, angle_b: float, spindir_policy, rng: RngState):
+        self.angles = {"screen-a": angle_a, "screen-b": angle_b}
+        self.spindir_policy = spindir_policy
+        self.rng = rng
+        self.theta: float | None = None
+        self.cases: dict[str, bool] = {}
+        self._source = False
+        self._pair_id: str | None = None
+        self._screen_id: str | None = None
+
+    def prepare(self, state: SystemState, a_id: str, b_id: str):
+        # each claim's roles are named here once, by object id: the pumps
+        # meet at the source, a screen is a key of angles, and whatever
+        # meets a screen is the pair
+        self._source = a_id in PUMP_IDS and b_id in PUMP_IDS
+        if b_id in self.angles:
+            self._pair_id, self._screen_id = a_id, b_id
+        elif a_id in self.angles:
+            self._pair_id, self._screen_id = b_id, a_id
+        else:
+            self._pair_id = self._screen_id = None
+            return
+        state.objects[self._pair_id] = apply_stern_gerlach(
+            state.objects[self._pair_id], 0, self.angles[self._screen_id]
+        )
+
+    def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
+        if self._source:
+            self.theta = draw_emission_direction(self.spindir_policy, self.rng)
+            return pair_table(self.theta)
+        screen_id = self._screen_id
+        if screen_id is None:
+            return None
+        row = candidate.path_index_1 if a_id == self._pair_id else candidate.path_index_2
+        case1 = row == 0
+        angle = self.angles[screen_id]
+        self.cases[screen_id] = case1
+        return absorb_table(candidate.position, angle if case1 else angle + 90.0)
+
+    def propagate(self, state: SystemState, object_id: str):
+        # only the pair moves, and only off the source
+        if object_id in PUMP_IDS or object_id in self.angles:
+            return None
+        obj = state.objects[object_id]
+        for path in obj.paths:
+            for ps in path.pathstates:
+                if ps.spacepoints != _AT_SOURCE:
+                    return None
+        return drift(obj)
+
+    def done(self, state: SystemState) -> bool:
+        return len(self.cases) == 2
 
 
 # -- statistics ----------------------------------------------------------------
@@ -394,14 +428,16 @@ def draw_emission_direction(policy, rng: RngState) -> float:
 
 
 def bell_trial(angle_a: float, angle_b: float, theta: float, rng: RngState) -> tuple[bool, bool]:
-    """One full pipeline trial: source, propagation, two wing measurements."""
-    state = fresh_state(rng)
-    pair_id = emit_entangled_pair(state, theta, rng)
-    state.objects[pair_id] = drift(state.objects[pair_id])
-    case_a = measure_wing(state, pair_id, 0, WING_A_CELL, angle_a, rng, "a")
-    # the pipeline dropped the measured column; the partner keeps the id
-    case_b = measure_wing(state, pair_id, 0, WING_B_CELL, angle_b, rng, "b")
-    return case_a, case_b
+    """One centralized trial: the source event, the pair's drift, then one
+    measurement per wing, claimed in that causal order."""
+    state = bell_world()
+    policy = BellRoundPolicy(angle_a, angle_b, theta, rng)
+    _, pair = claim(state, policy, *PUMP_IDS, rng)
+    state.objects[pair.object_id] = policy.propagate(state, pair.object_id)
+    for screen_id in ("screen-a", "screen-b"):
+        # the pipeline drops the measured column; the partner keeps the id
+        claim(state, policy, pair.object_id, screen_id, rng)
+    return policy.cases["screen-a"], policy.cases["screen-b"]
 
 
 def run_bell_experiment(cfg: BellConfig) -> BellResult:

@@ -364,21 +364,10 @@ class ScreenHistogram:
 # -- drivers ----------------------------------------------------------------------
 
 
-def _marked_templates(geometry: SlitGeometry) -> list[QuantumObject]:
-    """Post-marker collections (one per slit), already propagated to the screen."""
-    out = []
-    for s in (0, 1):
-        table = continue_table(geometry, s)
-        row = table.rows[0]
-        collected = QuantumObject(
-            object_id="out-0",
-            kind=ObjectKind.PARTICLE_COLLECTION,
-            particles=row.particles,
-            paths=(Path(amplitude=row.amplitude, pathstates=row.pathstates),),
-            conserved=_conserved(PHOTON_MASS + MARKER_MASS),
-        )
-        out.append(propagate_to_screen(collected, geometry))
-    return out
+def _selection_probabilities(candidates) -> list[float]:
+    """select_interaction's weights, computed once per run instead of per draw."""
+    total = sum(c.joint_weight for c in candidates)
+    return [c.joint_weight / total for c in candidates]
 
 
 def run_double_slit(
@@ -413,8 +402,7 @@ def run_double_slit(
     if not marker:
         flying = propagate_to_screen(photon_at_slits(geometry), geometry)
         cands = determine_potential_interactions(flying, screen)
-        total = sum(c.joint_weight for c in cands)
-        probs = [c.joint_weight / total for c in cands]
+        probs = _selection_probabilities(cands)
         for trial in range(trials):
             rng = root.substream(trial)
             state = SystemState(space=geometry.space())
@@ -427,15 +415,13 @@ def run_double_slit(
         photon = photon_at_slits(geometry)
         mark = marker_object(geometry)
         mark_cands = determine_potential_interactions(photon, mark)
-        mark_total = sum(c.joint_weight for c in mark_cands)
-        mark_probs = [c.joint_weight / mark_total for c in mark_cands]
+        mark_probs = _selection_probabilities(mark_cands)
         slit_of = {geometry.slit_cells[s]: s for s in (0, 1)}
-        marked = _marked_templates(geometry)
-        screen_cands = [determine_potential_interactions(m, screen) for m in marked]
-        screen_probs = []
-        for cl in screen_cands:
-            t = sum(c.joint_weight for c in cl)
-            screen_probs.append([c.joint_weight / t for c in cl])
+        # the marked product is the same every time a slit is chosen, so its
+        # fan to the screen and the screen candidates are built once per slit
+        marked: list[QuantumObject | None] = [None, None]
+        screen_cands: list = [None, None]
+        screen_probs: list = [None, None]
         for trial in range(trials):
             rng = root.substream(trial)
             state = SystemState(space=geometry.space())
@@ -446,6 +432,10 @@ def run_double_slit(
             out = perform_interaction(
                 state, photon.object_id, mark.object_id, chosen, continue_table(geometry, s)
             )
+            if marked[s] is None:
+                marked[s] = propagate_to_screen(out, geometry)
+                screen_cands[s] = determine_potential_interactions(marked[s], screen)
+                screen_probs[s] = _selection_probabilities(screen_cands[s])
             state.objects[out.object_id] = marked[s]
             state.add_object(screen)
             hit = random_draw(screen_cands[s], screen_probs[s], rng)

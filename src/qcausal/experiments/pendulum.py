@@ -235,6 +235,8 @@ def run_pendulum(
     period = 2.0 * math.pi / coupled_frequency(params)
     delta_t = period / steps_per_period
     steps = round(samples)
+    if steps < 1:
+        raise ConfigError(f"periods * steps_per_period = {samples:g} rounds to zero integration steps")
     times, local_a, local_b = integrate_local(mode, params, delta_t, steps)
     closed_a, closed_b = closed_form_trajectory(mode, params, times)
     mode_a, mode_b = normal_mode_trajectory(mode, params, times)

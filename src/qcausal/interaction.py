@@ -34,6 +34,14 @@ row only for all but one to be thrown away, which on a wide table (the
 
 Conserved quantities flow additively: the out collection carries exactly
 the sums recorded on the interaction object.
+
+A world says what its interactions mean through a RoundPolicy, and claim
+runs one event of it: prepare the participants, recompute the live
+candidates, select one, ask the policy for its outcome table and perform
+the interaction.  The centralized Bell trial calls claim in its world's
+causal order, and the decentralized runtime calls it for each granted
+event.  The centralized two-slit driver draws from candidate lists built
+once per run instead, since claim re-sums every candidate weight per draw.
 """
 
 from __future__ import annotations
@@ -363,3 +371,50 @@ def perform_interaction(
         }
     )
     return result
+
+
+class RoundPolicy:
+    """What the world means: outcome tables, motion, completion.
+
+    The schedulers are generic; everything experiment-specific hangs off
+    these hooks.  prepare may rewrite a participant before candidates are
+    recomputed (measurement devices do), table_for returns the outcome
+    table for a selected candidate or None to veto, propagate returns a
+    moved replacement object or None to stand still.
+    """
+
+    def prepare(self, state: SystemState, a_id: str, b_id: str):
+        pass
+
+    def table_for(self, state: SystemState, a_id: str, b_id: str, candidate) -> OutcomeTable | None:
+        raise NotImplementedError
+
+    def propagate(self, state: SystemState, object_id: str) -> QuantumObject | None:
+        return None
+
+    def on_interaction(self, state: SystemState, a_id: str, b_id: str, candidate, out: QuantumObject):
+        pass
+
+    def done(self, state: SystemState) -> bool:
+        return not state.objects
+
+
+def claim(
+    state: SystemState, policy: RoundPolicy, a_id: str, b_id: str, rng: RngState
+) -> tuple[InteractionCandidate, QuantumObject] | str:
+    """Claim one event between two live objects and perform it.
+
+    Runs prepare, candidate detection on the prepared objects,
+    select_interaction, the policy's table_for and perform_interaction.
+    Returns the chosen candidate and the out collection, or the reason no
+    interaction happened: "no live candidates" or "vetoed".
+    """
+    policy.prepare(state, a_id, b_id)
+    candidates = determine_potential_interactions(state.objects[a_id], state.objects[b_id])
+    if not candidates:
+        return "no live candidates"
+    chosen = select_interaction(candidates, rng)
+    table = policy.table_for(state, a_id, b_id, chosen)
+    if table is None:
+        return "vetoed"
+    return chosen, perform_interaction(state, a_id, b_id, chosen, table)

@@ -1,6 +1,6 @@
 """Decentralized runtime: per-object engines, a space mediator, rounds.
 
-The centralized drivers scan the whole object set to find interactions.
+The centralized drivers run their world's events in a fixed causal order.
 Here each object is advanced by its own engine, and engines never read
 another object's state.  Coordination runs through a mediator board of
 advertisements: in every round each engine publishes, per path and per
@@ -19,12 +19,12 @@ A round has four phases:
      shuffled under the randomized scheduler, and granted greedily; an
      object joins at most one interaction per round, later events with a
      busy participant are rejected and retried naturally next round.
-     A granted event is claimed: the policy's prepare hook runs (an
+     A granted event is claimed through interaction.claim, the step the
+     centralized Bell trial runs too: the policy's prepare hook runs (an
      analyzer reweighting its target, for instance), live candidates are
      recomputed from the prepared objects, one is selected by squared
      amplitude weight, and the policy supplies its outcome table (or
-     vetoes).  The interaction pipeline is the same one the centralized
-     drivers use, so the selection distribution is identical by
+     vetoes).  The selection distribution is therefore identical by
      construction.  Every interaction appends a ledger check: conserved
      totals over the participants before must equal survivors plus the
      out collection after, exactly.
@@ -50,12 +50,8 @@ from .engine import RngState, random_draw
 from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
 from .experiments import doubleslit as _ds
-from .interaction import (
-    OutcomeTable,
-    determine_potential_interactions,
-    perform_interaction,
-    select_interaction,
-)
+from .experiments.bell import BellRoundPolicy
+from .interaction import RoundPolicy, claim
 from .state import QuantumObject, SystemState, total_conserved
 
 SCHEDULERS = ("round-robin", "randomized")
@@ -209,32 +205,6 @@ class SpaceMediator:
         )
 
 
-class RoundPolicy:
-    """What the world means: outcome tables, motion, completion.
-
-    The runtime is generic; everything experiment-specific hangs off these
-    hooks.  prepare may rewrite a participant before candidates are
-    recomputed (measurement devices do), table_for returns the outcome
-    table for a selected candidate or None to veto, propagate returns a
-    moved replacement object or None to stand still.
-    """
-
-    def prepare(self, state: SystemState, a_id: str, b_id: str):
-        pass
-
-    def table_for(self, state: SystemState, a_id: str, b_id: str, candidate) -> OutcomeTable | None:
-        raise NotImplementedError
-
-    def propagate(self, state: SystemState, object_id: str) -> QuantumObject | None:
-        return None
-
-    def on_interaction(self, state: SystemState, a_id: str, b_id: str, candidate, out: QuantumObject):
-        pass
-
-    def done(self, state: SystemState) -> bool:
-        return not state.objects
-
-
 class RefinedRuntime:
     """Round loop driver over a store, engines, mediator, and policy."""
 
@@ -293,22 +263,14 @@ class RefinedRuntime:
         return busy
 
     def claim_and_interact(self, event: ProposedEvent) -> bool:
-        """Prepare, reselect from live objects, interact, check the ledger."""
+        """Claim the event through the shared pipeline step, check the ledger."""
         a_id, b_id = event.pair
-        self.policy.prepare(self.state, a_id, b_id)
-        a = self.state.objects[a_id]
-        b = self.state.objects[b_id]
-        candidates = determine_potential_interactions(a, b)
-        if not candidates:
-            self.mediator.reject(event, self.round_index, "no live candidates")
+        before = total_conserved([self.state.objects[a_id], self.state.objects[b_id]])
+        claimed = claim(self.state, self.policy, a_id, b_id, self.mediator.rng)
+        if isinstance(claimed, str):
+            self.mediator.reject(event, self.round_index, claimed)
             return False
-        chosen = select_interaction(candidates, self.mediator.rng)
-        table = self.policy.table_for(self.state, a_id, b_id, chosen)
-        if table is None:
-            self.mediator.reject(event, self.round_index, "vetoed")
-            return False
-        before = total_conserved([a, b])
-        out = perform_interaction(self.state, a_id, b_id, chosen, table)
+        chosen, out = claimed
         survivors = [self.state.objects[i] for i in event.pair if i in self.state.objects]
         after = total_conserved(survivors + [out])
         entry = LedgerEntry(
@@ -377,97 +339,24 @@ class RefinedRuntime:
 # -- entangled-pair world under the decentralized runtime ---------------------------
 
 
-def _particle_types(obj: QuantumObject) -> set:
-    return {p.type for p in obj.particles}
-
-
-class BellRoundPolicy(RoundPolicy):
-    """Source, drift, and two analyzer screens, one wing measured per round.
-
-    The pump pair becomes the two-row entangled collection (emission
-    direction drawn at the source event), the collection drifts one cell
-    per column momentum, and each screen claim applies the analyzer
-    reweighting to the live pair before candidates are recomputed, which
-    is exactly the centralized measurement sequence.
-    """
-
-    def __init__(self, angle_a: float, angle_b: float, spindir_policy, rng: RngState):
-        self.angles = {"screen-a": angle_a, "screen-b": angle_b}
-        self.spindir_policy = spindir_policy
-        self.rng = rng.substream("source")
-        self.theta: float | None = None
-        self.cases: dict[str, bool] = {}
-
-    def _pair_and_screen(self, state: SystemState, a_id: str, b_id: str):
-        a, b = state.objects[a_id], state.objects[b_id]
-        if "half" in _particle_types(a) and b_id in self.angles:
-            return a_id, b_id
-        if "half" in _particle_types(b) and a_id in self.angles:
-            return b_id, a_id
-        return None, None
-
-    def prepare(self, state: SystemState, a_id: str, b_id: str):
-        pair_id, screen_id = self._pair_and_screen(state, a_id, b_id)
-        if pair_id is None:
-            return
-        state.objects[pair_id] = _bell.apply_stern_gerlach(
-            state.objects[pair_id], 0, self.angles[screen_id]
-        )
-
-    def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
-        types_a = _particle_types(state.objects[a_id])
-        types_b = _particle_types(state.objects[b_id])
-        if types_a == {"pump"} and types_b == {"pump"}:
-            self.theta = _bell.draw_emission_direction(self.spindir_policy, self.rng)
-            return _bell.pair_table(self.theta)
-        pair_id, screen_id = self._pair_and_screen(state, a_id, b_id)
-        if pair_id is not None:
-            row = candidate.path_index_1 if a_id == pair_id else candidate.path_index_2
-            case1 = row == 0
-            angle = self.angles[screen_id]
-            axis = angle if case1 else angle + 90.0
-            self.cases[screen_id] = case1
-            return _bell.absorb_table(candidate.position, axis)
-        return None
-
-    def propagate(self, state: SystemState, object_id: str):
-        obj = state.objects[object_id]
-        if "half" not in _particle_types(obj):
-            return None
-        at_source = all(
-            ps.spacepoints == frozenset({_bell.SOURCE_CELL})
-            for path in obj.paths
-            for ps in path.pathstates
-        )
-        return _bell.drift(obj) if at_source else None
-
-    def done(self, state: SystemState) -> bool:
-        return len(self.cases) == 2
-
-
-def _bell_world(rng: RngState) -> SystemState:
-    state = _bell.fresh_state(rng)
-    state.add_object(_bell.make_pump("pump-1"))
-    state.add_object(_bell.make_pump("pump-2"))
-    state.add_object(_bell.make_screen("screen-a", _bell.WING_A_CELL))
-    state.add_object(_bell.make_screen("screen-b", _bell.WING_B_CELL))
-    return state
-
-
 def run_bell_refined(cfg) -> "_bell.BellResult":
     """Joint statistics for one angle pair under the decentralized runtime."""
     root = RngState(cfg.seed)
     stats = _bell.JointStats()
     for trial in range(cfg.trials):
         rng = root.substream(trial)
-        policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, rng)
-        runtime = RefinedRuntime(_bell_world(rng), policy, rng, cfg.scheduler)
+        policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, rng.substream("source"))
+        runtime = RefinedRuntime(_bell.bell_world(), policy, rng, cfg.scheduler)
         runtime.run(max_rounds=16)
         stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
     return _bell.BellResult(config=cfg, stats=stats)
 
 
 # -- two-slit world under the decentralized runtime ---------------------------------
+
+
+def _particle_types(obj: QuantumObject) -> set:
+    return {p.type for p in obj.particles}
 
 
 class DoubleSlitRoundPolicy(RoundPolicy):

@@ -137,22 +137,40 @@ def wave_step_scalar(grid: WaveGrid, access_log: list | None = None) -> np.ndarr
     return new
 
 
-def run_wave(grid: WaveGrid, steps: int, snapshot_stride: int = 1) -> list[tuple[float, np.ndarray]]:
+@dataclass
+class WaveRun:
+    """Snapshots of one run and its energy record.
+
+    energy_final and max_energy_change (the largest |E(t) - E(0)| over every
+    tick) are running values, so a long run holds no per-step list.
+    """
+
+    trajectory: list[tuple[float, np.ndarray]]
+    energy_initial: float
+    energy_final: float
+    max_energy_change: float
+
+
+def run_wave(grid: WaveGrid, steps: int, snapshot_stride: int = 1) -> WaveRun:
     """Advance `steps` ticks, collecting (t, psi) snapshots every stride.
 
     The initial state is always included; the final state always closes the
-    trajectory.
+    trajectory.  The energy functional is evaluated after every tick.
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if snapshot_stride < 1:
         raise ConfigError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     traj = [(grid.t, grid.psi_now.copy())]
+    e0 = energy = wave_energy(grid)
+    max_change = 0.0
     for k in range(1, steps + 1):
         wave_step(grid)
+        energy = wave_energy(grid)
+        max_change = max(max_change, abs(energy - e0))
         if k % snapshot_stride == 0 or k == steps:
             traj.append((grid.t, grid.psi_now.copy()))
-    return traj
+    return WaveRun(traj, e0, energy, max_change)
 
 
 def compare_analytic(trajectory, analytic) -> dict:

@@ -9,25 +9,26 @@ from hypothesis import strategies as st
 from qcausal.engine import RngState
 from qcausal.errors import ConfigError
 from qcausal.experiments.bell import (
+    PUMP_IDS,
     SOURCE_CELL,
     WING_A_CELL,
     WING_B_CELL,
     BellConfig,
+    BellRoundPolicy,
     JointStats,
     UnentangledConfig,
     apply_stern_gerlach,
     bell_scan,
     bell_trial,
+    bell_world,
     cos_deg,
     draw_emission_direction,
     drift,
-    emit_entangled_pair,
     evaluate_bell,
     fresh_state,
     lhv_oracle,
     make_pump,
     make_screen,
-    measure_wing,
     model_correlation,
     pair_table,
     run_bell_experiment,
@@ -36,7 +37,26 @@ from qcausal.experiments.bell import (
     sin_deg,
     spin_probability,
 )
+from qcausal.interaction import claim
 from qcausal.state import total_conserved
+
+
+def _emit(theta, rng):
+    """Source claim on a world of the two pumps alone; returns (state, pair id)."""
+    state = fresh_state()
+    for pump_id in PUMP_IDS:
+        state.add_object(make_pump(pump_id))
+    _, pair = claim(state, BellRoundPolicy(0.0, 0.0, theta, rng), "pump-1", "pump-2", rng)
+    return state, pair.object_id
+
+
+def _drifted_pair(angle_a, angle_b, theta, rng):
+    """The full world after its source claim and the pair's drift."""
+    state = bell_world()
+    policy = BellRoundPolicy(angle_a, angle_b, theta, rng)
+    _, pair = claim(state, policy, "pump-1", "pump-2", rng)
+    state.objects[pair.object_id] = policy.propagate(state, pair.object_id)
+    return state, policy, pair.object_id
 
 
 # --- exact degree trig ---------------------------------------------------------
@@ -90,9 +110,8 @@ def test_pair_table_shape():
     assert sum(p.mass for p in table.rows[0].particles) == pytest.approx(1.0)
 
 
-def test_emit_entangled_pair():
-    state = fresh_state(RngState(0))
-    pair_id = emit_entangled_pair(state, theta=0.0, rng=RngState(0).substream("emit"))
+def test_source_claim_emits_entangled_pair():
+    state, pair_id = _emit(0.0, RngState(0).substream("emit"))
     assert set(state.objects) == {pair_id}
     pair = state.objects[pair_id]
     assert pair.n_paths == 2
@@ -102,8 +121,7 @@ def test_emit_entangled_pair():
 
 
 def test_drift_moves_by_momentum():
-    state = fresh_state(RngState(0))
-    pair_id = emit_entangled_pair(state, theta=0.0, rng=RngState(0).substream("emit"))
+    state, pair_id = _emit(0.0, RngState(0).substream("emit"))
     moved = drift(state.objects[pair_id])
     for path in moved.paths:
         assert path.pathstates[0].spacepoints == frozenset({WING_A_CELL})
@@ -118,8 +136,7 @@ def test_drift_rounds_fractional_momentum():
 # --- analyzer -----------------------------------------------------------------------
 
 def test_analyzer_splits_single_row():
-    state = fresh_state(RngState(0))
-    pair_id = emit_entangled_pair(state, theta=30.0, rng=RngState(0).substream("emit"))
+    state, pair_id = _emit(30.0, RngState(0).substream("emit"))
     one_row = state.objects[pair_id]
     one_row = type(one_row)(
         object_id=one_row.object_id, kind=one_row.kind, particles=one_row.particles,
@@ -137,8 +154,7 @@ def test_analyzer_splits_single_row():
 
 
 def test_analyzer_reweights_two_rows():
-    state = fresh_state(RngState(0))
-    pair_id = emit_entangled_pair(state, theta=45.0, rng=RngState(0).substream("emit"))
+    state, pair_id = _emit(45.0, RngState(0).substream("emit"))
     out = apply_stern_gerlach(state.objects[pair_id], 0, angle=0.0)
     assert out.paths[0].weight == pytest.approx(0.5)
     assert out.paths[1].weight == pytest.approx(0.5)
@@ -148,8 +164,7 @@ def test_analyzer_reweights_two_rows():
 
 
 def test_analyzer_rejects_tall_tables():
-    state = fresh_state(RngState(0))
-    pair_id = emit_entangled_pair(state, theta=0.0, rng=RngState(0).substream("emit"))
+    state, pair_id = _emit(0.0, RngState(0).substream("emit"))
     pair = state.objects[pair_id]
     tall = type(pair)(
         object_id="tall", kind=pair.kind, particles=pair.particles,
@@ -170,12 +185,11 @@ def test_cached_blocks_are_read_only():
     assert [obj.conserved["energy"] for obj in blocks] == [0.5, 1.0]
 
 
-def test_measure_wing_collapses_partner():
+def test_screen_claim_collapses_partner():
     rng = RngState(3).substream("trial")
-    state = fresh_state(rng)
-    pair_id = emit_entangled_pair(state, theta=10.0, rng=rng)
-    state.objects[pair_id] = drift(state.objects[pair_id])
-    case_a = measure_wing(state, pair_id, 0, WING_A_CELL, angle=25.0, rng=rng, wing_tag="a")
+    state, policy, pair_id = _drifted_pair(25.0, 0.0, 10.0, rng)
+    claim(state, policy, pair_id, "screen-a", rng)
+    case_a = policy.cases["screen-a"]
     survivor = state.objects[pair_id]
     assert survivor.n_paths == 1 and len(survivor.particles) == 1
     expect = 25.0 if case_a else 115.0
@@ -186,11 +200,9 @@ def test_measure_wing_collapses_partner():
 
 def test_trial_conserves_energy():
     rng = RngState(8).substream("trial")
-    state = fresh_state(rng)
-    pair_id = emit_entangled_pair(state, theta=77.0, rng=rng)
-    state.objects[pair_id] = drift(state.objects[pair_id])
-    measure_wing(state, pair_id, 0, WING_A_CELL, 0.0, rng, "a")
-    measure_wing(state, pair_id, 0, WING_B_CELL, 30.0, rng, "b")
+    state, policy, pair_id = _drifted_pair(0.0, 30.0, 77.0, rng)
+    claim(state, policy, pair_id, "screen-a", rng)
+    claim(state, policy, pair_id, "screen-b", rng)
     # 2 pumps (0.5 each) + 2 screens (1.0 each) in, all still on the books
     assert total_conserved(state.objects.values())["energy"] == pytest.approx(3.0)
 
@@ -375,3 +387,26 @@ def test_bell_scan_structure():
     assert d["classical_min_margin"] == 0.0
     assert d["pairs"]["ab"]["params"]["seed"] == 0
     assert d["pairs"]["bc"]["params"]["seed"] == 2
+
+
+@pytest.mark.parametrize(
+    "angles, spindir, counts",
+    [
+        ((0.0, 30.0), "uniform", {"pp": 182, "pm": 61, "mp": 71, "mm": 186}),
+        ((10.0, 75.0), 33.0, {"pp": 72, "pm": 363, "mp": 49, "mm": 16}),
+    ],
+)
+def test_centralized_counts_are_pinned(angles, spindir, counts):
+    # exact tallies of the original centralized driver; the claim-based
+    # trial must reproduce every draw
+    cfg = BellConfig(*angles, trials=500, seed=3, spindir_policy=spindir)
+    assert run_bell_experiment(cfg).stats.counts() == counts
+
+
+def test_fixed_emission_direction_draws_nothing():
+    rng = RngState(0)
+    policy = BellRoundPolicy(0.0, 30.0, 33.0, rng)
+    state = fresh_state()
+    policy.prepare(state, "pump-1", "pump-2")
+    assert policy.table_for(state, "pump-1", "pump-2", None) is not None
+    assert policy.theta == 33.0 and rng.draws == 0

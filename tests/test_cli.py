@@ -223,6 +223,12 @@ def test_analyze_malformed_model(tmp_path, capsys):
         ["pendulum", "--mode", "in-phase", "--periods", "1e300"],
         ["pendulum", "--mode", "in-phase", "--steps", "1" + "0" * 30],
         ["wave", "--cells", "1" + "0" * 30],
+        ["bell", "--angles", "0,30,60", "--spindir", "33"],
+        ["bell", "--angle-a", "0", "--angle-b", "30", "--scheduler", "randomized"],
+        ["bell", "--angles", "0,30,60", "--scheduler", "randomized"],
+        ["doubleslit", "--marker", "on", "--scheduler", "randomized"],
+        ["bell", "--angle-a", "0", "--angle-b", "30", "--form", "anticorrelated"],
+        ["pendulum", "--mode", "in-phase", "--periods", "1e-9"],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):

@@ -254,6 +254,13 @@ def test_run_marker_on_matches_flat_pattern():
     assert hist.marker is True
 
 
+def test_run_marker_on_counts_are_pinned():
+    # exact tallies from when the marked fan was a hand-built template; the
+    # fan of the real marker product must reproduce every draw
+    hist = run_double_slit(True, 1000, SMALL_GEOMETRY, seed=4)
+    assert hist.counts.tolist() == [66, 49, 70, 71, 68, 65, 74, 57, 69, 47, 60, 73, 64, 51, 65, 51]
+
+
 def test_run_default_geometry_fringes_show():
     hist = run_double_slit(False, 3000, seed=0)
     assert hist.visibility() > 0.8

@@ -1,7 +1,13 @@
-"""Source hygiene: no module under src/ or demos/ imports a name it never uses.
+"""Source hygiene: unused imports and the package's import layering.
 
-Package __init__.py files are exempt (their imports are the re-exported
-API), and so is `from __future__`.  tests/ is not scanned.
+No module under src/ or demos/ imports a name it never uses.  Package
+__init__.py files are exempt (their imports are the re-exported API), and
+so is `from __future__`.  tests/ is not scanned.
+
+The runtime sits on top of the worlds: state, engine, interaction and the
+experiments never import qcausal.runtime when they are loaded.  A driver
+may still import it inside a function, which runs after both modules are
+loaded, so no import cycle can form.
 """
 
 import ast
@@ -9,6 +15,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "demos")
+PACKAGE = ROOT / "src" / "qcausal"
+BELOW_RUNTIME = ("state.py", "engine.py", "interaction.py", "experiments/*.py")
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -45,4 +53,60 @@ def test_no_unused_imports():
                 continue
             for line, name in unused_imports(path.read_text()):
                 offenders.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert offenders == []
+
+
+def _load_time_nodes(tree: ast.Module):
+    """Every node that runs when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def runtime_imports(source: str, package: str) -> list[int]:
+    """Lines where a module of `package` imports qcausal.runtime at load time."""
+    lines = []
+    for node in _load_time_nodes(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1] + ([node.module] if node.module else [])
+                base = ".".join(parts)
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(t == "qcausal.runtime" or t.startswith("qcausal.runtime.") for t in targets):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_layering_scanner_flags_load_time_runtime_imports():
+    source = (
+        "from ..runtime import run_bell_refined\n"
+        "from .. import runtime\n"
+        "import qcausal.runtime as rt\n"
+        "from ..interaction import claim\n"
+        "from . import runtime as sibling\n"
+        "from ..runtimes import other\n"
+        "def lazy():\n"
+        "    from ..runtime import RefinedRuntime\n"
+        "if True:\n"
+        "    from qcausal.runtime import SCHEDULERS\n"
+    )
+    assert runtime_imports(source, "qcausal.experiments") == [1, 2, 3, 10]
+
+
+def test_worlds_do_not_import_the_runtime_at_load_time():
+    offenders = []
+    for pattern in BELOW_RUNTIME:
+        for path in sorted(PACKAGE.glob(pattern)):
+            package = ".".join(path.parent.relative_to(PACKAGE.parent).parts)
+            for line in runtime_imports(path.read_text(), package):
+                offenders.append(f"{path.relative_to(ROOT)}:{line}")
     assert offenders == []

@@ -13,6 +13,8 @@ from qcausal.interaction import (
     InteractionCandidate,
     OutcomeRow,
     OutcomeTable,
+    RoundPolicy,
+    claim,
     create_interaction_object,
     determine_potential_interactions,
     drop_particle,
@@ -317,6 +319,54 @@ def test_eliminate_unaffected_paths_is_reduce():
     assert kept.paths[0].pathstates[0].spacepoints == frozenset({(0,)})
 
 
+# --- claim: the one event step both schedulers run -----------------------------------
+
+class _ShiftingPolicy(RoundPolicy):
+    """Moves "b" to `cell` in prepare; answers with `table` (None vetoes)."""
+
+    def __init__(self, cell, table):
+        self.cell, self.table, self.calls = cell, table, []
+
+    def prepare(self, state, a_id, b_id):
+        self.calls.append("prepare")
+        state.objects["b"] = _consistent("b", self.cell, 1.0, (0.0,))
+
+    def table_for(self, state, a_id, b_id, candidate):
+        self.calls.append(("table_for", candidate.position))
+        return self.table
+
+
+def _claim_world():
+    state = SystemState(space=Space(1, (8,), 1.0))
+    state.add_object(_consistent("a", (3,), 1.0, (0.0,)))
+    state.add_object(_consistent("b", (5,), 1.0, (0.0,)))
+    return state
+
+
+def test_claim_selects_from_prepared_objects_and_performs():
+    state = _claim_world()
+    policy = _ShiftingPolicy((3,), table_at((3,)))
+    rng = RngState(0)
+    chosen, out = claim(state, policy, "a", "b", rng)
+    # the candidate comes from the prepared "b", which prepare moved onto "a"
+    assert chosen.position == (3,)
+    assert policy.calls == ["prepare", ("table_for", (3,))]
+    assert set(state.objects) == {out.object_id} and out.object_id == "out-0"
+    assert rng.draws == 1
+
+
+@pytest.mark.parametrize(
+    "cell, table, reason, draws",
+    [((6,), table_at((6,)), "no live candidates", 0), ((3,), None, "vetoed", 1)],
+)
+def test_claim_reports_why_nothing_happened(cell, table, reason, draws):
+    state = _claim_world()
+    rng = RngState(0)
+    assert claim(state, _ShiftingPolicy(cell, table), "a", "b", rng) == reason
+    assert set(state.objects) == {"a", "b"} and state.event_log == []
+    assert rng.draws == draws
+
+
 # --- collapse before drop: equal to the paper's drop-then-eliminate order ------------
 
 def _paper_order_interaction(state, a_id, b_id, cand, table):
@@ -351,8 +401,12 @@ def _assert_same_as_paper_order(state, a_id, b_id, cand, table):
 
 @pytest.mark.parametrize("row", [0, 1])
 def test_bell_pair_interaction_matches_paper_order(row):
-    state = bell.fresh_state(RngState(0))
-    pair_id = bell.emit_entangled_pair(state, theta=30.0, rng=RngState(0).substream("emit"))
+    state = bell.fresh_state()
+    for pump_id in bell.PUMP_IDS:
+        state.add_object(bell.make_pump(pump_id))
+    rng = RngState(0).substream("emit")
+    _, pair = claim(state, bell.BellRoundPolicy(0.0, 0.0, 30.0, rng), "pump-1", "pump-2", rng)
+    pair_id = pair.object_id
     state.objects[pair_id] = bell.apply_stern_gerlach(bell.drift(state.objects[pair_id]), 0, 0.0)
     state.add_object(bell.make_screen("screen-a", bell.WING_A_CELL))
     cands = determine_potential_interactions(state.objects[pair_id], state.objects["screen-a"])
@@ -364,19 +418,24 @@ def test_bell_pair_interaction_matches_paper_order(row):
 
 def test_marked_two_slit_interaction_matches_paper_order():
     geometry = doubleslit.DEFAULT_GEOMETRY
-    marked = doubleslit._marked_templates(geometry)[1]
     screen = doubleslit.screen_object(geometry)
-    assert marked.n_paths == 128 and len(marked.particles) == 2
-    cands = determine_potential_interactions(marked, screen)
-    assert len(cands) == 128
     photon, mark = doubleslit.photon_at_slits(geometry), doubleslit.marker_object(geometry)
     (mark_cand,) = [c for c in determine_potential_interactions(photon, mark) if c.path_index_1 == 1]
-    for cand in cands:
-        # the centralized driver's sequence: mark at slit 1, swap in the fan
+
+    def marked_at_slit_1():
         state = SystemState(space=geometry.space())
         state.add_object(photon)
         state.add_object(mark)
-        perform_interaction(state, "photon", "marker", mark_cand, doubleslit.continue_table(geometry, 1))
+        table = doubleslit.continue_table(geometry, 1)
+        return state, perform_interaction(state, "photon", "marker", mark_cand, table)
+
+    marked = doubleslit.propagate_to_screen(marked_at_slit_1()[1], geometry)
+    assert marked.n_paths == 128 and len(marked.particles) == 2
+    cands = determine_potential_interactions(marked, screen)
+    assert len(cands) == 128
+    for cand in cands:
+        # the centralized driver's sequence: mark at slit 1, swap in the fan
+        state, _ = marked_at_slit_1()
         state.objects[marked.object_id] = marked
         state.add_object(screen)
         table = doubleslit.absorb_table(cand.position)

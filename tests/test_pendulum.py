@@ -128,6 +128,8 @@ def test_run_pendulum_validation():
         run_pendulum("in-phase", steps_per_period=4)
     with pytest.raises(ConfigError):
         run_pendulum("in-phase", periods=0.0)
+    with pytest.raises(ConfigError, match="zero integration steps"):
+        run_pendulum("in-phase", periods=1e-9)
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="amplitude"):
             run_pendulum("in-phase", amplitude=bad)

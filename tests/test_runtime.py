@@ -5,6 +5,8 @@ import pytest
 
 from qcausal.engine import RngState
 from qcausal.errors import ConfigError, InvariantViolation
+from qcausal import interaction
+from qcausal.experiments import bell
 from qcausal.experiments.bell import BellConfig, run_bell_experiment
 from qcausal.experiments.doubleslit import (
     SMALL_GEOMETRY,
@@ -16,6 +18,7 @@ from qcausal.runtime import (
     PROPAGATION_DELAY,
     SCHEDULERS,
     Advertisement,
+    BellRoundPolicy,
     LedgerEntry,
     ObjectEngine,
     ProposedEvent,
@@ -467,6 +470,24 @@ def test_refined_bell_randomized_scheduler():
     res = run_bell_refined(cfg)
     assert res.stats.p_same == 1.0
     assert run_bell_refined(cfg).stats.counts() == res.stats.counts()
+
+
+@pytest.mark.parametrize(
+    "scheduler, counts",
+    [
+        ("round-robin", {"pp": 73, "pm": 27, "mp": 29, "mm": 71}),
+        ("randomized", {"pp": 88, "pm": 18, "mp": 25, "mm": 69}),
+    ],
+)
+def test_refined_bell_counts_are_pinned(scheduler, counts):
+    # exact tallies from before the Bell policy moved next to the world
+    cfg = BellConfig(0.0, 30.0, trials=200, seed=3, runtime="refined", scheduler=scheduler)
+    assert run_bell_refined(cfg).stats.counts() == counts
+
+
+def test_runtime_exports_the_bell_worlds_policy():
+    assert BellRoundPolicy is bell.BellRoundPolicy
+    assert RoundPolicy is interaction.RoundPolicy
 
 
 def test_refined_doubleslit_marked_is_flat():

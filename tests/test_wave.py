@@ -90,7 +90,7 @@ def test_traveling_pulse_is_exact_translation():
     # Courant 1 turns the update into a one-cell shift per tick.
     grid = traveling_pulse_grid(n_cells=128, sigma=8.0, v=1.0, delta_x=1.0, delta_t=1.0)
     profile0 = grid.psi_now.copy()
-    traj = run_wave(grid, steps=200)
+    traj = run_wave(grid, steps=200).trajectory
     report = compare_analytic(traj, lambda t: np.roll(profile0, int(round(t))))
     assert report["max_error"] < 1e-12
     assert report["l2_error"] < 1e-12
@@ -100,7 +100,7 @@ def test_standing_wave_exact_at_courant_one():
     grid = standing_wave_grid(n_cells=64, mode=3, v=1.0, delta_x=1.0, delta_t=1.0)
     k = 2.0 * math.pi * 3 / 64
     profile0 = sine_profile(64, 3)
-    traj = run_wave(grid, steps=100)
+    traj = run_wave(grid, steps=100).trajectory
     report = compare_analytic(traj, lambda t: profile0 * math.cos(k * t))
     assert report["max_error"] < 1e-10
 
@@ -113,7 +113,7 @@ def test_dispersion_relation_below_courant_one():
     omega = 2.0 / dt * math.asin(c * math.sin(k * dx / 2.0))
     profile = sine_profile(n, mode)
     grid = make_grid(profile, v, dx, dt, psi_prev=profile * math.cos(omega * dt))
-    traj = run_wave(grid, steps=400)
+    traj = run_wave(grid, steps=400).trajectory
     report = compare_analytic(traj, lambda t: profile * math.cos(omega * t))
     assert report["max_error"] < 1e-9
 
@@ -170,12 +170,43 @@ def test_energy_frozen_value():
 
 def test_run_wave_snapshots():
     grid = make_grid(np.zeros(8), v=1.0, delta_x=1.0, delta_t=1.0)
-    traj = run_wave(grid, steps=10, snapshot_stride=4)
+    traj = run_wave(grid, steps=10, snapshot_stride=4).trajectory
     assert [t for t, _ in traj] == [0.0, 4.0, 8.0, 10.0]
     with pytest.raises(ConfigError):
         run_wave(grid, steps=-1)
     with pytest.raises(ConfigError):
         run_wave(grid, steps=1, snapshot_stride=0)
+
+
+def _list_reference(grid, steps, stride):
+    """The per-step energy list and snapshot loop run_wave's running values replace."""
+    energies = [wave_energy(grid)]
+    traj = [(grid.t, grid.psi_now.copy())]
+    for step in range(1, steps + 1):
+        wave_step(grid)
+        energies.append(wave_energy(grid))
+        if step % stride == 0 or step == steps:
+            traj.append((grid.t, grid.psi_now.copy()))
+    return traj, energies
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: traveling_pulse_grid(n_cells=40, sigma=3.0, v=1.0, delta_x=1.0, delta_t=0.7),
+        lambda: make_grid(gaussian_profile(30, 12.0, 2.5), 0.8, 1.0, 1.0, boundary="fixed"),
+    ],
+    ids=["periodic", "fixed"],
+)
+def test_run_wave_energy_record_matches_per_step_list(build):
+    run = run_wave(build(), steps=157, snapshot_stride=20)
+    traj, energies = _list_reference(build(), steps=157, stride=20)
+    assert run.energy_initial == energies[0]
+    assert run.energy_final == energies[-1]
+    assert run.max_energy_change == max(abs(e - energies[0]) for e in energies) > 0.0
+    assert [t for t, _ in run.trajectory] == [t for t, _ in traj]
+    for (_, got), (_, want) in zip(run.trajectory, traj):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_make_grid_bootstrap():
@@ -202,14 +233,14 @@ def test_profiles():
 
 def test_compare_analytic_empty_and_exact():
     grid = make_grid(np.zeros(4), v=1.0, delta_x=1.0, delta_t=1.0)
-    traj = run_wave(grid, steps=3)
+    traj = run_wave(grid, steps=3).trajectory
     report = compare_analytic(traj, lambda t: np.zeros(4))
     assert report == {"max_error": 0.0, "l2_error": 0.0}
 
 
 def test_snapshot_csv_roundtrip(tmp_path):
     grid = traveling_pulse_grid(n_cells=6, sigma=1.0, v=1.0, delta_x=1.0, delta_t=1.0)
-    traj = run_wave(grid, steps=2)
+    traj = run_wave(grid, steps=2).trajectory
     out = tmp_path / "wave.csv"
     write_snapshots_csv(traj, out)
     with open(out) as fh:
