@@ -106,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--courant", type=_finite_float, default=1.0, help="v dt/dx (dx = dt = 1)")
     p.add_argument("--init", choices=("gaussian", "sine"), default="gaussian")
     p.add_argument("--sigma", type=_finite_float, default=None, help="gaussian width (default cells/16)")
-    p.add_argument("--mode", type=int, default=1, help="sine mode number")
+    p.add_argument("--mode", type=int, default=None, help="sine mode number (default 1)")
     p.add_argument(
         "--velocity",
         choices=("traveling", "zero"),
-        default="traveling",
+        default=None,
         help="gaussian bootstrap: right-moving pulse or released from rest",
     )
-    p.add_argument("--boundary", choices=BOUNDARIES, default="periodic")
+    p.add_argument("--boundary", choices=BOUNDARIES, default=None, help="default periodic")
     p.add_argument("--stride", type=int, default=1, help="snapshot every N steps")
     add_common(p)
 
@@ -177,6 +177,8 @@ def cmd_bell(args) -> int:
     _check_scheduler(args)
     if args.angles is not None and args.spindir is not None:
         raise ConfigError("--spindir applies to one angle pair, not to the --angles scan")
+    if args.angles is not None and (args.angle_a is not None or args.angle_b is not None):
+        raise ConfigError("--angle-a and --angle-b name one angle pair; the --angles scan takes a,b,c")
     if args.angles is None and args.form != "identical":
         raise ConfigError(f"--form {args.form} applies to the --angles scan only")
     outdir = _output_dir(args)
@@ -259,7 +261,21 @@ def cmd_doubleslit(args) -> int:
     return 0
 
 
+def _wave_defaults(args):
+    """Reject a flag the chosen init ignores (its default is None, so a flag
+    left out is told apart from one given), then fill in the defaults."""
+    for name in ("sigma", "velocity") if args.init == "sine" else ("mode",):
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name} does not apply to --init {args.init}")
+    if args.init == "sine" and args.boundary not in (None, "periodic"):
+        raise ConfigError(f"--init sine runs a periodic grid, not --boundary {args.boundary}")
+    args.mode = 1 if args.mode is None else args.mode
+    args.velocity = args.velocity or "traveling"
+    args.boundary = args.boundary or "periodic"
+
+
 def cmd_wave(args) -> int:
+    _wave_defaults(args)
     outdir = _output_dir(args)
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")

@@ -441,23 +441,26 @@ def bell_trial(angle_a: float, angle_b: float, theta: float, rng: RngState) -> t
 
 
 def run_bell_experiment(cfg: BellConfig) -> BellResult:
-    """Monte Carlo joint statistics for one angle pair.
+    """Monte Carlo joint statistics for one angle pair, under either scheduler.
 
     Trials are independent: trial i draws only from the substream
     (seed, i), so sequential and parallel execution produce identical
-    tallies.
+    tallies.  Centralized, bell_trial claims the events in causal order;
+    refined, RefinedRuntime runs them in rounds from the trial's substreams.
     """
     if cfg.runtime == "refined":
-        from ..runtime import run_bell_refined
-
-        return run_bell_refined(cfg)
+        from ..runtime import RefinedRuntime
     root = RngState(cfg.seed)
     stats = JointStats()
     for trial in range(cfg.trials):
         rng = root.substream(trial)
-        theta = draw_emission_direction(cfg.spindir_policy, rng)
-        case_a, case_b = bell_trial(cfg.angle_a, cfg.angle_b, theta, rng)
-        stats.record(case_a, case_b)
+        if cfg.runtime == "refined":
+            policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, rng.substream("source"))
+            RefinedRuntime(bell_world(), policy, rng, cfg.scheduler).run(max_rounds=16)
+            stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
+        else:
+            theta = draw_emission_direction(cfg.spindir_policy, rng)
+            stats.record(*bell_trial(cfg.angle_a, cfg.angle_b, theta, rng))
     return BellResult(config=cfg, stats=stats)
 
 

@@ -26,18 +26,21 @@ the configured geometry alone.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..engine import RngState, random_draw
+from ..engine import RngState
 from ..errors import ConfigError
 from ..interaction import (
     OutcomeRow,
     OutcomeTable,
+    RoundPolicy,
+    _selection_probabilities,
+    claim,
     determine_potential_interactions,
-    perform_interaction,
 )
 from ..state import (
     ObjectKind,
@@ -216,6 +219,7 @@ def screen_object(geometry: SlitGeometry, object_id: str = "screen") -> QuantumO
     )
 
 
+@lru_cache(maxsize=None)
 def continue_table(geometry: SlitGeometry, slit_index: int) -> OutcomeTable:
     """Marker interaction product: the particle continues from one slit,
     now sharing a table with the marker atom that registered it."""
@@ -361,13 +365,91 @@ class ScreenHistogram:
         }
 
 
-# -- drivers ----------------------------------------------------------------------
+# -- the world and its policy -----------------------------------------------------
 
 
-def _selection_probabilities(candidates) -> list[float]:
-    """select_interaction's weights, computed once per run instead of per draw."""
-    total = sum(c.joint_weight for c in candidates)
-    return [c.joint_weight / total for c in candidates]
+# one memoised fan: its input, the fanned object, and the fan's screen
+# candidates with their selection probabilities
+_Fan = namedtuple("_Fan", "source fan candidates probabilities")
+
+
+class DoubleSlitRoundPolicy(RoundPolicy):
+    """Slit-plane marking (optional), fan to the screen, absorption.
+
+    Roles are named by object id: the photon meets the marker, and
+    whatever meets the screen carries the photon, alone or as the marker's
+    product.  One policy serves a whole run under either scheduler.  Every
+    trial fans one of at most three inputs (the unmarked photon, or the
+    product from either slit), so each fan and its screen candidates with
+    their selection probabilities are built once per distinct input and
+    served from a memo after that.  A memo hit needs an input equal to the
+    one the fan was built from.  The marking claim's two candidates are
+    built once too, for the photon-first order the centralized trial uses.
+    """
+
+    def __init__(self, geometry: SlitGeometry, marker: bool):
+        self.geometry = geometry
+        self.photon = photon_at_slits(geometry)
+        self.marker = marker_object(geometry)
+        self.screen = screen_object(geometry)
+        self.space = geometry.space()
+        cast = (self.photon, self.marker, self.screen) if marker else (self.photon, self.screen)
+        self.objects = {obj.object_id: obj for obj in cast}
+        found = determine_potential_interactions(self.photon, self.marker)
+        self._marking = found, _selection_probabilities(found)
+        self.fans: list[_Fan] = []
+        self.hit_cell: int | None = None
+
+    def world(self) -> SystemState:
+        """A fresh trial's world: the photon, the marker when on, the screen."""
+        return SystemState(space=self.space, objects=dict(self.objects))
+
+    def fan_of(self, obj: QuantumObject) -> _Fan:
+        """obj's fan to the screen with its screen candidates, from the memo."""
+        for entry in self.fans:
+            if entry.source is obj or entry.source == obj:
+                return entry
+        fanned = propagate_to_screen(obj, self.geometry)
+        found = determine_potential_interactions(fanned, self.screen)
+        entry = _Fan(obj, fanned, found, _selection_probabilities(found))
+        self.fans.append(entry)
+        return entry
+
+    def candidates(self, state: SystemState, a_id: str, b_id: str):
+        a, b = state.objects[a_id], state.objects[b_id]
+        if b is self.screen:
+            for entry in self.fans:
+                if entry.fan is a:
+                    return entry.candidates, entry.probabilities
+        elif a is self.photon and b is self.marker:
+            return self._marking
+        return super().candidates(state, a_id, b_id)
+
+    def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
+        if self.screen.object_id in (a_id, b_id):
+            self.hit_cell = candidate.position[0]
+            return absorb_table(candidate.position)
+        if {a_id, b_id} == {self.photon.object_id, self.marker.object_id}:
+            return continue_table(self.geometry, self.geometry.slit_cells.index(candidate.position[0]))
+        return None
+
+    def propagate(self, state: SystemState, object_id: str):
+        # the marker and the screen stand still; whatever carries the photon
+        # (column 0 of the photon and of the marker's product) fans out
+        # once, from the slit plane
+        if object_id in (self.marker.object_id, self.screen.object_id):
+            return None
+        obj = state.objects[object_id]
+        plane = next(iter(obj.paths[0].pathstates[0].spacepoints))[1]
+        if plane != SLIT_PLANE:
+            return None
+        return self.fan_of(obj).fan
+
+    def done(self, state: SystemState) -> bool:
+        return self.screen.object_id not in state.objects
+
+
+# -- driver -----------------------------------------------------------------------
 
 
 def run_double_slit(
@@ -378,69 +460,36 @@ def run_double_slit(
     runtime: str = "centralized",
     scheduler: str = "round-robin",
 ) -> ScreenHistogram:
-    """Monte Carlo screen histogram, marker on or off.
+    """Monte Carlo screen histogram, marker on or off, under either scheduler.
 
-    Marker off: the two-row particle propagates coherently and the screen
-    interaction selects a cell with the merged-row weights.  Marker on: a
-    which-path interaction at the slit plane selects one slit (weights 1/2)
-    and produces a marked collection that continues from that slit alone.
-    Trial i draws only from the substream (seed, i).
+    Centralized, each trial runs the world's causal order: the marker
+    claim (marker on), the fan to the screen, the screen claim, all drawn
+    from the trial stream (seed, i).  Refined, the decentralized runtime
+    runs the same policy in rounds, drawing from that stream's substreams.
     """
     if trials <= 0:
         raise ConfigError(f"trials must be > 0, got {trials}")
     if runtime == "refined":
-        from ..runtime import run_doubleslit_refined
-
-        return run_doubleslit_refined(marker, trials, geometry, seed, scheduler)
-    if runtime != "centralized":
+        from ..runtime import RefinedRuntime
+    elif runtime != "centralized":
         raise ConfigError(f"runtime must be centralized or refined, got {runtime!r}")
 
+    policy = DoubleSlitRoundPolicy(geometry, marker)
     root = RngState(seed)
     counts = np.zeros(geometry.n_cells, dtype=np.int64)
-    screen = screen_object(geometry)
-
-    if not marker:
-        flying = propagate_to_screen(photon_at_slits(geometry), geometry)
-        cands = determine_potential_interactions(flying, screen)
-        probs = _selection_probabilities(cands)
-        for trial in range(trials):
-            rng = root.substream(trial)
-            state = SystemState(space=geometry.space())
-            state.add_object(flying)
-            state.add_object(screen)
-            chosen = random_draw(cands, probs, rng)
-            perform_interaction(state, flying.object_id, screen.object_id, chosen, absorb_table(chosen.position))
-            counts[chosen.position[0]] += 1
-    else:
-        photon = photon_at_slits(geometry)
-        mark = marker_object(geometry)
-        mark_cands = determine_potential_interactions(photon, mark)
-        mark_probs = _selection_probabilities(mark_cands)
-        slit_of = {geometry.slit_cells[s]: s for s in (0, 1)}
-        # the marked product is the same every time a slit is chosen, so its
-        # fan to the screen and the screen candidates are built once per slit
-        marked: list[QuantumObject | None] = [None, None]
-        screen_cands: list = [None, None]
-        screen_probs: list = [None, None]
-        for trial in range(trials):
-            rng = root.substream(trial)
-            state = SystemState(space=geometry.space())
-            state.add_object(photon)
-            state.add_object(mark)
-            chosen = random_draw(mark_cands, mark_probs, rng)
-            s = slit_of[chosen.position[0]]
-            out = perform_interaction(
-                state, photon.object_id, mark.object_id, chosen, continue_table(geometry, s)
-            )
-            if marked[s] is None:
-                marked[s] = propagate_to_screen(out, geometry)
-                screen_cands[s] = determine_potential_interactions(marked[s], screen)
-                screen_probs[s] = _selection_probabilities(screen_cands[s])
-            state.objects[out.object_id] = marked[s]
-            state.add_object(screen)
-            hit = random_draw(screen_cands[s], screen_probs[s], rng)
-            perform_interaction(state, out.object_id, screen.object_id, hit, absorb_table(hit.position))
-            counts[hit.position[0]] += 1
+    for trial in range(trials):
+        rng = root.substream(trial)
+        state = policy.world()
+        if runtime == "refined":
+            RefinedRuntime(state, policy, rng, scheduler).run(max_rounds=16)
+        else:
+            bearer_id = policy.photon.object_id
+            if marker:
+                _, product = claim(state, policy, bearer_id, policy.marker.object_id, rng)
+                bearer_id = product.object_id
+            state.objects[bearer_id] = policy.propagate(state, bearer_id)
+            claim(state, policy, bearer_id, policy.screen.object_id, rng)
+        counts[policy.hit_cell] += 1
 
     return ScreenHistogram(
         geometry=geometry,

@@ -36,12 +36,13 @@ Conserved quantities flow additively: the out collection carries exactly
 the sums recorded on the interaction object.
 
 A world says what its interactions mean through a RoundPolicy, and claim
-runs one event of it: prepare the participants, recompute the live
-candidates, select one, ask the policy for its outcome table and perform
-the interaction.  The centralized Bell trial calls claim in its world's
-causal order, and the decentralized runtime calls it for each granted
-event.  The centralized two-slit driver draws from candidate lists built
-once per run instead, since claim re-sums every candidate weight per draw.
+runs one event of it: prepare the participants, take the live candidates
+and their selection probabilities from the policy, select one, ask the
+policy for its outcome table and perform the interaction.  Each
+experiment's centralized trial calls claim in its world's causal order,
+and the decentralized runtime calls it for each granted event.  A policy
+whose candidates repeat from trial to trial (the two-slit screen fans)
+serves them from a memo, so no weight is re-summed per draw.
 """
 
 from __future__ import annotations
@@ -168,13 +169,21 @@ def _covering_column(path: Path, point) -> int:
     raise InvariantViolation(f"no particle column covers {point}")
 
 
-def select_interaction(candidates: list[InteractionCandidate], rng: RngState) -> InteractionCandidate:
-    """Draw one candidate with probability proportional to its joint weight."""
+def _selection_probabilities(candidates: list[InteractionCandidate]) -> list[float]:
+    total = sum(c.joint_weight for c in candidates)
+    return [c.joint_weight / total for c in candidates]
+
+
+def select_interaction(
+    candidates: list[InteractionCandidate], rng: RngState, probabilities: list[float] | None = None
+) -> InteractionCandidate:
+    """Draw one candidate with probability proportional to its joint weight;
+    probabilities, if given, are _selection_probabilities(candidates)."""
     if not candidates:
         raise ConfigError("select_interaction: empty candidate list")
-    total = sum(c.joint_weight for c in candidates)
-    probs = [c.joint_weight / total for c in candidates]
-    return random_draw(candidates, probs, rng)
+    if probabilities is None:
+        probabilities = _selection_probabilities(candidates)
+    return random_draw(candidates, probabilities, rng)
 
 
 def _column_contribution(obj: QuantumObject, path_index: int, particle_index: int) -> dict:
@@ -378,13 +387,19 @@ class RoundPolicy:
 
     The schedulers are generic; everything experiment-specific hangs off
     these hooks.  prepare may rewrite a participant before candidates are
-    recomputed (measurement devices do), table_for returns the outcome
-    table for a selected candidate or None to veto, propagate returns a
-    moved replacement object or None to stand still.
+    recomputed (measurement devices do), candidates returns the live
+    candidates between the prepared participants with their selection
+    probabilities (a world may serve them from a memo), table_for returns
+    the outcome table for a selected candidate or None to veto, propagate
+    returns a moved replacement object or None to stand still.
     """
 
     def prepare(self, state: SystemState, a_id: str, b_id: str):
         pass
+
+    def candidates(self, state: SystemState, a_id: str, b_id: str) -> tuple[list, list[float]]:
+        found = determine_potential_interactions(state.objects[a_id], state.objects[b_id])
+        return found, _selection_probabilities(found)
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate) -> OutcomeTable | None:
         raise NotImplementedError
@@ -404,16 +419,16 @@ def claim(
 ) -> tuple[InteractionCandidate, QuantumObject] | str:
     """Claim one event between two live objects and perform it.
 
-    Runs prepare, candidate detection on the prepared objects,
+    Runs prepare, the policy's candidates on the prepared objects,
     select_interaction, the policy's table_for and perform_interaction.
     Returns the chosen candidate and the out collection, or the reason no
     interaction happened: "no live candidates" or "vetoed".
     """
     policy.prepare(state, a_id, b_id)
-    candidates = determine_potential_interactions(state.objects[a_id], state.objects[b_id])
+    candidates, probabilities = policy.candidates(state, a_id, b_id)
     if not candidates:
         return "no live candidates"
-    chosen = select_interaction(candidates, rng)
+    chosen = select_interaction(candidates, rng, probabilities)
     table = policy.table_for(state, a_id, b_id, chosen)
     if table is None:
         return "vetoed"

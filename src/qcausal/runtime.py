@@ -1,6 +1,9 @@
 """Decentralized runtime: per-object engines, a space mediator, rounds.
 
-The centralized drivers run their world's events in a fixed causal order.
+A generic scheduler: what a world's events mean is its RoundPolicy,
+defined beside the world under experiments/, whose driver hands the same
+policy either to the world's fixed causal order or to RefinedRuntime.
+
 Here each object is advanced by its own engine, and engines never read
 another object's state.  Coordination runs through a mediator board of
 advertisements: in every round each engine publishes, per path and per
@@ -20,14 +23,14 @@ A round has four phases:
      object joins at most one interaction per round, later events with a
      busy participant are rejected and retried naturally next round.
      A granted event is claimed through interaction.claim, the step the
-     centralized Bell trial runs too: the policy's prepare hook runs (an
-     analyzer reweighting its target, for instance), live candidates are
-     recomputed from the prepared objects, one is selected by squared
-     amplitude weight, and the policy supplies its outcome table (or
-     vetoes).  The selection distribution is therefore identical by
-     construction.  Every interaction appends a ledger check: conserved
-     totals over the participants before must equal survivors plus the
-     out collection after, exactly.
+     centralized trials run too: the policy's prepare hook runs (an
+     analyzer reweighting its target, for instance), the policy's
+     candidates hook gives the live candidates of the prepared objects,
+     one is selected by squared amplitude weight, and the policy supplies
+     its outcome table (or vetoes).  The selection distribution is
+     therefore identical by construction.  Every interaction appends a
+     ledger check: conserved totals over the participants before must
+     equal survivors plus the out collection after, exactly.
   3. propagate: engines that did not interact and have been alive for
      PROPAGATION_DELAY rounds ask the policy to advance their object
      (drift, a fan to the screen).  The delay guarantees an overlap
@@ -44,15 +47,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import RngState, random_draw
 from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
-from .experiments import doubleslit as _ds
-from .experiments.bell import BellRoundPolicy
+from .experiments.doubleslit import ScreenHistogram, SlitGeometry, run_double_slit
 from .interaction import RoundPolicy, claim
-from .state import QuantumObject, SystemState, total_conserved
+from .state import SystemState, total_conserved
+
+BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 
 SCHEDULERS = ("round-robin", "randomized")
 # rounds an object must sit on the board before it may move; detection of
@@ -336,102 +338,13 @@ class RefinedRuntime:
         return self.round_index
 
 
-# -- entangled-pair world under the decentralized runtime ---------------------------
-
-
-def run_bell_refined(cfg) -> "_bell.BellResult":
-    """Joint statistics for one angle pair under the decentralized runtime."""
-    root = RngState(cfg.seed)
-    stats = _bell.JointStats()
-    for trial in range(cfg.trials):
-        rng = root.substream(trial)
-        policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, rng.substream("source"))
-        runtime = RefinedRuntime(_bell.bell_world(), policy, rng, cfg.scheduler)
-        runtime.run(max_rounds=16)
-        stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
-    return _bell.BellResult(config=cfg, stats=stats)
-
-
-# -- two-slit world under the decentralized runtime ---------------------------------
-
-
-def _particle_types(obj: QuantumObject) -> set:
-    return {p.type for p in obj.particles}
-
-
-class DoubleSlitRoundPolicy(RoundPolicy):
-    """Slit-plane marking (optional), fan to the screen, absorption.
-
-    The marker interaction, when present, happens in the first detection
-    round, strictly before the particle is allowed to move; a marked
-    collection then fans out from its single slit, an unmarked particle
-    from both coherently.
-    """
-
-    def __init__(self, geometry: "_ds.SlitGeometry"):
-        self.geometry = geometry
-        self.slit_of = {geometry.slit_cells[s]: s for s in (0, 1)}
-        self.hit_cell: int | None = None
-
-    def _photon_bearer(self, state: SystemState, a_id: str, b_id: str):
-        if "photon" in _particle_types(state.objects[a_id]):
-            return a_id, b_id
-        if "photon" in _particle_types(state.objects[b_id]):
-            return b_id, a_id
-        return None, None
-
-    def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
-        bearer_id, other_id = self._photon_bearer(state, a_id, b_id)
-        if bearer_id is None:
-            return None
-        other_types = _particle_types(state.objects[other_id])
-        if other_types == {"marker-atom"}:
-            return _ds.continue_table(self.geometry, self.slit_of[candidate.position[0]])
-        if other_types == {"screen-atom"}:
-            self.hit_cell = candidate.position[0]
-            return _ds.absorb_table(candidate.position)
-        return None
-
-    def propagate(self, state: SystemState, object_id: str):
-        obj = state.objects[object_id]
-        if "photon" not in _particle_types(obj):
-            return None
-        col = _ds.photon_column(obj)
-        plane = next(iter(obj.paths[0].pathstates[col].spacepoints))[1]
-        if plane != _ds.SLIT_PLANE:
-            return None
-        return _ds.propagate_to_screen(obj, self.geometry)
-
-    def done(self, state: SystemState) -> bool:
-        return self.hit_cell is not None
-
-
 def run_doubleslit_refined(
     marker: bool,
     trials: int,
-    geometry: "_ds.SlitGeometry",
+    geometry: SlitGeometry,
     seed: int = 0,
     scheduler: str = "round-robin",
-) -> "_ds.ScreenHistogram":
-    """Screen histogram under the decentralized runtime."""
-    root = RngState(seed)
-    counts = np.zeros(geometry.n_cells, dtype=np.int64)
-    for trial in range(trials):
-        rng = root.substream(trial)
-        state = SystemState(space=geometry.space())
-        state.add_object(_ds.photon_at_slits(geometry))
-        if marker:
-            state.add_object(_ds.marker_object(geometry))
-        state.add_object(_ds.screen_object(geometry))
-        policy = DoubleSlitRoundPolicy(geometry)
-        runtime = RefinedRuntime(state, policy, rng, scheduler)
-        runtime.run(max_rounds=16)
-        counts[policy.hit_cell] += 1
-    return _ds.ScreenHistogram(
-        geometry=geometry,
-        marker=marker,
-        trials=trials,
-        seed=seed,
-        counts=counts,
-        runtime="refined",
-    )
+) -> ScreenHistogram:
+    """Screen histogram under the decentralized runtime: run_double_slit
+    with runtime="refined", under the name the acceptance gates import."""
+    return run_double_slit(marker, trials, geometry, seed, runtime="refined", scheduler=scheduler)

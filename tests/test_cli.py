@@ -229,6 +229,14 @@ def test_analyze_malformed_model(tmp_path, capsys):
         ["doubleslit", "--marker", "on", "--scheduler", "randomized"],
         ["bell", "--angle-a", "0", "--angle-b", "30", "--form", "anticorrelated"],
         ["pendulum", "--mode", "in-phase", "--periods", "1e-9"],
+        ["wave", "--init", "sine", "--boundary", "fixed"],
+        ["wave", "--init", "gaussian", "--mode", "2"],
+        ["wave", "--mode", "3"],
+        ["wave", "--init", "sine", "--sigma", "4"],
+        ["wave", "--init", "sine", "--velocity", "zero"],
+        ["wave", "--init", "sine", "--velocity", "traveling"],
+        ["bell", "--angle-a", "0", "--angle-b", "30", "--angles", "0,30,60"],
+        ["bell", "--angle-a", "0", "--angles", "0,30,60"],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):

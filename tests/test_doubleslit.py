@@ -1,16 +1,19 @@
 """Two-slit experiment: fringe oracle, path merging, which-path marking."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qcausal.errors import ConfigError
+from qcausal.experiments import doubleslit
 from qcausal.experiments.doubleslit import (
     DEFAULT_GEOMETRY,
     SCREEN_PLANE,
     SLIT_PLANE,
     SMALL_GEOMETRY,
+    DoubleSlitRoundPolicy,
     ScreenHistogram,
     SlitGeometry,
     absorb_table,
@@ -28,6 +31,7 @@ from qcausal.experiments.doubleslit import (
     run_double_slit,
     screen_object,
 )
+from qcausal.interaction import determine_potential_interactions, perform_interaction
 from qcausal.state import ObjectKind, Path, QuantumObject
 
 
@@ -185,6 +189,77 @@ def test_propagation_requires_slit_plane():
         propagate_to_screen(moved, SMALL_GEOMETRY)
 
 
+# --- the world's policy and its fan memo -------------------------------------------
+
+def _fan_inputs(policy):
+    """The unmarked photon and the marker's product from each slit."""
+    inputs = [policy.photon]
+    for cand in determine_potential_interactions(policy.photon, policy.marker):
+        state = policy.world()
+        table = policy.table_for(state, "photon", "marker", cand)
+        inputs.append(perform_interaction(state, "photon", "marker", cand, table))
+    return inputs
+
+
+def test_memoised_fan_equals_a_fresh_fan():
+    policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, marker=True)
+    inputs = _fan_inputs(policy)
+    assert [len(obj.particles) for obj in inputs] == [1, 2, 2]
+    for obj in inputs:
+        entry = policy.fan_of(obj)
+        fresh = propagate_to_screen(obj, SMALL_GEOMETRY)
+        assert entry.fan == fresh
+        assert repr(entry.fan) == repr(fresh)
+        assert entry.candidates == determine_potential_interactions(fresh, policy.screen)
+        total = sum(c.joint_weight for c in entry.candidates)
+        assert entry.probabilities == [c.joint_weight / total for c in entry.candidates]
+        assert policy.fan_of(obj) is entry
+    assert len(policy.fans) == 3
+
+
+def test_fan_memo_hits_only_equal_inputs():
+    policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, marker=False)
+    entry = policy.fan_of(policy.photon)
+    # an equal object built separately is the same input
+    assert policy.fan_of(photon_at_slits(SMALL_GEOMETRY)) is entry
+    lo, hi = policy.photon.paths
+    others = [
+        dataclasses.replace(policy.photon, object_id="photon-2"),
+        dataclasses.replace(policy.photon, paths=(Path(0.6, lo.pathstates), Path(0.8, hi.pathstates))),
+        dataclasses.replace(policy.photon, paths=(lo,)),
+    ]
+    for other in others:
+        recomputed = policy.fan_of(other)
+        assert recomputed is not entry
+        assert recomputed.fan == propagate_to_screen(other, SMALL_GEOMETRY)
+        assert recomputed.fan != entry.fan
+    assert len(policy.fans) == 1 + len(others)
+
+
+@pytest.mark.parametrize(
+    "marker, runtime, fans",
+    [(False, "centralized", 1), (True, "centralized", 2), (False, "refined", 1), (True, "refined", 2)],
+)
+def test_fan_memo_does_not_grow_with_trials(marker, runtime, fans, monkeypatch):
+    policies, fanned = [], []
+
+    class Recorded(doubleslit.DoubleSlitRoundPolicy):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            policies.append(self)
+
+    def counted(obj, geometry):
+        fanned.append(obj)
+        return propagate_to_screen(obj, geometry)
+
+    monkeypatch.setattr(doubleslit, "DoubleSlitRoundPolicy", Recorded)
+    monkeypatch.setattr(doubleslit, "propagate_to_screen", counted)
+    hist = run_double_slit(marker, 1000, SMALL_GEOMETRY, seed=5, runtime=runtime)
+    assert hist.counts.sum() == 1000
+    (policy,) = policies
+    assert len(policy.fans) == len(fanned) == fans <= 3
+
+
 # --- histogram statistics ---------------------------------------------------------------
 
 def _hist(counts, trials, marker=False):
@@ -259,6 +334,13 @@ def test_run_marker_on_counts_are_pinned():
     # fan of the real marker product must reproduce every draw
     hist = run_double_slit(True, 1000, SMALL_GEOMETRY, seed=4)
     assert hist.counts.tolist() == [66, 49, 70, 71, 68, 65, 74, 57, 69, 47, 60, 73, 64, 51, 65, 51]
+
+
+def test_run_marker_off_counts_are_pinned():
+    # exact tallies from when the centralized run drew from per-run
+    # candidate lists of its own; drawing through claim must reproduce them
+    hist = run_double_slit(False, 1000, SMALL_GEOMETRY, seed=4)
+    assert hist.counts.tolist() == [118, 16, 19, 105, 97, 20, 15, 107, 107, 21, 18, 93, 122, 25, 13, 104]
 
 
 def test_run_default_geometry_fringes_show():

@@ -8,6 +8,10 @@ The runtime sits on top of the worlds: state, engine, interaction and the
 experiments never import qcausal.runtime when they are loaded.  A driver
 may still import it inside a function, which runs after both modules are
 loaded, so no import cycle can form.
+
+What a world means lives beside the world: every RoundPolicy subclass in
+the package is defined under experiments/, so the runtime stays a generic
+scheduler.
 """
 
 import ast
@@ -88,7 +92,7 @@ def runtime_imports(source: str, package: str) -> list[int]:
 
 def test_layering_scanner_flags_load_time_runtime_imports():
     source = (
-        "from ..runtime import run_bell_refined\n"
+        "from ..runtime import RefinedRuntime\n"
         "from .. import runtime\n"
         "import qcausal.runtime as rt\n"
         "from ..interaction import claim\n"
@@ -109,4 +113,47 @@ def test_worlds_do_not_import_the_runtime_at_load_time():
             package = ".".join(path.parent.relative_to(PACKAGE.parent).parts)
             for line in runtime_imports(path.read_text(), package):
                 offenders.append(f"{path.relative_to(ROOT)}:{line}")
+    assert offenders == []
+
+
+def policy_classes(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each class whose base is RoundPolicy or a subclass
+    named like one (any base name ending in RoundPolicy)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in node.bases:
+            name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+            if name.endswith("RoundPolicy"):
+                found.append((node.lineno, node.name))
+                break
+    return found
+
+
+def test_policy_scanner_flags_round_policy_subclasses():
+    source = (
+        "class RoundPolicy:\n"
+        "    pass\n"
+        "class A(RoundPolicy):\n"
+        "    pass\n"
+        "class B(interaction.RoundPolicy, Mixin):\n"
+        "    pass\n"
+        "class C(BellRoundPolicy):\n"
+        "    pass\n"
+        "class D(Policy):\n"
+        "    class E(object, RoundPolicy):\n"
+        "        pass\n"
+        "F = RoundPolicy\n"
+    )
+    assert policy_classes(source) == [(3, "A"), (5, "B"), (7, "C"), (10, "E")]
+
+
+def test_round_policies_live_beside_their_worlds():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.parent.name == "experiments":
+            continue
+        for line, name in policy_classes(path.read_text()):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert offenders == []

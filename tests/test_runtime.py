@@ -12,6 +12,7 @@ from qcausal.experiments.doubleslit import (
     SMALL_GEOMETRY,
     coherent_pdf,
     incoherent_pdf,
+    run_double_slit,
 )
 from qcausal.interaction import OutcomeRow, OutcomeTable
 from qcausal.runtime import (
@@ -26,7 +27,6 @@ from qcausal.runtime import (
     RoundPolicy,
     RoundView,
     SpaceMediator,
-    run_bell_refined,
     run_doubleslit_refined,
 )
 from qcausal.state import (
@@ -436,18 +436,18 @@ def test_zero_weight_paths_are_not_advertised():
 
 def test_refined_bell_aligned_analyzers_agree_exactly():
     cfg = BellConfig(angle_a=35.0, angle_b=35.0, trials=150, seed=4, runtime="refined")
-    res = run_bell_refined(cfg)
+    res = run_bell_experiment(cfg)
     assert res.stats.n == 150
     assert res.stats.p_same == 1.0
 
 
 def test_refined_bell_perpendicular_analyzers_never_agree():
     cfg = BellConfig(angle_a=20.0, angle_b=110.0, trials=150, seed=5, runtime="refined")
-    assert run_bell_refined(cfg).stats.p_same == 0.0
+    assert run_bell_experiment(cfg).stats.p_same == 0.0
 
 
 def test_refined_bell_matches_centralized_correlation():
-    refined = run_bell_refined(BellConfig(0.0, 30.0, trials=2000, seed=2, runtime="refined"))
+    refined = run_bell_experiment(BellConfig(0.0, 30.0, trials=2000, seed=2, runtime="refined"))
     central = run_bell_experiment(BellConfig(0.0, 30.0, trials=2000, seed=2))
     assert abs(refined.stats.correlation - 0.5) < 0.06
     assert abs(refined.stats.correlation - central.stats.correlation) < 0.1
@@ -455,7 +455,7 @@ def test_refined_bell_matches_centralized_correlation():
 
 def test_refined_bell_reproducible():
     cfg = BellConfig(10.0, 50.0, trials=120, seed=9, runtime="refined")
-    assert run_bell_refined(cfg).stats.counts() == run_bell_refined(cfg).stats.counts()
+    assert run_bell_experiment(cfg).stats.counts() == run_bell_experiment(cfg).stats.counts()
 
 
 def test_refined_bell_randomized_scheduler():
@@ -467,9 +467,9 @@ def test_refined_bell_randomized_scheduler():
         runtime="refined",
         scheduler="randomized",
     )
-    res = run_bell_refined(cfg)
+    res = run_bell_experiment(cfg)
     assert res.stats.p_same == 1.0
-    assert run_bell_refined(cfg).stats.counts() == res.stats.counts()
+    assert run_bell_experiment(cfg).stats.counts() == res.stats.counts()
 
 
 @pytest.mark.parametrize(
@@ -482,7 +482,24 @@ def test_refined_bell_randomized_scheduler():
 def test_refined_bell_counts_are_pinned(scheduler, counts):
     # exact tallies from before the Bell policy moved next to the world
     cfg = BellConfig(0.0, 30.0, trials=200, seed=3, runtime="refined", scheduler=scheduler)
-    assert run_bell_refined(cfg).stats.counts() == counts
+    assert run_bell_experiment(cfg).stats.counts() == counts
+
+
+@pytest.mark.parametrize(
+    "marker, scheduler, counts",
+    [
+        (False, "round-robin", [24, 2, 4, 24, 20, 1, 4, 25, 22, 2, 5, 17, 21, 6, 4, 19]),
+        (False, "randomized", [24, 2, 4, 24, 20, 1, 4, 25, 22, 2, 5, 17, 21, 6, 4, 19]),
+        (True, "round-robin", [9, 10, 15, 9, 13, 7, 11, 19, 15, 6, 15, 11, 14, 18, 10, 18]),
+        (True, "randomized", [9, 10, 15, 9, 13, 7, 11, 19, 15, 6, 15, 11, 14, 18, 10, 18]),
+    ],
+)
+def test_refined_doubleslit_counts_are_pinned(marker, scheduler, counts):
+    # exact tallies from when the runtime kept a two-slit policy of its own;
+    # at most one event is proposed per round here, so the randomized
+    # scheduler's shuffle has nothing to reorder
+    hist = run_double_slit(marker, 200, SMALL_GEOMETRY, seed=3, runtime="refined", scheduler=scheduler)
+    assert hist.counts.tolist() == counts
 
 
 def test_runtime_exports_the_bell_worlds_policy():
