@@ -88,12 +88,13 @@ WING_A_CELL = (0,)
 WING_B_CELL = (2,)
 PUMP_IDS = ("pump-1", "pump-2")
 _AT_SOURCE = frozenset({SOURCE_CELL})
+_SPACE = Space(dims=1, extent=(3,), delta_x=1.0)  # frozen, so every trial shares it
 
 
 def fresh_state(seed_rng: RngState | None = None) -> SystemState:
     """Empty 3-cell space: source in the middle, one wing per side.  seed_rng
     is unused: each step draws from the stream its caller passes in."""
-    return SystemState(space=Space(dims=1, extent=(3,), delta_x=1.0))
+    return SystemState(space=_SPACE)
 
 
 def bell_world() -> SystemState:
@@ -150,8 +151,21 @@ def pair_table(theta: float, cell=SOURCE_CELL) -> OutcomeTable:
     """Source outcome table: two rows, both particles spin theta / theta+90.
 
     Row amplitudes are 1/sqrt(2) each; the particles leave in opposite
-    directions (momentum -1 and +1 cells per tick).
+    directions (momentum -1 and +1 cells per tick).  Only the spins depend
+    on theta, so the table is copied from the cell's validated template
+    with the spins normalized as the PathState constructor would.
     """
+    template = _pair_template(cell)
+    rows = tuple(
+        _evolve(row, pathstates=tuple(_evolve(ps, spindir=spin) for ps in row.pathstates))
+        for row, spin in zip(template.rows, (_norm_angle(theta), _norm_angle(theta + 90.0)))
+    )
+    return _evolve(template, rows=rows)
+
+
+@lru_cache(maxsize=None)
+def _pair_template(cell) -> OutcomeTable:
+    """pair_table at theta 0, built and checked by the constructors."""
 
     # column masses must sum to the incoming conserved energy (two pumps of
     # 0.5), or consuming the collection column by column strands the excess
@@ -165,7 +179,7 @@ def pair_table(theta: float, cell=SOURCE_CELL) -> OutcomeTable:
             amplitude=SQRT_HALF,
         )
 
-    return OutcomeTable(name="pair-source", rows=(row(theta), row(theta + 90.0)))
+    return OutcomeTable(name="pair-source", rows=(row(0.0), row(90.0)))
 
 
 @lru_cache(maxsize=None)
@@ -188,16 +202,18 @@ def drift(obj: QuantumObject) -> QuantumObject:
     new_paths = []
     for path in obj.paths:
         states = tuple(
-            _evolve(
-                ps,
-                spacepoints=frozenset(
-                    tuple(int(c + round(m)) for c, m in zip(pt, ps.momentum)) for pt in ps.spacepoints
-                ),
-            )
-            for ps in path.pathstates
+            _evolve(ps, spacepoints=_drifted(ps.spacepoints, ps.momentum)) for ps in path.pathstates
         )
         new_paths.append(_evolve(path, pathstates=states))
     return _evolve(obj, paths=tuple(new_paths))
+
+
+@lru_cache(maxsize=256)
+def _drifted(spacepoints: frozenset, momentum: tuple) -> frozenset:
+    """spacepoints moved by momentum, rounded to whole cells.  A Bell run
+    drifts the same two cell sets every trial; the bound keeps a caller
+    with many distinct inputs from growing the cache."""
+    return frozenset(tuple(int(c + round(m)) for c, m in zip(pt, momentum)) for pt in spacepoints)
 
 
 def apply_stern_gerlach(obj: QuantumObject, particle_index: int, angle: float) -> QuantumObject:
@@ -210,17 +226,18 @@ def apply_stern_gerlach(obj: QuantumObject, particle_index: int, angle: float) -
     adjustment applies to every particle in the row, which is how the
     measured axis propagates to an entangled partner on collapse.
     """
+    # reduced once, on entry: at a huge angle, s - angle and angle + 90
+    # would round away the spin and the quarter turn
+    up_axis = _norm_angle(angle)
+    down_axis = _norm_angle(up_axis + 90.0)
     s = obj.paths[0].pathstates[particle_index].spindir
-    c = cos_deg(s - angle)
-    sn = sin_deg(s - angle)
-    # normalized once here, as the PathState constructor would per cell
-    up_axis = _norm_angle(angle % 360.0)
-    down_axis = _norm_angle((angle + 90.0) % 360.0)
+    c = cos_deg(s - up_axis)
+    sn = sin_deg(s - up_axis)
 
     def retagged(path: Path, axis: float, amplitude: complex) -> Path:
         states = tuple(_evolve(ps, spindir=axis) for ps in path.pathstates)
-        # Path() coerces: _unit_phase may return the float 1.0
-        return Path(amplitude=amplitude, pathstates=states)
+        # complex() as Path() would: _unit_phase may return the float 1.0
+        return _evolve(path, amplitude=complex(amplitude), pathstates=states)
 
     if len(obj.paths) == 1:
         base = obj.paths[0]
@@ -256,17 +273,29 @@ class BellRoundPolicy(RoundPolicy):
     and each screen claim applies the analyzer reweighting to the live
     pair before candidates are recomputed.  The centralized trial and the
     decentralized runtime both run their events through these hooks.
+
+    One policy serves a whole run: new_trial starts the next trial's
+    emission and outcomes.  The pumps are the same cached objects in every
+    trial, so the source claim's one candidate and its probability are
+    found once and served from a memo while both pumps are those objects.
     """
 
     def __init__(self, angle_a: float, angle_b: float, spindir_policy, rng: RngState):
-        self.angles = {"screen-a": angle_a, "screen-b": angle_b}
+        # reduced here too, so a screen's case2 axis keeps its quarter turn
+        self.angles = {"screen-a": _norm_angle(angle_a), "screen-b": _norm_angle(angle_b)}
+        self._source = False
+        self._pair_id: str | None = None
+        self._screen_id: str | None = None
+        self._source_memo: tuple | None = None  # (pump a, pump b, candidates, probabilities)
+        self.new_trial(spindir_policy, rng)
+
+    def new_trial(self, spindir_policy, rng: RngState):
+        """Start a trial: its emission direction policy (a fixed angle or
+        "uniform") and the stream a uniform emission draws from."""
         self.spindir_policy = spindir_policy
         self.rng = rng
         self.theta: float | None = None
         self.cases: dict[str, bool] = {}
-        self._source = False
-        self._pair_id: str | None = None
-        self._screen_id: str | None = None
 
     def prepare(self, state: SystemState, a_id: str, b_id: str):
         # each claim's roles are named here once, by object id: the pumps
@@ -283,6 +312,15 @@ class BellRoundPolicy(RoundPolicy):
         state.objects[self._pair_id] = apply_stern_gerlach(
             state.objects[self._pair_id], 0, self.angles[self._screen_id]
         )
+
+    def candidates(self, state: SystemState, a_id: str, b_id: str):
+        if not self._source:
+            return super().candidates(state, a_id, b_id)
+        a, b = state.objects[a_id], state.objects[b_id]
+        memo = self._source_memo
+        if memo is None or memo[0] is not a or memo[1] is not b:
+            memo = self._source_memo = (a, b, *super().candidates(state, a_id, b_id))
+        return memo[2], memo[3]
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
         if self._source:
@@ -430,8 +468,12 @@ def draw_emission_direction(policy, rng: RngState) -> float:
 def bell_trial(angle_a: float, angle_b: float, theta: float, rng: RngState) -> tuple[bool, bool]:
     """One centralized trial: the source event, the pair's drift, then one
     measurement per wing, claimed in that causal order."""
+    return _claim_in_causal_order(BellRoundPolicy(angle_a, angle_b, theta, rng), rng)
+
+
+def _claim_in_causal_order(policy: BellRoundPolicy, rng: RngState) -> tuple[bool, bool]:
+    """bell_trial on a policy whose trial has begun (emission fixed)."""
     state = bell_world()
-    policy = BellRoundPolicy(angle_a, angle_b, theta, rng)
     _, pair = claim(state, policy, *PUMP_IDS, rng)
     state.objects[pair.object_id] = policy.propagate(state, pair.object_id)
     for screen_id in ("screen-a", "screen-b"):
@@ -445,22 +487,25 @@ def run_bell_experiment(cfg: BellConfig) -> BellResult:
 
     Trials are independent: trial i draws only from the substream
     (seed, i), so sequential and parallel execution produce identical
-    tallies.  Centralized, bell_trial claims the events in causal order;
-    refined, RefinedRuntime runs them in rounds from the trial's substreams.
+    tallies.  Centralized, each trial claims the events in bell_trial's
+    causal order; refined, RefinedRuntime runs them in rounds from the
+    trial's substreams.  One policy serves every trial of the run.
     """
     if cfg.runtime == "refined":
         from ..runtime import RefinedRuntime
     root = RngState(cfg.seed)
+    policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, root)
     stats = JointStats()
     for trial in range(cfg.trials):
         rng = root.substream(trial)
         if cfg.runtime == "refined":
-            policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, rng.substream("source"))
+            policy.new_trial(cfg.spindir_policy, rng.substream("source"))
             RefinedRuntime(bell_world(), policy, rng, cfg.scheduler).run(max_rounds=16)
-            stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
         else:
-            theta = draw_emission_direction(cfg.spindir_policy, rng)
-            stats.record(*bell_trial(cfg.angle_a, cfg.angle_b, theta, rng))
+            # the emission direction is the trial stream's first draw
+            policy.new_trial(draw_emission_direction(cfg.spindir_policy, rng), rng)
+            _claim_in_causal_order(policy, rng)
+        stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
     return BellResult(config=cfg, stats=stats)
 
 

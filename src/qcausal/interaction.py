@@ -43,11 +43,25 @@ experiment's centralized trial calls claim in its world's causal order,
 and the decentralized runtime calls it for each granted event.  A policy
 whose candidates repeat from trial to trial (the two-slit screen fans)
 serves them from a memo, so no weight is re-summed per draw.
+
+The records built for every event skip their constructors (state._evolve):
+the candidates, the interaction object with its provenance, and the out
+collection with its rows.  Each is copied from a constructor-built
+template, and only fields whose values already pass the constructor's
+checks are replaced.  Positions and path states come from validated
+objects and outcome tables, the conserved sums of float tuples are float
+tuples, and row amplitudes go through complex() as Path() would.  This is
+safe because input from outside is still validated where it is built:
+objects and outcome rows and tables by their constructors, and a selected
+candidate (which may be built by hand) by create_interaction_object's
+range and coverage checks.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .engine import RngState, random_draw
 from .errors import ConfigError, InvariantViolation
@@ -88,6 +102,12 @@ class OutcomeRow:
     amplitude: complex
 
     def __post_init__(self):
+        # tuples here, so a row's parts can become a Path and a
+        # QuantumObject without those constructors coercing them again
+        object.__setattr__(self, "particles", tuple(self.particles))
+        object.__setattr__(self, "pathstates", tuple(self.pathstates))
+        if not self.particles:
+            raise ConfigError("outcome row: no particles")
         if len(self.particles) != len(self.pathstates):
             raise ConfigError("outcome row: particles and pathstates differ in length")
 
@@ -128,6 +148,24 @@ class InteractionObject:
     outcome_table: OutcomeTable | None = None
 
 
+# templates the per-event records are copied from (state._evolve); every
+# field a copy keeps from them is already valid, and the core's attribute
+# blocks are read-only, since every copy brings its own
+_CANDIDATE = InteractionCandidate(position=(0,), path_index_1=0, path_index_2=0, joint_weight=1.0)
+_PROVENANCE = Provenance(object_ids=("a", "b"), path_indices=(0, 0), position=(0,))
+_IA_PARTICLE = ParticleInfo("interaction", 0.0)
+_IA_PATHSTATE = PathState(spacepoints=frozenset({(0,)}), momentum=(0.0,), angularmomentum=(0.0,))
+_IA_PATH = Path(amplitude=1.0, pathstates=(_IA_PATHSTATE,))
+_IA_CORE = QuantumObject(
+    object_id="ia-template",
+    kind=ObjectKind.INTERACTION_OBJECT,
+    particles=(_IA_PARTICLE,),
+    paths=(_IA_PATH,),
+    global_attrs=MappingProxyType({}),
+    conserved=MappingProxyType({}),
+)
+
+
 def determine_potential_interactions(a: QuantumObject, b: QuantumObject) -> list[InteractionCandidate]:
     """Enumerate candidates for every (path of a, path of b, shared point).
 
@@ -150,7 +188,8 @@ def determine_potential_interactions(a: QuantumObject, b: QuantumObject) -> list
             shared = sa & b_supports[j]
             for point in sorted(shared):
                 out.append(
-                    InteractionCandidate(
+                    _evolve(
+                        _CANDIDATE,
                         position=point,
                         path_index_1=i,
                         path_index_2=j,
@@ -196,31 +235,14 @@ def _column_contribution(obj: QuantumObject, path_index: int, particle_index: in
     }
 
 
-def _vec(c: dict, key: str, like: tuple) -> tuple:
-    v = tuple(c.get(key, ()))
-    return v if v else (0.0,) * len(like)
-
-
-def _add_conserved(x: dict, y: dict) -> dict:
-    return {
-        "energy": x.get("energy", 0.0) + y.get("energy", 0.0),
-        "momentum": tuple(a + b for a, b in zip(_vec(x, "momentum", y["momentum"]), y["momentum"])),
-        "angularmomentum": tuple(
-            a + b
-            for a, b in zip(_vec(x, "angularmomentum", y["angularmomentum"]), y["angularmomentum"])
-        ),
-    }
-
-
-def _sub_conserved(x: dict, y: dict) -> dict:
-    return {
-        "energy": x.get("energy", 0.0) - y.get("energy", 0.0),
-        "momentum": tuple(a - b for a, b in zip(_vec(x, "momentum", y["momentum"]), y["momentum"])),
-        "angularmomentum": tuple(
-            a - b
-            for a, b in zip(_vec(x, "angularmomentum", y["angularmomentum"]), y["angularmomentum"])
-        ),
-    }
+def _combine_conserved(x: dict, y: dict, op) -> dict:
+    """x op y per conserved quantity (op is operator.add or operator.sub);
+    a vector missing from x, or empty there, counts as zeros."""
+    out = {"energy": op(x.get("energy", 0.0), y.get("energy", 0.0))}
+    for key in ("momentum", "angularmomentum"):
+        yv = y[key]
+        out[key] = tuple(map(op, tuple(x.get(key, ())) or (0.0,) * len(yv), yv))
+    return out
 
 
 def create_interaction_object(
@@ -243,34 +265,36 @@ def create_interaction_object(
     for obj, idx in ((a, candidate.path_index_1), (b, candidate.path_index_2)):
         if not 0 <= idx < len(obj.paths):
             raise IndexError(f"object {obj.object_id!r}: selected path {idx} out of range")
-        if pos not in path_support(obj.paths[idx]):
+        for ps in obj.paths[idx].pathstates:
+            if pos in ps.spacepoints:
+                break
+        else:
             raise ConfigError(
                 f"object {obj.object_id!r}: selected path {idx} does not cover {pos}"
             )
-    conserved = _add_conserved(
+    conserved = _combine_conserved(
         _column_contribution(a, candidate.path_index_1, candidate.particle_index_1),
         _column_contribution(b, candidate.path_index_2, candidate.particle_index_2),
+        operator.add,
     )
-    core = QuantumObject(
+    # pos is a point of a validated row (checked above) and the conserved
+    # sums are float tuples, so the templates' cells need no coercion
+    cell = _evolve(
+        _IA_PATHSTATE,
+        spacepoints=frozenset((pos,)),
+        momentum=conserved["momentum"],
+        angularmomentum=conserved["angularmomentum"],
+    )
+    core = _evolve(
+        _IA_CORE,
         object_id=f"ia-{tag}",
-        kind=ObjectKind.INTERACTION_OBJECT,
-        particles=(ParticleInfo("interaction", conserved["energy"]),),
-        paths=(
-            Path(
-                amplitude=1.0,
-                pathstates=(
-                    PathState(
-                        spacepoints=frozenset({pos}),
-                        momentum=conserved["momentum"],
-                        angularmomentum=conserved["angularmomentum"],
-                    ),
-                ),
-            ),
-        ),
+        particles=(_evolve(_IA_PARTICLE, mass=conserved["energy"]),),
+        paths=(_evolve(_IA_PATH, pathstates=(cell,)),),
         global_attrs={"position": pos},
         conserved=conserved,
     )
-    prov = Provenance(
+    prov = _evolve(
+        _PROVENANCE,
         object_ids=(a.object_id, b.object_id),
         path_indices=(candidate.path_index_1, candidate.path_index_2),
         position=pos,
@@ -306,7 +330,7 @@ def drop_particle(
         obj,
         particles=particles,
         paths=paths,
-        conserved=_sub_conserved(obj.conserved, share) if obj.conserved else {},
+        conserved=_combine_conserved(obj.conserved, share, operator.sub) if obj.conserved else {},
     )
     state.objects[object_id] = survivor
     return survivor
@@ -327,12 +351,15 @@ def process_interaction_object(ia: InteractionObject) -> QuantumObject:
     table = ia.outcome_table
     if table is None:
         raise ConfigError(f"interaction {ia.core.object_id!r}: no outcome table configured")
-    particles = table.rows[0].particles
-    paths = tuple(Path(amplitude=r.amplitude, pathstates=r.pathstates) for r in table.rows)
-    result = QuantumObject(
+    # the table validated its rows: tuples of equal, non-zero width
+    paths = tuple(
+        _evolve(_IA_PATH, amplitude=complex(r.amplitude), pathstates=r.pathstates) for r in table.rows
+    )
+    result = _evolve(
+        _IA_CORE,
         object_id=ia.core.object_id.replace("ia-", "out-"),
         kind=ObjectKind.PARTICLE_COLLECTION,
-        particles=particles,
+        particles=table.rows[0].particles,
         paths=paths,
         global_attrs={"position": ia.provenance.position},
         conserved=dict(ia.core.conserved),

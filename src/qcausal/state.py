@@ -75,9 +75,21 @@ def _evolve(record, **changes):
     an existing record, or one computed with the same type the constructor
     would have coerced it to.  Input from outside goes through the
     constructor, which validates and coerces.
+
+    The records a run builds for every event come from here: the collapse,
+    drop and normalization rewrites below; the interaction object, its
+    provenance, candidates and out collection (interaction.py); the Bell
+    source table, drift and analyzer ports (experiments/bell.py).  Each
+    starts from a constructor-built record (the record being rewritten, or
+    a module template) and replaces only fields whose values already pass
+    its checks, so the copy equals, hashes and reprs like the
+    constructor-built one.  tests/test_interaction.py and tests/test_bell.py
+    compare the two.
     """
     new = object.__new__(record.__class__)
-    new.__dict__.update(record.__dict__, **changes)
+    fields = new.__dict__
+    fields.update(record.__dict__)
+    fields.update(changes)
     return new
 
 
@@ -214,6 +226,8 @@ def object_footprint(obj: QuantumObject) -> frozenset:
 
 def path_support(path: Path) -> frozenset:
     """Union of occupied lattice points over one row's particles."""
+    if len(path.pathstates) == 1:
+        return path.pathstates[0].spacepoints
     points = set()
     for ps in path.pathstates:
         points |= ps.spacepoints

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcausal import interaction
 from qcausal.engine import RngState
 from qcausal.errors import ConfigError
+from qcausal.experiments import bell
 from qcausal.experiments.bell import (
     PUMP_IDS,
     SOURCE_CELL,
@@ -37,8 +39,9 @@ from qcausal.experiments.bell import (
     sin_deg,
     spin_probability,
 )
-from qcausal.interaction import claim
-from qcausal.state import total_conserved
+from qcausal.interaction import OutcomeRow, OutcomeTable, claim
+from qcausal.runtime import RefinedRuntime
+from qcausal.state import ParticleInfo, PathState, total_conserved
 
 
 def _emit(theta, rng):
@@ -108,6 +111,38 @@ def test_pair_table_shape():
     assert momenta == {(-1.0, 1.0)}
     # column rest energies add up to the two consumed pump energies
     assert sum(p.mass for p in table.rows[0].particles) == pytest.approx(1.0)
+
+
+def _constructed_pair_table(theta, cell=SOURCE_CELL):
+    """pair_table as the constructors build it, row by row and cell by cell."""
+
+    def row(spin):
+        return OutcomeRow(
+            particles=(ParticleInfo("half", 0.5), ParticleInfo("half", 0.5)),
+            pathstates=(
+                PathState(frozenset({cell}), (-1.0,), (0.0,), spindir=spin),
+                PathState(frozenset({cell}), (1.0,), (0.0,), spindir=spin),
+            ),
+            amplitude=1.0 / math.sqrt(2.0),
+        )
+
+    return OutcomeTable(name="pair-source", rows=(row(theta), row(theta + 90.0)))
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=-1e20, max_value=1e20, allow_nan=False),
+        st.integers(min_value=-8, max_value=8).map(lambda k: 90.0 * k),
+        st.sampled_from([-1e-14, -0.0, 1e-300, 359.99999999999994, 1e20, -1e20]),
+    )
+)
+@settings(max_examples=200)
+def test_pair_table_equals_the_constructed_one(theta):
+    table, ref = pair_table(theta), _constructed_pair_table(theta)
+    assert table == ref and hash(table) == hash(ref)
+    # repr tells -0.0 from 0.0 and a float from a complex, which == and hash do not
+    assert repr(table) == repr(ref)
+    assert pair_table(theta, (2,)) == _constructed_pair_table(theta, (2,))
 
 
 def test_source_claim_emits_entangled_pair():
@@ -401,6 +436,97 @@ def test_centralized_counts_are_pinned(angles, spindir, counts):
     # trial must reproduce every draw
     cfg = BellConfig(*angles, trials=500, seed=3, spindir_policy=spindir)
     assert run_bell_experiment(cfg).stats.counts() == counts
+
+
+@pytest.mark.parametrize("runtime, trials", [("centralized", 400), ("refined", 150)])
+def test_huge_analyzer_angle_measures_its_reduced_angle(runtime, trials):
+    # 1e20 degrees is 280 degrees exactly; unreduced, s - 1e20 rounds the
+    # spin away and 1e20 + 90 the quarter turn
+    assert math.fmod(1e20, 360.0) == 280.0
+    huge, plain = (
+        run_bell_experiment(BellConfig(a, 0.0, trials=trials, seed=3, runtime=runtime)).stats
+        for a in (1e20, 280.0)
+    )
+    assert huge.counts() == plain.counts()
+    assert huge.correlation < -0.8  # E(280, 0) = cos 560 = -0.94
+
+
+def test_analyzer_reduces_the_angle_once():
+    state, pair_id = _emit(20.0, RngState(0).substream("emit"))
+    pair = state.objects[pair_id]
+    huge = apply_stern_gerlach(pair, 0, 1e20 + 720.0 * 2 ** 40)
+    assert huge == apply_stern_gerlach(pair, 0, 280.0)
+    assert [p.pathstates[0].spindir for p in huge.paths] == [280.0, 10.0]
+
+
+# --- the run's memos -----------------------------------------------------------------
+
+def _counting_detect(monkeypatch):
+    calls = []
+    original = interaction.determine_potential_interactions
+
+    def counted(a, b):
+        calls.append((a.object_id, b.object_id))
+        return original(a, b)
+
+    monkeypatch.setattr(interaction, "determine_potential_interactions", counted)
+    return calls
+
+
+@pytest.mark.parametrize("runtime", ["centralized", "refined"])
+def test_source_candidates_are_detected_once_per_run(monkeypatch, runtime):
+    calls = _counting_detect(monkeypatch)
+    cfg = BellConfig(0.0, 30.0, trials=60, seed=1, runtime=runtime)
+    counts = run_bell_experiment(cfg).stats.counts()
+    assert [pair for pair in calls if pair[0] in PUMP_IDS] == [PUMP_IDS]
+    if runtime == "centralized":
+        assert len(calls) == 1 + 2 * 60  # the source once, both screens every trial
+    monkeypatch.undo()
+    # the memo moves no draw: a fresh policy per trial gives the same tallies
+    root, stats = RngState(1), bell.JointStats()
+    for trial in range(60):
+        rng = root.substream(trial)
+        if runtime == "centralized":
+            stats.record(*bell_trial(0.0, 30.0, draw_emission_direction("uniform", rng), rng))
+        else:
+            policy = BellRoundPolicy(0.0, 30.0, "uniform", rng.substream("source"))
+            RefinedRuntime(bell_world(), policy, rng).run(max_rounds=16)
+            stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
+    assert stats.counts() == counts
+
+
+def test_other_pumps_are_never_served_the_memo(monkeypatch):
+    calls = _counting_detect(monkeypatch)
+    policy = BellRoundPolicy(0.0, 0.0, 0.0, RngState(0))
+
+    def source_candidates(*pumps):
+        state = fresh_state()
+        for pump in pumps:
+            state.add_object(pump)
+        policy.prepare(state, *PUMP_IDS)
+        return policy.candidates(state, *PUMP_IDS)
+
+    cached = [make_pump(pump_id) for pump_id in PUMP_IDS]
+    first = source_candidates(*cached)
+    assert source_candidates(*cached) == first and len(calls) == 1
+    moved = [make_pump(pump_id, WING_B_CELL) for pump_id in PUMP_IDS]
+    (candidate,), _ = source_candidates(*moved)
+    assert candidate.position == WING_B_CELL and len(calls) == 2
+    # an equal pump that is another object is recomputed too, not trusted
+    twin = make_pump.__wrapped__("pump-2")
+    assert twin == cached[1] and twin is not cached[1]
+    assert source_candidates(cached[0], twin) == first and len(calls) == 3
+    assert source_candidates(*cached) == first and len(calls) == 4
+
+
+def test_drift_memo_does_not_grow_with_trials():
+    bell._drifted.cache_clear()
+    run_bell_experiment(BellConfig(0.0, 30.0, trials=20, seed=2))
+    few = bell._drifted.cache_info().currsize
+    run_bell_experiment(BellConfig(0.0, 30.0, trials=400, seed=2))
+    run_bell_experiment(BellConfig(0.0, 30.0, trials=40, seed=3, runtime="refined"))
+    assert bell._drifted.cache_info().currsize == few == 2  # one cell set per column
+    assert bell._drifted.cache_info().maxsize is not None
 
 
 def test_fixed_emission_direction_draws_nothing():

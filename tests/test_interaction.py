@@ -11,8 +11,10 @@ from qcausal.errors import ConfigError, UnknownObjectError
 from qcausal.experiments import bell, doubleslit
 from qcausal.interaction import (
     InteractionCandidate,
+    InteractionObject,
     OutcomeRow,
     OutcomeTable,
+    Provenance,
     RoundPolicy,
     claim,
     create_interaction_object,
@@ -32,6 +34,8 @@ from qcausal.state import (
     Space,
     SystemState,
     _evolve,
+    normalize_amplitudes,
+    path_support,
     reduce_to_path,
     total_conserved,
 )
@@ -159,6 +163,12 @@ def test_outcome_table_validation():
         OutcomeTable("ragged", (good, wide))
     with pytest.raises(ConfigError):
         OutcomeRow((ParticleInfo("x"),), (ps((0,)), ps((1,))), 1.0)
+    with pytest.raises(ConfigError, match="no particles"):
+        OutcomeRow((), (), 1.0)
+    # a row's parts are tuples, as the Path and QuantumObject built from them
+    listed = OutcomeRow([ParticleInfo("x")], [ps((0,))], 1.0)
+    assert listed == OutcomeRow((ParticleInfo("x"),), (ps((0,)),), 1.0)
+    assert type(listed.particles) is tuple and type(listed.pathstates) is tuple
 
 
 # --- create / drop / process ------------------------------------------------------
@@ -369,17 +379,59 @@ def test_claim_reports_why_nothing_happened(cell, table, reason, draws):
 
 # --- collapse before drop: equal to the paper's drop-then-eliminate order ------------
 
+def _constructed_interaction_object(a, b, cand, table, tag):
+    """create_interaction_object's records, each built by its constructor."""
+    psa = a.paths[cand.path_index_1].pathstates[cand.particle_index_1]
+    psb = b.paths[cand.path_index_2].pathstates[cand.particle_index_2]
+    conserved = {
+        "energy": a.particles[cand.particle_index_1].mass + b.particles[cand.particle_index_2].mass,
+        "momentum": tuple(x + y for x, y in zip(psa.momentum, psb.momentum)),
+        "angularmomentum": tuple(x + y for x, y in zip(psa.angularmomentum, psb.angularmomentum)),
+    }
+    cell = PathState(frozenset({cand.position}), conserved["momentum"], conserved["angularmomentum"])
+    core = QuantumObject(
+        f"ia-{tag}", ObjectKind.INTERACTION_OBJECT,
+        (ParticleInfo("interaction", conserved["energy"]),), (Path(1.0, (cell,)),),
+        global_attrs={"position": cand.position}, conserved=conserved,
+    )
+    prov = Provenance((a.object_id, b.object_id), (cand.path_index_1, cand.path_index_2), cand.position)
+    return InteractionObject(core, prov, table)
+
+
+def _constructed_out_collection(ia):
+    """process_interaction_object's out collection, built by the constructors."""
+    rows = ia.outcome_table.rows
+    return normalize_amplitudes(QuantumObject(
+        ia.core.object_id.replace("ia-", "out-"), ObjectKind.PARTICLE_COLLECTION,
+        rows[0].particles, tuple(Path(r.amplitude, r.pathstates) for r in rows),
+        global_attrs={"position": ia.provenance.position}, conserved=dict(ia.core.conserved),
+    ))
+
+
+def _assert_built_like_constructed(ia, a, b, cand, table, tag):
+    ref = _constructed_interaction_object(a, b, cand, table, tag)
+    assert ia == ref and repr(ia) == repr(ref)
+    assert hash(ia.provenance) == hash(ref.provenance) and hash(ia.core.paths) == hash(ref.core.paths)
+    out, ref_out = process_interaction_object(ia), _constructed_out_collection(ref)
+    assert out == ref_out and repr(out) == repr(ref_out)
+    assert hash(out.paths) == hash(ref_out.paths)
+
+
 def _paper_order_interaction(state, a_id, b_id, cand, table):
-    """Reference: drop both particles from the full tables, then collapse."""
+    """Reference: drop both particles from the full tables, then collapse.
+    The interaction object and the out collection are built by the
+    constructors, and the pipeline's own builds must equal them."""
     a, b = state.objects[a_id], state.objects[b_id]
-    ia = create_interaction_object(a, b, cand, table, tag=str(len(state.event_log)))
+    tag = str(len(state.event_log))
+    _assert_built_like_constructed(create_interaction_object(a, b, cand, table, tag=tag), a, b, cand, table, tag)
+    ia = _constructed_interaction_object(a, b, cand, table, tag)
     survivor_a = drop_particle(state, a_id, cand.particle_index_1, cand.path_index_1)
     survivor_b = drop_particle(state, b_id, cand.particle_index_2, cand.path_index_2)
     if survivor_a is not None:
         state.objects[a_id] = eliminate_unaffected_paths(survivor_a, cand.path_index_1)
     if survivor_b is not None:
         state.objects[b_id] = eliminate_unaffected_paths(survivor_b, cand.path_index_2)
-    result = process_interaction_object(ia)
+    result = _constructed_out_collection(ia)
     state.add_object(result)
     state.event_log.append(
         {"event": "interaction", "participants": [a_id, b_id], "position": cand.position,
@@ -404,8 +456,13 @@ def test_bell_pair_interaction_matches_paper_order(row):
     state = bell.fresh_state()
     for pump_id in bell.PUMP_IDS:
         state.add_object(bell.make_pump(pump_id))
+    source = SystemState(space=state.space, objects=dict(state.objects))
     rng = RngState(0).substream("emit")
     _, pair = claim(state, bell.BellRoundPolicy(0.0, 0.0, 30.0, rng), "pump-1", "pump-2", rng)
+    # the source event, checked the same way on a copy of its world
+    (source_cand,) = determine_potential_interactions(*source.objects.values())
+    _assert_same_as_paper_order(source, "pump-1", "pump-2", source_cand, bell.pair_table(30.0))
+    assert source.objects == state.objects and repr(source.objects) == repr(state.objects)
     pair_id = pair.object_id
     state.objects[pair_id] = bell.apply_stern_gerlach(bell.drift(state.objects[pair_id]), 0, 0.0)
     state.add_object(bell.make_screen("screen-a", bell.WING_A_CELL))
@@ -451,6 +508,27 @@ def test_evolved_records_equal_constructed_ones():
     wide = particle("w", [Path(INV2, (base,)), Path(-INV2, (built,))])
     reduced = reduce_to_path(wide, 1).paths[0]
     assert reduced == Path(-1.0, (built,)) and hash(reduced) == hash(Path(-1.0, (built,)))
+    # candidates skip the frozen __init__ but equal, hash and repr like built ones
+    a = particle("a", [Path(INV2, (ps((0,), (1,)),)), Path(INV2, (ps((1,)),))])
+    b = QuantumObject("b", ObjectKind.PARTICLE_COLLECTION, (ParticleInfo("x"), ParticleInfo("y")),
+                      (Path(1.0, (ps((1,)), ps((0,)))),))
+    w = a.paths[0].weight
+    expected = [
+        InteractionCandidate((0,), 0, 0, w, 0, 1),
+        InteractionCandidate((1,), 0, 0, w, 0, 0),
+        InteractionCandidate((1,), 1, 0, w, 0, 0),
+    ]
+    found = determine_potential_interactions(a, b)
+    assert found == expected and repr(found) == repr(expected)
+    assert [hash(c) for c in found] == [hash(c) for c in expected]
+    # a one-column row's support is its cell set itself
+    assert path_support(a.paths[0]) is a.paths[0].pathstates[0].spacepoints
+    # analyzer ports: float amplitudes come out complex, as Path() makes them
+    one_row = particle("s", [Path(1.0, (ps((0,), spindir=30.0),))])
+    ports = bell.apply_stern_gerlach(one_row, 0, 0.0).paths
+    c30, s30 = bell.cos_deg(30.0), bell.sin_deg(30.0)
+    built_ports = (Path(c30, (ps((0,), spindir=0.0),)), Path(s30, (ps((0,), spindir=90.0),)))
+    assert ports == built_ports and repr(ports) == repr(built_ports)
 
 
 def test_screen_merge_sees_evolved_and_constructed_states_as_one():
