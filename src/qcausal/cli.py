@@ -97,7 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runtime", choices=("centralized", "refined"), default="centralized")
     p.add_argument("--geometry", choices=("default", "small"), default="default")
-    p.add_argument("--scheduler", choices=("round-robin", "randomized"), default="round-robin")
+    p.add_argument(
+        "--scheduler",
+        choices=("round-robin", "randomized"),
+        default="round-robin",
+        help="refined runtime only; the two-slit world proposes at most one event per round, "
+        "so randomized gives the same output as round-robin",
+    )
     add_common(p)
 
     p = sub.add_parser("wave", help="lattice wave automaton")

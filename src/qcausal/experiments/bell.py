@@ -153,12 +153,15 @@ def pair_table(theta: float, cell=SOURCE_CELL) -> OutcomeTable:
     Row amplitudes are 1/sqrt(2) each; the particles leave in opposite
     directions (momentum -1 and +1 cells per tick).  Only the spins depend
     on theta, so the table is copied from the cell's validated template
-    with the spins normalized as the PathState constructor would.
+    with the spins normalized as the PathState constructor would.  theta is
+    reduced before the quarter turn is added, so the spins stay 90 degrees
+    apart however large theta is.
     """
     template = _pair_template(cell)
+    spin = _norm_angle(theta)
     rows = tuple(
-        _evolve(row, pathstates=tuple(_evolve(ps, spindir=spin) for ps in row.pathstates))
-        for row, spin in zip(template.rows, (_norm_angle(theta), _norm_angle(theta + 90.0)))
+        _evolve(row, pathstates=tuple(_evolve(ps, spindir=s) for ps in row.pathstates))
+        for row, s in zip(template.rows, (spin, _norm_angle(spin + 90.0)))
     )
     return _evolve(template, rows=rows)
 
@@ -489,7 +492,8 @@ def run_bell_experiment(cfg: BellConfig) -> BellResult:
     (seed, i), so sequential and parallel execution produce identical
     tallies.  Centralized, each trial claims the events in bell_trial's
     causal order; refined, RefinedRuntime runs them in rounds from the
-    trial's substreams.  One policy serves every trial of the run.
+    trial's substreams.  One policy, and under the refined scheduler one
+    runtime, serves every trial of the run.
     """
     if cfg.runtime == "refined":
         from ..runtime import RefinedRuntime
@@ -500,7 +504,11 @@ def run_bell_experiment(cfg: BellConfig) -> BellResult:
         rng = root.substream(trial)
         if cfg.runtime == "refined":
             policy.new_trial(cfg.spindir_policy, rng.substream("source"))
-            RefinedRuntime(bell_world(), policy, rng, cfg.scheduler).run(max_rounds=16)
+            if trial == 0:
+                runner = RefinedRuntime(bell_world(), policy, rng, cfg.scheduler)
+            else:
+                runner.next_trial(bell_world(), rng)
+            runner.run(max_rounds=16)
         else:
             # the emission direction is the trial stream's first draw
             policy.new_trial(draw_emission_direction(cfg.spindir_policy, rng), rng)
@@ -559,8 +567,9 @@ FORMS = ("identical", "anticorrelated")
 
 
 def model_correlation(angle_x: float, angle_y: float) -> float:
-    """Closed-form E(x, y) implied by the response law: 2 cos^2(x-y) - 1."""
-    return 2.0 * spin_probability(angle_x - angle_y) - 1.0
+    """Closed-form E(x, y) implied by the response law: 2 cos^2(x-y) - 1.
+    Each angle is reduced first, so a huge one does not round the other away."""
+    return 2.0 * spin_probability(_norm_angle(angle_x) - _norm_angle(angle_y)) - 1.0
 
 
 def evaluate_bell(p_ab: float, p_ac: float, p_bc: float, form: str = "identical") -> float:

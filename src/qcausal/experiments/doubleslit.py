@@ -464,8 +464,9 @@ def run_double_slit(
 
     Centralized, each trial runs the world's causal order: the marker
     claim (marker on), the fan to the screen, the screen claim, all drawn
-    from the trial stream (seed, i).  Refined, the decentralized runtime
-    runs the same policy in rounds, drawing from that stream's substreams.
+    from the trial stream (seed, i).  Refined, one decentralized runtime
+    runs the same policy in rounds for every trial, drawing from each trial
+    stream's substreams.
     """
     if trials <= 0:
         raise ConfigError(f"trials must be > 0, got {trials}")
@@ -481,7 +482,11 @@ def run_double_slit(
         rng = root.substream(trial)
         state = policy.world()
         if runtime == "refined":
-            RefinedRuntime(state, policy, rng, scheduler).run(max_rounds=16)
+            if trial == 0:
+                runner = RefinedRuntime(state, policy, rng, scheduler)
+            else:
+                runner.next_trial(state, rng)
+            runner.run(max_rounds=16)
         else:
             bearer_id = policy.photon.object_id
             if marker:

@@ -6,11 +6,18 @@ policy either to the world's fixed causal order or to RefinedRuntime.
 
 Here each object is advanced by its own engine, and engines never read
 another object's state.  Coordination runs through a mediator board of
-advertisements: in every round each engine publishes, per path and per
-occupied cell, an (object, path, cell, weight) advertisement.  Detection
-reads the previous round's board, so both parties of an overlap see the
-same picture and propose the same event; the one-round lag is the price
-of symmetry.
+advertisements: in every round each live object is published as one
+(object, path, cell, weight) advertisement per path and per occupied
+cell.  Detection reads the previous round's board, so both parties of an
+overlap see the same picture and propose the same event; the one-round
+lag is the price of symmetry.
+
+Objects are frozen records, and most of a round's objects are the very
+ones of the round before, or of the trial before (a screen, a pump, a
+memoised fan).  So each object's advertisements and invariant verdict are
+computed once, into a publication record keyed by the object's identity,
+and reused while the same object stays live.  One runtime serves a whole
+run: next_trial starts each trial and keeps the records.
 
 A round has four phases:
 
@@ -34,8 +41,10 @@ A round has four phases:
   3. propagate: engines that did not interact and have been alive for
      PROPAGATION_DELAY rounds ask the policy to advance their object
      (drift, a fan to the screen).  The delay guarantees an overlap
-     standing at spawn time is detected before anyone moves.
-  4. publish: live objects advertise, the board flips.
+     standing at spawn time is detected before anyone moves.  Every live
+     object the runtime has not seen before is then checked: a rectangular
+     table inside the lattice.
+  4. publish: live objects advertise from their records, the board flips.
 
 Consumed objects retire their engines; interaction products get fresh
 ones.  All per-round iteration is in sorted order and every random draw
@@ -45,6 +54,7 @@ under both schedulers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .engine import RngState, random_draw
@@ -52,7 +62,7 @@ from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
 from .experiments.doubleslit import ScreenHistogram, SlitGeometry, run_double_slit
 from .interaction import RoundPolicy, claim
-from .state import SystemState, total_conserved
+from .state import QuantumObject, SystemState, total_conserved
 
 BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 
@@ -60,6 +70,9 @@ SCHEDULERS = ("round-robin", "randomized")
 # rounds an object must sit on the board before it may move; detection of
 # a standing overlap takes one round of lag plus one to act on it
 PROPAGATION_DELAY = 2
+# a runtime clears its publication records when they pass this many; a run
+# keeps a handful live and adds a few per trial
+MAX_RECORDS = 256
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,28 @@ class Advertisement:
     path_index: int
     cell: tuple[int, ...]
     weight: float
+
+
+# one live object's publication: the object (its strong reference keeps the
+# id() the record is keyed by from being reused), the id it is published
+# under, its advertisements, and its invariant problem (None when sound)
+_Record = namedtuple("_Record", "obj object_id ads problem")
+
+
+def _advertise(object_id: str, obj: QuantumObject) -> tuple[Advertisement, ...]:
+    """One advertisement per nonzero-weight path and occupied cell, in path
+    order and sorted cell order."""
+    ads = []
+    for i, path in enumerate(obj.paths):
+        w = path.weight
+        if w == 0.0:
+            continue
+        cells = set()
+        for ps in path.pathstates:
+            cells.update(ps.spacepoints)
+        for cell in sorted(cells):
+            ads.append(Advertisement(object_id=object_id, path_index=i, cell=cell, weight=w))
+    return tuple(ads)
 
 
 @dataclass
@@ -158,8 +193,8 @@ class SpaceMediator:
         self._proposals: dict[tuple[str, str], dict[str, tuple]] = {}
         self.rejections: list[dict] = []
 
-    def publish(self, ad: Advertisement):
-        self._next.append(ad)
+    def publish(self, *ads: Advertisement):
+        self._next.extend(ads)
 
     def flip(self):
         self.board = {}
@@ -208,7 +243,11 @@ class SpaceMediator:
 
 
 class RefinedRuntime:
-    """Round loop driver over a store, engines, mediator, and policy."""
+    """Round loop driver over a store, engines, mediator, and policy.
+
+    The constructor starts the first trial; next_trial starts each later
+    one on the same runtime, which keeps its publication records.
+    """
 
     def __init__(
         self,
@@ -218,14 +257,27 @@ class RefinedRuntime:
         scheduler: str = "round-robin",
         keep_ledger: bool = False,
     ):
-        self.state = state
         self.policy = policy
-        self.mediator = SpaceMediator(rng.substream("events"), scheduler)
+        self.scheduler = scheduler
         self.keep_ledger = keep_ledger
+        self._records: dict[int, _Record] = {}  # id(obj) -> obj's record
+        self._space = None  # the space the records' verdicts hold for
+        self.next_trial(state, rng)
+
+    def next_trial(self, state: SystemState, rng: RngState):
+        """Start a trial on state: fresh engines, ledger and counters, and a
+        mediator drawing from rng's "events" substream.  The records carry
+        over while the trial's space is the previous trial's."""
+        if state.space is not self._space:
+            self._records.clear()
+            self._space = state.space
+        self.state = state
+        self.mediator = SpaceMediator(rng.substream("events"), self.scheduler)
         self.ledger: list[LedgerEntry] = []
         self.interactions = 0  # granted events, each checked against the ledger
         self.round_index = 0
         self.engines: dict[str, ObjectEngine] = {}
+        self._views: dict[str, RoundView] = {}
         for object_id in sorted(state.objects):
             self.spawn_engine(object_id)
 
@@ -233,10 +285,23 @@ class RefinedRuntime:
         if object_id in self.engines:
             raise ConfigError(f"engine for {object_id!r} already exists")
         self.engines[object_id] = ObjectEngine(object_id)
+        self._views[object_id] = RoundView(self.mediator, object_id)
 
     def retire_missing_engines(self):
         for object_id in [oid for oid in self.engines if oid not in self.state.objects]:
             del self.engines[object_id]
+            del self._views[object_id]
+
+    def _record(self, object_id: str, obj: QuantumObject) -> _Record:
+        """obj's publication record, built the first time obj is seen live."""
+        record = self._records.get(id(obj))
+        if record is None or record.object_id != object_id:
+            if len(self._records) >= MAX_RECORDS:
+                self._records.clear()
+            problem = self.state.object_problem(obj)
+            record = _Record(obj, object_id, _advertise(object_id, obj), problem)
+            self._records[id(obj)] = record
+        return record
 
     # -- round phases ------------------------------------------------------
 
@@ -250,7 +315,7 @@ class RefinedRuntime:
 
     def detect_and_grant(self) -> set:
         for object_id in sorted(self.engines):
-            self.engines[object_id].detect(RoundView(self.mediator, object_id))
+            self.engines[object_id].detect(self._views[object_id])
         busy: set[str] = set()
         for event in self.mediator.collect_events():
             a_id, b_id = event.pair
@@ -307,24 +372,15 @@ class RefinedRuntime:
                 if moved.object_id != object_id:
                     raise ConfigError("propagation must keep the object id")
                 self.state.objects[object_id] = moved
-        problem = self.state.invariant_problem()
-        if problem is not None:
-            raise InvariantViolation(f"after propagation: {problem}")
+        for object_id, obj in self.state.objects.items():
+            problem = self._record(object_id, obj).problem
+            if problem is not None:
+                raise InvariantViolation(f"after propagation: {problem}")
 
     def publish_phase(self):
-        for object_id in sorted(self.state.objects):
-            obj = self.state.objects[object_id]
-            for i, path in enumerate(obj.paths):
-                w = path.weight
-                if w == 0.0:
-                    continue
-                cells = set()
-                for ps in path.pathstates:
-                    cells.update(ps.spacepoints)
-                for cell in sorted(cells):
-                    self.mediator.publish(
-                        Advertisement(object_id=object_id, path_index=i, cell=cell, weight=w)
-                    )
+        objects = self.state.objects
+        for object_id in sorted(objects):
+            self.mediator.publish(*self._record(object_id, objects[object_id]).ads)
         self.mediator.flip()
 
     def run(self, max_rounds: int = 64) -> int:

@@ -240,7 +240,8 @@ class SystemState:
     pipeline events.
 
     The interaction pipeline and both runtimes read and rewrite objects in
-    place; invariant_problem is the runtime's cheap check after objects move.
+    place; object_problem is the check the decentralized runtime runs once
+    on each object it has not seen before.
     """
 
     space: Space
@@ -258,16 +259,24 @@ class SystemState:
         except KeyError:
             raise UnknownObjectError(object_id) from None
 
+    def object_problem(self, obj: QuantumObject):
+        """obj's table is rectangular and inside the lattice; returns a
+        description or None.  Depends only on obj and the space."""
+        ncols = len(obj.particles)
+        for i, p in enumerate(obj.paths):
+            if len(p.pathstates) != ncols:
+                return f"object {obj.object_id!r} path {i} not rectangular"
+        for pt in object_footprint(obj):
+            if not self.space.contains(pt):
+                return f"object {obj.object_id!r} occupies {pt} outside the lattice"
+        return None
+
     def invariant_problem(self):
-        """Rectangular tables inside the lattice; returns a description or None."""
+        """object_problem over every live object; the first description or None."""
         for obj in self.objects.values():
-            ncols = len(obj.particles)
-            for i, p in enumerate(obj.paths):
-                if len(p.pathstates) != ncols:
-                    return f"object {obj.object_id!r} path {i} not rectangular"
-            for pt in object_footprint(obj):
-                if not self.space.contains(pt):
-                    return f"object {obj.object_id!r} occupies {pt} outside the lattice"
+            problem = self.object_problem(obj)
+            if problem is not None:
+                return problem
         return None
 
 

@@ -41,7 +41,7 @@ from qcausal.experiments.bell import (
 )
 from qcausal.interaction import OutcomeRow, OutcomeTable, claim
 from qcausal.runtime import RefinedRuntime
-from qcausal.state import ParticleInfo, PathState, total_conserved
+from qcausal.state import ParticleInfo, PathState, _norm_angle, total_conserved
 
 
 def _emit(theta, rng):
@@ -126,7 +126,8 @@ def _constructed_pair_table(theta, cell=SOURCE_CELL):
             amplitude=1.0 / math.sqrt(2.0),
         )
 
-    return OutcomeTable(name="pair-source", rows=(row(theta), row(theta + 90.0)))
+    # theta is reduced before the quarter turn is added
+    return OutcomeTable(name="pair-source", rows=(row(theta), row(_norm_angle(theta) + 90.0)))
 
 
 @given(
@@ -143,6 +144,13 @@ def test_pair_table_equals_the_constructed_one(theta):
     # repr tells -0.0 from 0.0 and a float from a complex, which == and hash do not
     assert repr(table) == repr(ref)
     assert pair_table(theta, (2,)) == _constructed_pair_table(theta, (2,))
+
+
+@pytest.mark.parametrize("theta", [1e17, 1e20, -1e20])
+def test_pair_table_spins_stay_orthogonal_at_huge_theta(theta):
+    row0, row1 = pair_table(theta).rows
+    assert (row1.pathstates[0].spindir - row0.pathstates[0].spindir) % 360.0 == 90.0
+    assert row0.pathstates[0].spindir == _norm_angle(theta)
 
 
 def test_source_claim_emits_entangled_pair():
@@ -371,6 +379,13 @@ def test_model_correlation_table():
     assert model_correlation(0.0, 30.0) == pytest.approx(0.5)
     assert model_correlation(0.0, 60.0) == pytest.approx(-0.5)
     assert model_correlation(0.0, 90.0) == -1.0
+
+
+def test_model_correlation_reduces_huge_angles():
+    # 1e20 degrees is 280 modulo 360
+    assert _norm_angle(1e20) == 280.0
+    assert model_correlation(1e20, 30.0) == model_correlation(280.0, 30.0)
+    assert model_correlation(30.0, -1e20) == model_correlation(30.0, 80.0)
 
 
 def test_evaluate_bell_forms():

@@ -1,5 +1,8 @@
 """Round mechanics of the decentralized runtime: mediator, engines, ledger."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,14 @@ from qcausal.experiments import bell
 from qcausal.experiments.bell import BellConfig, run_bell_experiment
 from qcausal.experiments.doubleslit import (
     SMALL_GEOMETRY,
+    DoubleSlitRoundPolicy,
     coherent_pdf,
     incoherent_pdf,
     run_double_slit,
 )
 from qcausal.interaction import OutcomeRow, OutcomeTable
 from qcausal.runtime import (
+    MAX_RECORDS,
     PROPAGATION_DELAY,
     SCHEDULERS,
     Advertisement,
@@ -531,3 +536,153 @@ def test_refined_doubleslit_reproducible():
     c = run_doubleslit_refined(False, 150, SMALL_GEOMETRY, seed=7)
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
+
+
+# -- publication records and one runtime per run --------------------------------------
+
+
+def _readvertised(state):
+    """The board as publishing it from scratch gives: every live object in
+    id order, per nonzero-weight path, one ad per occupied cell in order."""
+    board, by_object = {}, {}
+    for object_id in sorted(state.objects):
+        for i, path in enumerate(state.objects[object_id].paths):
+            if path.weight == 0.0:
+                continue
+            cells = set()
+            for ps in path.pathstates:
+                cells.update(ps.spacepoints)
+            for cell in sorted(cells):
+                ad = _ad(object_id, cell, path_index=i, weight=path.weight)
+                board.setdefault(cell, []).append(ad)
+                by_object.setdefault(object_id, []).append(ad)
+    return board, by_object
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("world", ["bell", "doubleslit-off", "doubleslit-on"])
+def test_board_equals_a_full_readvertisement_after_every_publish(monkeypatch, world, scheduler):
+    publish = RefinedRuntime.publish_phase
+    checked = []
+
+    def checked_publish(runtime):
+        publish(runtime)
+        board, by_object = _readvertised(runtime.state)
+        # items() lists compare content and iteration order both
+        assert list(runtime.mediator.board.items()) == list(board.items())
+        assert list(runtime.mediator.board_by_object.items()) == list(by_object.items())
+        checked.append(runtime)
+
+    monkeypatch.setattr(RefinedRuntime, "publish_phase", checked_publish)
+    if world == "bell":
+        run_bell_experiment(BellConfig(0.0, 30.0, trials=40, seed=2, runtime="refined", scheduler=scheduler))
+    else:
+        run_double_slit(world == "doubleslit-on", 40, SMALL_GEOMETRY, seed=2, runtime="refined", scheduler=scheduler)
+    assert len(checked) >= 40 * 4
+    assert len({id(runtime) for runtime in checked}) == 1  # one runtime per run
+
+
+def test_replaced_object_is_republished_and_rechecked():
+    state = _world(_atom("a", (1,)))
+    runtime = RefinedRuntime(state, VetoPolicy(), RngState(0))
+    runtime.propagate_phase(set())
+    runtime.publish_phase()
+    assert list(runtime.mediator.board) == [(1,)]
+    # same object id, new object
+    state.objects["a"] = _moved_to(state.objects["a"], (4,))
+    runtime.propagate_phase(set())
+    runtime.publish_phase()
+    assert list(runtime.mediator.board) == [(4,)]
+    state.objects["a"] = _moved_to(state.objects["a"], (9,))
+    with pytest.raises(InvariantViolation, match=r"after propagation: .* \(9,\) outside the lattice"):
+        runtime.propagate_phase(set())
+
+
+def test_equal_objects_get_records_of_their_own(monkeypatch):
+    checked = []
+    object_problem = SystemState.object_problem
+    monkeypatch.setattr(
+        SystemState, "object_problem", lambda state, obj: checked.append(obj) or object_problem(state, obj)
+    )
+    first, second = _atom("a", (1,)), _atom("a", (1,))
+    assert first == second and first is not second
+    state = _world(first)
+    runtime = RefinedRuntime(state, VetoPolicy(), RngState(0))
+    for _ in range(3):
+        runtime.run_round()
+    assert len(checked) == 1 and checked[0] is first
+    state.objects["a"] = second
+    runtime.run_round()
+    assert len(checked) == 2 and checked[1] is second
+    # a record keeps its object alive, so no later object can take its id()
+    ref = weakref.ref(state.objects.pop("a"))
+    del first, second
+    checked.clear()
+    gc.collect()
+    assert ref() is not None
+
+
+def test_records_are_dropped_when_the_space_changes():
+    atom = _atom("a", (6,))
+    runtime = RefinedRuntime(_world(atom), VetoPolicy(), RngState(0))
+    runtime.run_round()
+    # the same object, in a trial whose lattice it no longer fits
+    small = SystemState(space=Space(dims=1, extent=(4,), delta_x=1.0), objects={"a": atom})
+    runtime.next_trial(small, RngState(1))
+    with pytest.raises(InvariantViolation, match="outside the lattice"):
+        runtime.run_round()
+
+
+def _trials_of(world):
+    """(policy, start, outcome): start(rng) begins a trial and returns its
+    state, outcome() reads what the trial measured."""
+    if world == "bell":
+        policy = BellRoundPolicy(0.0, 30.0, "uniform", RngState(3))
+
+        def start(rng):
+            policy.new_trial("uniform", rng.substream("source"))
+            return bell.bell_world()
+
+        return policy, start, lambda: dict(policy.cases)
+    policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, world == "doubleslit-on")
+    return policy, lambda rng: policy.world(), lambda: policy.hit_cell
+
+
+def _per_trial(world, scheduler, reuse, trials):
+    """Each trial's rounds, interactions, rejections, ledger and outcome, from
+    one runtime reset per trial (reuse) or a fresh runtime per trial, and
+    the size of the record cache after each trial."""
+    policy, start, outcome = _trials_of(world)
+    root = RngState(5)
+    runtime, results, sizes = None, [], []
+    for trial in range(trials):
+        rng = root.substream(trial)
+        state = start(rng)
+        if reuse and runtime is not None:
+            runtime.next_trial(state, rng)
+        else:
+            runtime = RefinedRuntime(state, policy, rng, scheduler, keep_ledger=True)
+        rounds = runtime.run(max_rounds=16)
+        results.append(
+            (rounds, runtime.interactions, runtime.mediator.rejections, runtime.ledger, outcome())
+        )
+        sizes.append(len(runtime._records))
+    return results, sizes
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("world", ["bell", "doubleslit-off", "doubleslit-on"])
+def test_one_runtime_reset_per_trial_equals_a_fresh_one_per_trial(world, scheduler):
+    fresh, _ = _per_trial(world, scheduler, reuse=False, trials=60)
+    reused, _ = _per_trial(world, scheduler, reuse=True, trials=60)
+    assert reused == fresh
+    assert all(ledger for _, _, _, ledger, _ in fresh)
+    if world == "bell":  # the pair meets both screens in one round, one waits
+        assert all(rejections for _, _, rejections, _, _ in fresh)
+
+
+@pytest.mark.parametrize("world", ["bell", "doubleslit-on"])
+def test_record_cache_stays_within_its_bound(world):
+    _, sizes = _per_trial(world, "round-robin", reuse=True, trials=2000)
+    assert max(sizes) <= MAX_RECORDS
+    assert max(sizes) > MAX_RECORDS // 2  # the records did carry over between trials
