@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 from .errors import ConfigError
 
@@ -54,14 +56,53 @@ class RngState:
         return f"RngState(seed={self.seed}, key={self.key!r}, draws={self.draws})"
 
 
+def _running_sums(dist) -> tuple[list[float], float]:
+    """Running sums of a discrete distribution, left-to-right, and sum() of
+    it, after checking each p >= 0 and the sum is 1.  The sums compare as a
+    running total started at 0.0 would: 0.0 + p is p, up to a zero's sign."""
+    probs = list(dist)
+    if probs and min(probs) < 0:
+        raise ConfigError("random_draw: negative probability")
+    total = sum(probs)
+    if not abs(total - 1.0) <= PROB_TOL:  # written so that a NaN total fails too
+        raise ConfigError(f"random_draw: probabilities sum to {total!r}, not 1")
+    return list(accumulate(probs)), total
+
+
+class Cumulative:
+    """A discrete distribution checked and summed once, for repeated draws.
+
+    A caller that draws over the same probabilities again and again (a
+    memoised candidate list) builds its Cumulative once and hands it to
+    random_draw in place of the list; the draw is then the one a plain list
+    gives, bit for bit, without re-checking and re-summing.
+    """
+
+    __slots__ = ("sums", "total")
+
+    def __init__(self, dist):
+        sums, self.total = _running_sums(dist)
+        self.sums = tuple(sums)
+
+    def __eq__(self, other):
+        if not isinstance(other, Cumulative):
+            return NotImplemented
+        return self.sums == other.sums and self.total == other.total
+
+
 def random_draw(values, dist, rng: RngState):
     """Draw one value; advances rng deterministically.
 
     Two forms:
       * discrete: values is a sequence, dist a same-length sequence of
-        probabilities (each >= 0, summing to 1 within 1e-9);
+        probabilities (each >= 0, summing to 1 within 1e-9) or their
+        Cumulative form;
       * continuous: values is a (lo, hi) pair of finite bounds and dist is
         the string "uniform".
+
+    A discrete draw picks the first value whose running sum exceeds
+    u * total, found by bisection over the running sums; the last value
+    when roundoff leaves u * total at or above every sum.
 
     Malformed input, NaN and infinities included, raises ConfigError.
     """
@@ -74,25 +115,16 @@ def random_draw(values, dist, rng: RngState):
             raise ConfigError("random_draw: uniform draw needs a (lo, hi) interval") from None
         if not (math.isfinite(lo) and math.isfinite(hi) and hi >= lo):
             raise ConfigError(f"random_draw: need finite bounds lo <= hi, got ({lo}, {hi})")
-        value = lo + (hi - lo) * rng.random()
-    else:
+        return lo + (hi - lo) * rng.random()
+    if not isinstance(values, (list, tuple)):
         values = list(values)
-        if not values:
-            raise ConfigError("random_draw: empty value set")
-        probs = list(dist)
-        if len(probs) != len(values):
-            raise ConfigError("random_draw: values and probabilities differ in length")
-        if any(p < 0 for p in probs):
-            raise ConfigError("random_draw: negative probability")
-        total = sum(probs)
-        if not abs(total - 1.0) <= PROB_TOL:  # written so that a NaN total fails too
-            raise ConfigError(f"random_draw: probabilities sum to {total!r}, not 1")
-        u = rng.random() * total
-        acc = 0.0
-        value = values[-1]  # guard against roundoff at u ~ total
-        for v, p in zip(values, probs):
-            acc += p
-            if u < acc:
-                value = v
-                break
-    return value
+    if not values:
+        raise ConfigError("random_draw: empty value set")
+    if isinstance(dist, Cumulative):
+        sums, total = dist.sums, dist.total
+    else:
+        sums, total = _running_sums(dist)
+    if len(sums) != len(values):
+        raise ConfigError("random_draw: values and probabilities differ in length")
+    i = bisect_right(sums, rng.random() * total)
+    return values[i] if i < len(values) else values[-1]  # guard against roundoff at u ~ total

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from ..engine import RngState, random_draw
+from ..engine import Cumulative, RngState, random_draw
 from ..errors import ConfigError
 from ..interaction import OutcomeRow, OutcomeTable, RoundPolicy, claim
 from ..state import (
@@ -289,7 +289,7 @@ class BellRoundPolicy(RoundPolicy):
         self._source = False
         self._pair_id: str | None = None
         self._screen_id: str | None = None
-        self._source_memo: tuple | None = None  # (pump a, pump b, candidates, probabilities)
+        self._source_memo: tuple | None = None  # (pump a, pump b, candidates, Cumulative)
         self.new_trial(spindir_policy, rng)
 
     def new_trial(self, spindir_policy, rng: RngState):
@@ -322,7 +322,8 @@ class BellRoundPolicy(RoundPolicy):
         a, b = state.objects[a_id], state.objects[b_id]
         memo = self._source_memo
         if memo is None or memo[0] is not a or memo[1] is not b:
-            memo = self._source_memo = (a, b, *super().candidates(state, a_id, b_id))
+            found, probabilities = super().candidates(state, a_id, b_id)
+            memo = self._source_memo = (a, b, found, Cumulative(probabilities))
         return memo[2], memo[3]
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..engine import RngState
+from ..engine import Cumulative, RngState
 from ..errors import ConfigError
 from ..interaction import (
     OutcomeRow,
@@ -369,8 +369,12 @@ class ScreenHistogram:
 
 
 # one memoised fan: its input, the fanned object, and the fan's screen
-# candidates with their selection probabilities
-_Fan = namedtuple("_Fan", "source fan candidates probabilities")
+# candidates with their selection probabilities in Cumulative form
+_Fan = namedtuple("_Fan", "source fan candidates selection")
+
+
+def _selection(candidates) -> tuple[list, Cumulative]:
+    return candidates, Cumulative(_selection_probabilities(candidates))
 
 
 class DoubleSlitRoundPolicy(RoundPolicy):
@@ -381,10 +385,17 @@ class DoubleSlitRoundPolicy(RoundPolicy):
     product.  One policy serves a whole run under either scheduler.  Every
     trial fans one of at most three inputs (the unmarked photon, or the
     product from either slit), so each fan and its screen candidates with
-    their selection probabilities are built once per distinct input and
-    served from a memo after that.  A memo hit needs an input equal to the
-    one the fan was built from.  The marking claim's two candidates are
-    built once too, for the photon-first order the centralized trial uses.
+    their summed selection probabilities are built once per distinct input
+    and served from a memo after that.  A memo hit needs an input equal to
+    the one the fan was built from.  The marking claim's two candidates are
+    built once for each claim order: photon first, as the centralized trial
+    claims, and marker first, as the decentralized runtime claims in sorted
+    id order.
+
+    The claims' inputs are therefore the same objects trial after trial,
+    and so are the outcome tables (absorb_table and continue_table are
+    cached), so claim serves each interaction's effect from this policy's
+    memo: at most 3 * n_cells + 2 of them.
     """
 
     def __init__(self, geometry: SlitGeometry, marker: bool):
@@ -395,9 +406,12 @@ class DoubleSlitRoundPolicy(RoundPolicy):
         self.space = geometry.space()
         cast = (self.photon, self.marker, self.screen) if marker else (self.photon, self.screen)
         self.objects = {obj.object_id: obj for obj in cast}
-        found = determine_potential_interactions(self.photon, self.marker)
-        self._marking = found, _selection_probabilities(found)
+        orders = ((self.photon, self.marker), (self.marker, self.photon)) if marker else ()
+        self._marking = {
+            (id(a), id(b)): _selection(determine_potential_interactions(a, b)) for a, b in orders
+        }
         self.fans: list[_Fan] = []
+        self.effects = {}
         self.hit_cell: int | None = None
 
     def world(self) -> SystemState:
@@ -410,8 +424,7 @@ class DoubleSlitRoundPolicy(RoundPolicy):
             if entry.source is obj or entry.source == obj:
                 return entry
         fanned = propagate_to_screen(obj, self.geometry)
-        found = determine_potential_interactions(fanned, self.screen)
-        entry = _Fan(obj, fanned, found, _selection_probabilities(found))
+        entry = _Fan(obj, fanned, *_selection(determine_potential_interactions(fanned, self.screen)))
         self.fans.append(entry)
         return entry
 
@@ -420,9 +433,11 @@ class DoubleSlitRoundPolicy(RoundPolicy):
         if b is self.screen:
             for entry in self.fans:
                 if entry.fan is a:
-                    return entry.candidates, entry.probabilities
-        elif a is self.photon and b is self.marker:
-            return self._marking
+                    return entry.candidates, entry.selection
+        else:
+            marking = self._marking.get((id(a), id(b)))
+            if marking is not None:
+                return marking
         return super().candidates(state, a_id, b_id)
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):

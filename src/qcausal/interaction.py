@@ -22,7 +22,7 @@ Performing the selected candidate runs a fixed sequence:
      ParticleCollection; no dynamics are computed here, outcomes are
      entirely table-driven.
 
-perform_interaction runs steps 2 and 3 the other way round for an owner
+interaction_effect runs steps 2 and 3 the other way round for an owner
 that keeps other particles: it first collapses the owner to the
 interacting row, then drops the column from that one row.  The two steps
 commute.  Collapsing keeps the row's path states and the owner's conserved
@@ -41,8 +41,19 @@ and their selection probabilities from the policy, select one, ask the
 policy for its outcome table and perform the interaction.  Each
 experiment's centralized trial calls claim in its world's causal order,
 and the decentralized runtime calls it for each granted event.  A policy
-whose candidates repeat from trial to trial (the two-slit screen fans)
-serves them from a memo, so no weight is re-summed per draw.
+whose candidates repeat from trial to trial (the two-slit fans and
+marking, the Bell source) serves them from a memo together with their
+probabilities' Cumulative form, so no weight is re-checked or re-summed
+per draw: random_draw bisects the running sums, which selects exactly
+what the left-to-right loop would.
+
+An interaction's effect (the participants' survivors, the out collection
+and the event-log entries) depends only on the two objects, the chosen
+candidate, the outcome table and the tag, so perform_interaction is
+interaction_effect written into the state by apply.  A policy whose
+claims repeat (the two-slit world) keeps an effect memo that claim serves
+from; the Bell world's pair and source table are new objects every trial,
+so it keeps none.
 
 The records built for every event skip their constructors (state._evolve):
 the candidates, the interaction object with its provenance, and the out
@@ -63,7 +74,7 @@ import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .engine import RngState, random_draw
+from .engine import Cumulative, RngState, random_draw
 from .errors import ConfigError, InvariantViolation
 from .state import (
     NORM_TOL,
@@ -209,15 +220,23 @@ def _covering_column(path: Path, point) -> int:
 
 
 def _selection_probabilities(candidates: list[InteractionCandidate]) -> list[float]:
-    total = sum(c.joint_weight for c in candidates)
-    return [c.joint_weight / total for c in candidates]
+    """Joint weights divided by their sum, which must be positive (a NaN sum
+    fails too); a negative weight then fails the draw's own check."""
+    weights = [c.joint_weight for c in candidates]
+    total = sum(weights)
+    if weights and not total > 0.0:
+        raise ConfigError(f"select_interaction: joint weights sum to {total!r}, need a positive sum")
+    return [w / total for w in weights]
 
 
 def select_interaction(
-    candidates: list[InteractionCandidate], rng: RngState, probabilities: list[float] | None = None
+    candidates: list[InteractionCandidate],
+    rng: RngState,
+    probabilities: list[float] | Cumulative | None = None,
 ) -> InteractionCandidate:
     """Draw one candidate with probability proportional to its joint weight;
-    probabilities, if given, are _selection_probabilities(candidates)."""
+    probabilities, if given, are _selection_probabilities(candidates) or
+    their Cumulative form."""
     if not candidates:
         raise ConfigError("select_interaction: empty candidate list")
     if probabilities is None:
@@ -302,6 +321,30 @@ def create_interaction_object(
     return InteractionObject(core=core, provenance=prov, outcome_table=outcome_table)
 
 
+def _dropped(obj: QuantumObject, particle_index: int, row_index: int) -> QuantumObject | None:
+    """obj without one particle column, or None when it was the last one.
+
+    The survivor's conserved block loses the column's share, read from the
+    row row_index (the interacting row).
+    """
+    if not 0 <= particle_index < len(obj.particles):
+        raise IndexError(f"object {obj.object_id!r}: particle index {particle_index} out of range")
+    if len(obj.particles) == 1:
+        return None
+    share = _column_contribution(obj, row_index, particle_index)
+    particles = obj.particles[:particle_index] + obj.particles[particle_index + 1 :]
+    paths = tuple(
+        _evolve(p, pathstates=p.pathstates[:particle_index] + p.pathstates[particle_index + 1 :])
+        for p in obj.paths
+    )
+    return _evolve(
+        obj,
+        particles=particles,
+        paths=paths,
+        conserved=_combine_conserved(obj.conserved, share, operator.sub) if obj.conserved else {},
+    )
+
+
 def drop_particle(
     state: SystemState, object_id: str, particle_index: int = 0, row_index: int = 0
 ) -> QuantumObject | None:
@@ -313,26 +356,12 @@ def drop_particle(
     share (the interacting row).  The drop is recorded in the state's event
     log.  Dropping from a missing id raises, so a double drop is an error.
     """
-    obj = state.get_object(object_id)
-    if not 0 <= particle_index < len(obj.particles):
-        raise IndexError(f"object {object_id!r}: particle index {particle_index} out of range")
+    survivor = _dropped(state.get_object(object_id), particle_index, row_index)
     state.event_log.append({"event": "drop_particle", "object": object_id, "particle": particle_index})
-    if len(obj.particles) == 1:
+    if survivor is None:
         del state.objects[object_id]
-        return None
-    share = _column_contribution(obj, row_index, particle_index)
-    particles = obj.particles[:particle_index] + obj.particles[particle_index + 1 :]
-    paths = tuple(
-        _evolve(p, pathstates=p.pathstates[:particle_index] + p.pathstates[particle_index + 1 :])
-        for p in obj.paths
-    )
-    survivor = _evolve(
-        obj,
-        particles=particles,
-        paths=paths,
-        conserved=_combine_conserved(obj.conserved, share, operator.sub) if obj.conserved else {},
-    )
-    state.objects[object_id] = survivor
+    else:
+        state.objects[object_id] = survivor
     return survivor
 
 
@@ -367,6 +396,74 @@ def process_interaction_object(ia: InteractionObject) -> QuantumObject:
     return normalize_amplitudes(result)
 
 
+def interaction_effect(
+    a: QuantumObject,
+    b: QuantumObject,
+    candidate: InteractionCandidate,
+    outcome_table: OutcomeTable,
+    tag: str,
+) -> tuple:
+    """What performing the selected candidate does, computed without a state:
+    (owners, out, log).  owners holds each participant's (object id,
+    survivor) in participant order, the survivor None when the participant
+    is consumed; out is the out collection; log holds the event-log entries.
+
+    Order: create the interaction object; for each interacting particle,
+    collapse a multi-particle owner to the interacting row (reducing
+    partner particles to the matching row) and drop the particle; process
+    the outcome table.  The module docstring says why collapsing before the
+    drop gives the same result as the paper's drop-then-eliminate order.
+    tag names the interaction object and the out collection ("ia-<tag>",
+    "out-<tag>").  The effect depends only on the arguments, so a world
+    whose claims repeat may serve it from a memo.
+    """
+    ia = create_interaction_object(a, b, candidate, outcome_table, tag=tag)
+    owners = (
+        (a.object_id, _consumed(a, candidate.particle_index_1, candidate.path_index_1)),
+        (b.object_id, _consumed(b, candidate.particle_index_2, candidate.path_index_2)),
+    )
+    out = process_interaction_object(ia)
+    log = (
+        {"event": "drop_particle", "object": a.object_id, "particle": candidate.particle_index_1},
+        {"event": "drop_particle", "object": b.object_id, "particle": candidate.particle_index_2},
+        {
+            "event": "interaction",
+            "participants": [a.object_id, b.object_id],
+            "position": candidate.position,
+            "result": out.object_id,
+        },
+    )
+    return owners, out, log
+
+
+def _consumed(owner: QuantumObject, particle_index: int, path_index: int) -> QuantumObject | None:
+    """owner after its interacting particle leaves: an owner that keeps
+    other particles is collapsed to the interacting row first."""
+    if len(owner.particles) > 1:
+        return _dropped(eliminate_unaffected_paths(owner, path_index), particle_index, 0)
+    return _dropped(owner, particle_index, path_index)
+
+
+def apply(state: SystemState, effect: tuple) -> QuantumObject:
+    """Write an effect into state and return its out collection.
+
+    Each participant is replaced by its survivor or removed, the out
+    collection is added, and the effect's log entries are appended.  The
+    effect itself is not changed, so one effect may be applied to many
+    states.
+    """
+    owners, out, log = effect
+    objects = state.objects
+    for object_id, survivor in owners:
+        if survivor is None:
+            del objects[object_id]
+        else:
+            objects[object_id] = survivor
+    state.add_object(out)
+    state.event_log.extend(log)
+    return out
+
+
 def perform_interaction(
     state: SystemState,
     a_id: str,
@@ -374,39 +471,18 @@ def perform_interaction(
     candidate: InteractionCandidate,
     outcome_table: OutcomeTable,
 ) -> QuantumObject:
-    """Run the full pipeline for one selected candidate.
-
-    Order: create the interaction object; for each interacting particle,
-    collapse a multi-particle owner to the interacting row (reducing
-    partner particles to the matching row) and drop the particle; process
-    the outcome table.  The out collection is added to the state and
-    returned.  The module docstring says why collapsing before the drop
-    gives the same result as the paper's drop-then-eliminate order.
-    """
-    a = state.get_object(a_id)
-    b = state.get_object(b_id)
+    """Run the full pipeline for one selected candidate: the interaction's
+    effect, written into state.  Returns the out collection."""
     # event-log length is unique per interaction within a state, so the id
     # is reproducible run to run (a global counter would not be)
-    ia = create_interaction_object(a, b, candidate, outcome_table, tag=str(len(state.event_log)))
-    for owner_id, owner, particle_index, path_index in (
-        (a_id, a, candidate.particle_index_1, candidate.path_index_1),
-        (b_id, b, candidate.particle_index_2, candidate.path_index_2),
-    ):
-        if len(owner.particles) > 1:
-            state.objects[owner_id] = eliminate_unaffected_paths(owner, path_index)
-            path_index = 0
-        drop_particle(state, owner_id, particle_index, path_index)
-    result = process_interaction_object(ia)
-    state.add_object(result)
-    state.event_log.append(
-        {
-            "event": "interaction",
-            "participants": [a_id, b_id],
-            "position": candidate.position,
-            "result": result.object_id,
-        }
-    )
-    return result
+    tag = str(len(state.event_log))
+    effect = interaction_effect(state.get_object(a_id), state.get_object(b_id), candidate, outcome_table, tag)
+    return apply(state, effect)
+
+
+# a policy's effect memo is cleared when it passes this many entries; the
+# two-slit world needs at most 3 * n_cells + 2 (386 at 128 cells)
+MAX_EFFECTS = 512
 
 
 class RoundPolicy:
@@ -416,15 +492,19 @@ class RoundPolicy:
     these hooks.  prepare may rewrite a participant before candidates are
     recomputed (measurement devices do), candidates returns the live
     candidates between the prepared participants with their selection
-    probabilities (a world may serve them from a memo), table_for returns
-    the outcome table for a selected candidate or None to veto, propagate
-    returns a moved replacement object or None to stand still.
+    probabilities or those probabilities' Cumulative form (a world may
+    serve both from a memo), table_for returns the outcome table for a
+    selected candidate or None to veto, propagate returns a moved
+    replacement object or None to stand still.  effects, when a world sets
+    it to a dict, is the memo claim serves interaction effects from.
     """
+
+    effects: dict | None = None
 
     def prepare(self, state: SystemState, a_id: str, b_id: str):
         pass
 
-    def candidates(self, state: SystemState, a_id: str, b_id: str) -> tuple[list, list[float]]:
+    def candidates(self, state: SystemState, a_id: str, b_id: str) -> tuple[list, list[float] | Cumulative]:
         found = determine_potential_interactions(state.objects[a_id], state.objects[b_id])
         return found, _selection_probabilities(found)
 
@@ -450,6 +530,12 @@ def claim(
     select_interaction, the policy's table_for and perform_interaction.
     Returns the chosen candidate and the out collection, or the reason no
     interaction happened: "no live candidates" or "vetoed".
+
+    When the policy keeps an effect memo, the effect is looked up by the
+    identity of its inputs (the two objects, the chosen candidate and the
+    table) and the tag, len(state.event_log), and computed only on a miss.
+    An entry holds its inputs, so their ids cannot be reused while it is
+    cached.  The memo is cleared when it reaches MAX_EFFECTS entries.
     """
     policy.prepare(state, a_id, b_id)
     candidates, probabilities = policy.candidates(state, a_id, b_id)
@@ -459,4 +545,15 @@ def claim(
     table = policy.table_for(state, a_id, b_id, chosen)
     if table is None:
         return "vetoed"
-    return chosen, perform_interaction(state, a_id, b_id, chosen, table)
+    memo = policy.effects
+    if memo is None:
+        return chosen, perform_interaction(state, a_id, b_id, chosen, table)
+    a, b = state.get_object(a_id), state.get_object(b_id)
+    tag = len(state.event_log)
+    key = (id(a), id(b), id(chosen), id(table), tag)
+    entry = memo.get(key)
+    if entry is None:
+        if len(memo) >= MAX_EFFECTS:
+            memo.clear()
+        entry = memo[key] = (a, b, chosen, table, interaction_effect(a, b, chosen, table, str(tag)))
+    return chosen, apply(state, entry[-1])

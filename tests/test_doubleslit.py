@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from qcausal import interaction
+from qcausal.engine import Cumulative
 from qcausal.errors import ConfigError
 from qcausal.experiments import doubleslit
 from qcausal.experiments.doubleslit import (
@@ -212,7 +214,7 @@ def test_memoised_fan_equals_a_fresh_fan():
         assert repr(entry.fan) == repr(fresh)
         assert entry.candidates == determine_potential_interactions(fresh, policy.screen)
         total = sum(c.joint_weight for c in entry.candidates)
-        assert entry.probabilities == [c.joint_weight / total for c in entry.candidates]
+        assert entry.selection == Cumulative([c.joint_weight / total for c in entry.candidates])
         assert policy.fan_of(obj) is entry
     assert len(policy.fans) == 3
 
@@ -258,6 +260,34 @@ def test_fan_memo_does_not_grow_with_trials(marker, runtime, fans, monkeypatch):
     assert hist.counts.sum() == 1000
     (policy,) = policies
     assert len(policy.fans) == len(fanned) == fans <= 3
+
+
+@pytest.mark.parametrize("runtime", ["centralized", "refined"])
+def test_marking_candidates_are_detected_once_per_run(runtime, monkeypatch):
+    # the refined runtime claims (marker, photon) in sorted id order, the
+    # centralized trial (photon, marker); both orders are memoised
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.object_id, b.object_id))
+        return determine_potential_interactions(a, b)
+
+    monkeypatch.setattr(doubleslit, "determine_potential_interactions", counted)
+    monkeypatch.setattr(interaction, "determine_potential_interactions", counted)
+    run_double_slit(True, 200, SMALL_GEOMETRY, seed=5, runtime=runtime)
+    marking = [pair for pair in calls if set(pair) == {"photon", "marker"}]
+    assert sorted(marking) == [("marker", "photon"), ("photon", "marker")]  # when the policy is built
+    assert calls[2:] == [("out-0", "screen")] * 2  # then once per fan, one fan per slit
+
+
+def test_marking_candidates_equal_fresh_ones_in_both_orders():
+    policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, marker=True)
+    for a, b in ((policy.photon, policy.marker), (policy.marker, policy.photon)):
+        state = policy.world()
+        found, selection = policy.candidates(state, a.object_id, b.object_id)
+        assert found == determine_potential_interactions(a, b)
+        assert selection == Cumulative([0.5, 0.5])
+        assert policy.candidates(state, a.object_id, b.object_id)[0] is found
 
 
 # --- histogram statistics ---------------------------------------------------------------

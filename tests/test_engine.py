@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal.engine import RngState, random_draw
+from qcausal.engine import Cumulative, RngState, random_draw
 from qcausal.errors import ConfigError
 
 
@@ -135,3 +135,101 @@ def test_random_draw_respects_support(weights):
     rng = RngState(1)
     for _ in range(10):
         assert random_draw(values, probs, rng) in values
+
+
+# --- the cumulative form: bisection over running sums ------------------------------
+
+class _FixedRng:
+    """Stands in for an RngState whose next draws are given."""
+
+    def __init__(self, *us):
+        self.us = list(us)
+
+    def random(self):
+        return self.us.pop(0)
+
+
+def _loop_draw(values, probs, r):
+    """The left-to-right selection loop random_draw used before bisection."""
+    u = r * sum(probs)
+    acc = 0.0
+    value = values[-1]
+    for v, p in zip(values, probs):
+        acc += p
+        if u < acc:
+            value = v
+            break
+    return value
+
+
+def _assert_draws_like_the_loop(probs, rs):
+    values = list(range(len(probs)))
+    cumulative = Cumulative(probs)
+    for r in rs:
+        expected = _loop_draw(values, probs, r)
+        assert random_draw(values, probs, _FixedRng(r)) == expected, r
+        assert random_draw(values, cumulative, _FixedRng(r)) == expected, r
+
+
+def test_cumulative_draw_at_a_partial_sum():
+    # every partial sum is exact here, and u on one selects the next value
+    probs = [0.25, 0.25, 0.5]
+    assert random_draw("abc", probs, _FixedRng(0.25)) == "b"
+    assert random_draw("abc", probs, _FixedRng(0.5)) == "c"
+    assert random_draw("abc", probs, _FixedRng(0.0)) == "a"
+    _assert_draws_like_the_loop(probs, [0.0, 0.25, 0.5, math.nextafter(0.25, 0.0), math.nextafter(0.5, 0.0)])
+
+
+def test_cumulative_draw_just_below_the_total():
+    # the guard: u at or above every running sum selects the last value
+    top = math.nextafter(1.0, 0.0)
+    probs = [0.1] * 10
+    assert Cumulative(probs).sums[-1] < 1.0  # the running sums do not land on 1.0
+    _assert_draws_like_the_loop(probs, [top, 1.0, 0.9, 0.99999999])
+    assert random_draw(list(range(10)), Cumulative(probs), _FixedRng(1.0)) == 9
+
+
+def test_cumulative_draw_skips_zero_probability_entries():
+    probs = [0.0, 0.5, 0.0, 0.0, 0.5, 0.0]
+    below = math.nextafter(0.5, 0.0), math.nextafter(1.0, 0.0)
+    _assert_draws_like_the_loop(probs, [0.0, 0.25, 0.5, 0.75, 1.0, *below])
+    values = list(range(len(probs)))
+    assert random_draw(values, probs, _FixedRng(0.0)) == 1
+    assert random_draw(values, probs, _FixedRng(0.5)) == 4
+
+
+def test_cumulative_draw_over_a_128_entry_fan():
+    from qcausal.experiments.doubleslit import DEFAULT_GEOMETRY, coherent_pdf
+
+    probs = [float(p) for p in coherent_pdf(DEFAULT_GEOMETRY)]
+    assert len(probs) == 128
+    cumulative = Cumulative(probs)
+    # u on and either side of every running sum, and a stream of real draws
+    rs = [r for s in cumulative.sums for r in (s, math.nextafter(s, 0.0), math.nextafter(s, 2.0))]
+    rs = [r / cumulative.total for r in rs if r < cumulative.total]
+    stream = RngState(17)
+    rs += [stream.random() for _ in range(2000)]
+    _assert_draws_like_the_loop(probs, rs)
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=8),
+)
+@settings(max_examples=200)
+def test_cumulative_draw_equals_the_loop(weights, rs):
+    total = sum(weights)
+    if total == 0.0:
+        weights = [1.0] * len(weights)
+        total = float(len(weights))
+    _assert_draws_like_the_loop([w / total for w in weights], rs)
+
+
+def test_cumulative_form_is_checked_once_like_a_list():
+    nan, inf = math.nan, math.inf
+    for probs in ([], [0.7, 0.7], [-0.1, 1.1], [nan, nan], [inf, 0.0], [0.5, -inf]):
+        with pytest.raises(ConfigError):
+            Cumulative(probs)
+    with pytest.raises(ConfigError, match="differ in length"):
+        random_draw([1, 2, 3], Cumulative([0.5, 0.5]), RngState(0))
+    assert Cumulative([0.5, 0.5]) == Cumulative((0.5, 0.5)) != Cumulative([0.25, 0.75])

@@ -12,6 +12,10 @@ loaded, so no import cycle can form.
 What a world means lives beside the world: every RoundPolicy subclass in
 the package is defined under experiments/, so the runtime stays a generic
 scheduler.
+
+All randomness goes through engine.random_draw: no other function under
+src/ calls .random() on a generator, so no memo or shortcut can open a
+second draw path past its checks.
 """
 
 import ast
@@ -156,4 +160,57 @@ def test_round_policies_live_beside_their_worlds():
             continue
         for line, name in policy_classes(path.read_text()):
             offenders.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert offenders == []
+
+
+def random_calls(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function's qualified name) of each .random() call
+    without arguments, the call an RngState draws with; "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "random"
+                and not child.args
+                and not child.keywords
+            ):
+                found.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_random_call_scanner_names_the_enclosing_function():
+    source = (
+        "import numpy as np\n"
+        "u = rng.random()\n"
+        "def draw(rng):\n"
+        "    return rng.random() * 2\n"
+        "class Policy:\n"
+        "    def pick(self):\n"
+        "        xs = [self.rng.random() for _ in range(3)]\n"
+        "        return np.random.default_rng(0).random(4), self.rng.random(3)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return random.random()\n"
+    )
+    assert random_calls(source) == [(2, ""), (4, "draw"), (7, "Policy.pick"), (11, "outer.inner")]
+
+
+def test_only_random_draw_draws():
+    # RngState.random is the stream itself, reading its Mersenne Twister
+    allowed = {("engine.py", "random_draw"), ("engine.py", "RngState.random")}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for line, scope in random_calls(path.read_text()):
+            if (module, scope) not in allowed:
+                offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
     assert offenders == []

@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal.engine import RngState
+from qcausal import interaction, runtime
+from qcausal.engine import Cumulative, RngState
 from qcausal.errors import ConfigError, UnknownObjectError
 from qcausal.experiments import bell, doubleslit
 from qcausal.interaction import (
+    MAX_EFFECTS,
     InteractionCandidate,
     InteractionObject,
     OutcomeRow,
@@ -21,6 +24,7 @@ from qcausal.interaction import (
     determine_potential_interactions,
     drop_particle,
     eliminate_unaffected_paths,
+    interaction_effect,
     perform_interaction,
     process_interaction_object,
     select_interaction,
@@ -146,6 +150,35 @@ def test_select_is_weight_proportional():
 def test_select_empty_raises():
     with pytest.raises(ConfigError):
         select_interaction([], RngState(0))
+
+
+@pytest.mark.parametrize(
+    "weights, reason",
+    [
+        ([0.0], "joint weights"),
+        ([0.0, 0.0], "joint weights"),
+        ([-1.0], "joint weights"),
+        ([math.nan, 1.0], "joint weights"),
+        ([0.5, -0.25], "negative probability"),
+    ],
+)
+def test_select_rejects_bad_weights(weights, reason):
+    # all-zero weights would divide by zero, and a lone negative weight
+    # would normalise to 1.0 and be selected
+    cands = [InteractionCandidate((i,), 0, 0, w) for i, w in enumerate(weights)]
+    rng = RngState(0)
+    with pytest.raises(ConfigError, match=reason):
+        select_interaction(cands, rng)
+    assert rng.draws == 0
+
+
+def test_select_accepts_the_cumulative_form():
+    light = InteractionCandidate((0,), 0, 0, 0.25)
+    heavy = InteractionCandidate((1,), 1, 0, 0.75)
+    summed = Cumulative([0.25, 0.75])
+    for seed in range(200):
+        plain = select_interaction([light, heavy], RngState(seed))
+        assert select_interaction([light, heavy], RngState(seed), summed) is plain
 
 
 # --- outcome tables -------------------------------------------------------------
@@ -375,6 +408,201 @@ def test_claim_reports_why_nothing_happened(cell, table, reason, draws):
     assert claim(state, _ShiftingPolicy(cell, table), "a", "b", rng) == reason
     assert set(state.objects) == {"a", "b"} and state.event_log == []
     assert rng.draws == draws
+
+
+# --- effects: computed once, applied to many states ----------------------------------
+
+def _copy_of(state):
+    return SystemState(space=state.space, objects=dict(state.objects), event_log=list(state.event_log))
+
+
+def _assert_applied_like_a_fresh_perform(state, ref, a_id, b_id, claimed, table):
+    """state after a claim equals ref (its copy from before the interaction)
+    after a fresh perform_interaction of the same candidate and table."""
+    chosen, out = claimed
+    fresh = perform_interaction(ref, a_id, b_id, chosen, table)
+    assert out == fresh and out.object_id == fresh.object_id
+    assert list(state.objects.items()) == list(ref.objects.items())  # insertion order too
+    assert state.event_log == ref.event_log
+
+
+class _MemoPolicy(RoundPolicy):
+    """Keeps an effect memo; serves the tables in turn, one per claim."""
+
+    def __init__(self, tables):
+        self.effects = {}
+        self.tables = tables
+        self.turn = 0
+
+    def table_for(self, state, a_id, b_id, candidate):
+        self.turn += 1
+        return self.tables[(self.turn - 1) % len(self.tables)]
+
+
+def _memo_world(a, b, earlier_events):
+    state = SystemState(space=Space(1, (8,), 1.0))
+    state.add_object(a)
+    state.add_object(b)
+    state.event_log.extend({"event": "earlier"} for _ in range(earlier_events))
+    return state
+
+
+class _FixedCandidates(_MemoPolicy):
+    def __init__(self, tables, found):
+        super().__init__(tables)
+        self.found = found, Cumulative([1.0])
+
+    def candidates(self, state, a_id, b_id):
+        return self.found
+
+
+def test_effect_memo_keys_on_the_tag():
+    # the same objects, candidate and table, claimed at different event-log
+    # lengths: each effect names its out collection by its own tag
+    a, b = _consistent("a", (3,), 1.0, (2.0,)), _consistent("b", (3,), 1.0, (-1.0,))
+    table = table_at((3,))
+    policy = _FixedCandidates([table], determine_potential_interactions(a, b))
+    for earlier in (0, 1, 0, 2, 1):
+        state = _memo_world(a, b, earlier)
+        ref = _copy_of(state)
+        claimed = claim(state, policy, "a", "b", RngState(earlier))
+        _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, table)
+        assert claimed[1].object_id == f"out-{earlier}"
+    assert len(policy.effects) == 3
+
+
+def test_effect_memo_keys_on_the_table():
+    # the same objects, candidate and tag, with the table alternating
+    a, b = _consistent("a", (3,), 1.0, (2.0,)), _consistent("b", (3,), 1.0, (-1.0,))
+    tables = [table_at((3,), "light", mass=2.0), table_at((3,), "heavy", mass=5.0)]
+    policy = _FixedCandidates(tables, determine_potential_interactions(a, b))
+    for turn in range(4):
+        state = _memo_world(a, b, 0)
+        ref = _copy_of(state)
+        claimed = claim(state, policy, "a", "b", RngState(turn))
+        _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, tables[turn % 2])
+    assert len(policy.effects) == 2
+
+
+def test_effect_memo_keys_on_the_objects_and_the_candidate():
+    # an equal object that is another object, and an equal candidate list
+    # built again, are misses: nothing is trusted by equality
+    a, b = _consistent("a", (3,), 1.0, (0.0,)), _consistent("b", (3,), 1.0, (0.0,))
+    table = table_at((3,))
+    policy = _FixedCandidates([table], determine_potential_interactions(a, b))
+    twin = _consistent("a", (3,), 1.0, (0.0,))
+    for step, owner in enumerate((a, a, twin, twin, a)):
+        if step == 4:
+            policy.found = determine_potential_interactions(a, b), policy.found[1]
+        state = _memo_world(owner, b, 0)
+        ref = _copy_of(state)
+        claimed = claim(state, policy, "a", "b", RngState(step))
+        _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, table)
+    assert len(policy.effects) == 3
+
+
+def test_effect_memo_stays_within_its_bound():
+    # every claim a miss: the memo fills up to MAX_EFFECTS and is cleared
+    a, b = _consistent("a", (3,), 1.0, (0.0,)), _consistent("b", (3,), 1.0, (0.0,))
+    policy = _MemoPolicy([table_at((3,))])
+    sizes = []
+    for trial in range(2000):
+        claim(_memo_world(a, b, 0), policy, "a", "b", RngState(trial))
+        sizes.append(len(policy.effects))
+    assert max(sizes) == MAX_EFFECTS
+    assert sizes[MAX_EFFECTS] == 1  # cleared, then refilled
+
+
+def test_perform_interaction_is_its_effect_applied():
+    a, b = _consistent("a", (3,), 1.0, (2.0,)), _consistent("b", (3,), 1.0, (-1.0,))
+    (cand,) = determine_potential_interactions(a, b)
+    state = _memo_world(a, b, 2)
+    owners, effect_out, log = interaction_effect(a, b, cand, table_at((3,)), "2")
+    assert owners == (("a", None), ("b", None))
+    assert [e["event"] for e in log] == ["drop_particle", "drop_particle", "interaction"]
+    out = perform_interaction(state, "a", "b", cand, table_at((3,)))
+    assert out == effect_out and state.event_log[2:] == list(log)
+    assert state.objects == {out.object_id: out}
+
+
+def _checked_claims(monkeypatch):
+    """Replace the schedulers' claim with one that compares every performed
+    claim with a fresh perform_interaction on a copy of its state, taken
+    when the two-slit policy gives its table.  Returns the checked out
+    collections."""
+    copies, checked = [], []
+    table_for = doubleslit.DoubleSlitRoundPolicy.table_for
+
+    def recording_table_for(self, state, a_id, b_id, candidate):
+        table = table_for(self, state, a_id, b_id, candidate)
+        copies.append((_copy_of(state), table))
+        return table
+
+    def checked_claim(state, policy, a_id, b_id, rng):
+        claimed = claim(state, policy, a_id, b_id, rng)
+        ref, table = copies.pop()
+        _assert_applied_like_a_fresh_perform(state, ref, a_id, b_id, claimed, table)
+        checked.append(claimed[1])
+        return claimed
+
+    monkeypatch.setattr(doubleslit.DoubleSlitRoundPolicy, "table_for", recording_table_for)
+    monkeypatch.setattr(doubleslit, "claim", checked_claim)
+    monkeypatch.setattr(runtime, "claim", checked_claim)
+    return checked
+
+
+def _recorded_policies(monkeypatch):
+    policies = []
+
+    class Recorded(doubleslit.DoubleSlitRoundPolicy):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            policies.append(self)
+
+    monkeypatch.setattr(doubleslit, "DoubleSlitRoundPolicy", Recorded)
+    return policies
+
+
+@pytest.mark.parametrize("marker", [False, True])
+@pytest.mark.parametrize("scheduler", ["centralized", "round-robin", "randomized"])
+def test_two_slit_effects_served_from_the_memo_equal_fresh_ones(marker, scheduler, monkeypatch):
+    checked = _checked_claims(monkeypatch)
+    policies = _recorded_policies(monkeypatch)
+    geometry = doubleslit.SMALL_GEOMETRY
+    if scheduler == "centralized":
+        hist = doubleslit.run_double_slit(marker, 400, geometry, seed=3)
+    else:
+        hist = doubleslit.run_double_slit(
+            marker, 150, geometry, seed=3, runtime="refined", scheduler=scheduler
+        )
+    claims = hist.trials * (2 if marker else 1)
+    assert len(checked) == claims
+    (policy,) = policies
+    # at most one effect per (fan, screen cell), plus the two marking ones
+    assert len(policy.effects) <= (2 + 2 * geometry.n_cells if marker else geometry.n_cells) < claims
+    assert len({id(out) for out in checked}) == len(policy.effects)
+
+
+def test_two_slit_effect_memo_is_per_run_and_never_written_into(monkeypatch):
+    policies = _recorded_policies(monkeypatch)
+    computed = []
+
+    def counted(*args):
+        computed.append(args)
+        return interaction_effect(*args)
+
+    monkeypatch.setattr(interaction, "interaction_effect", counted)
+    geometry = doubleslit.DEFAULT_GEOMETRY
+    runs = [doubleslit.run_double_slit(True, 2000, geometry, seed=9) for _ in range(2)]
+    assert np.array_equal(runs[0].counts, runs[1].counts)
+    first, second = policies
+    assert first.effects is not second.effects
+    # a new run starts empty, so it computes exactly what the first did
+    assert len(computed) == 2 * len(first.effects) == 2 * len(second.effects)
+    assert len(first.effects) <= 2 + 2 * geometry.n_cells <= MAX_EFFECTS
+    for key, (a, b, chosen, table, effect) in first.effects.items():
+        again = interaction_effect(a, b, chosen, table, str(key[-1]))
+        assert effect == again and repr(effect) == repr(again)
 
 
 # --- collapse before drop: equal to the paper's drop-then-eliminate order ------------

@@ -685,4 +685,8 @@ def test_one_runtime_reset_per_trial_equals_a_fresh_one_per_trial(world, schedul
 def test_record_cache_stays_within_its_bound(world):
     _, sizes = _per_trial(world, "round-robin", reuse=True, trials=2000)
     assert max(sizes) <= MAX_RECORDS
-    assert max(sizes) > MAX_RECORDS // 2  # the records did carry over between trials
+    if world == "bell":  # a new pair every round: the records fill up and are cleared
+        assert max(sizes) > MAX_RECORDS // 2
+    else:  # memoised fans and effects bring back the same objects: the records plateau
+        assert len(set(sizes[1000:])) == 1
+        assert sizes[-1] > SMALL_GEOMETRY.n_cells  # records of many trials' hits carried over
