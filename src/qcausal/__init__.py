@@ -4,8 +4,8 @@ State is a lattice plus quantum objects, each a rectangular table of paths
 (rows) over particles (columns) with complex amplitudes.  Interactions
 collapse shared tables through an explicit pipeline whose only stochastic
 element is a squared-amplitude draw; conserved quantities flow additively.
-Two schedulers produce the same statistics: centralized drivers that run
-their world's events in its causal order, and a decentralized runtime
+Two schedulers produce the same statistics under one trial loop: each
+world's centralized causal order of its events, and a decentralized runtime
 built from per-object engines coordinating through a mediator board, which
 checks every interaction against an exact conservation ledger.  A small declaration language plus classifier grades model
 laws as SpacePointLocal, ObjectLocal, or NonLocal.  Bundled experiments:

@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 from ..engine import Cumulative, RngState, random_draw
 from ..errors import ConfigError
-from ..interaction import OutcomeRow, OutcomeTable, RoundPolicy, claim
+from ..interaction import OutcomeRow, OutcomeTable, RoundPolicy, check_run, claim, run_trials
 from ..state import (
     ObjectKind,
     ParticleInfo,
@@ -271,40 +271,59 @@ class BellRoundPolicy(RoundPolicy):
     """Source, drift, and two analyzer screens: what every Bell event means.
 
     The pump pair becomes the two-row entangled collection, with the
-    emission direction drawn from rng under spindir_policy (a fixed angle
-    draws nothing).  The collection drifts one cell per column momentum,
-    and each screen claim applies the analyzer reweighting to the live
-    pair before candidates are recomputed.  The centralized trial and the
-    decentralized runtime both run their events through these hooks.
+    emission direction drawn under spindir_policy (a fixed angle draws
+    nothing).  The collection drifts one cell per column momentum, and
+    each screen claim applies the analyzer reweighting to the live pair
+    before candidates are recomputed.
 
-    One policy serves a whole run: new_trial starts the next trial's
-    emission and outcomes.  The pumps are the same cached objects in every
-    trial, so the source claim's one candidate and its probability are
-    found once and served from a memo while both pumps are those objects.
+    One policy serves a whole run: causal_order and start begin each trial
+    (rng is the first trial's emission stream).  The pumps are the same
+    cached objects in every trial, so the source claim's one candidate and
+    its probability are found once and served from a memo while both pumps
+    are those objects.
     """
 
     def __init__(self, angle_a: float, angle_b: float, spindir_policy, rng: RngState):
         # reduced here too, so a screen's case2 axis keeps its quarter turn
         self.angles = {"screen-a": _norm_angle(angle_a), "screen-b": _norm_angle(angle_b)}
+        self.spindir_policy = spindir_policy  # a fixed angle or "uniform"
         self._source = False
         self._pair_id: str | None = None
         self._screen_id: str | None = None
         self._source_memo: tuple | None = None  # (pump a, pump b, candidates, Cumulative)
-        self.new_trial(spindir_policy, rng)
+        self.new_trial(rng)
 
-    def new_trial(self, spindir_policy, rng: RngState):
-        """Start a trial: its emission direction policy (a fixed angle or
-        "uniform") and the stream a uniform emission draws from."""
-        self.spindir_policy = spindir_policy
+    def new_trial(self, rng: RngState):
+        """Start a trial whose source claim draws the emission direction from rng."""
         self.rng = rng
         self.theta: float | None = None
         self.cases: dict[str, bool] = {}
+
+    def start(self, rng: RngState) -> SystemState:
+        self.new_trial(rng.substream("source"))
+        return bell_world()
+
+    def causal_order(self, rng: RngState):
+        """One centralized trial from rng: the source event, the pair's
+        drift, then one measurement per wing."""
+        self.new_trial(rng)
+        state = bell_world()
+        _, pair = claim(state, self, *PUMP_IDS, rng)
+        state.objects[pair.object_id] = self.propagate(state, pair.object_id)
+        for screen_id in ("screen-a", "screen-b"):
+            # the pipeline drops the measured column; the partner keeps the id
+            claim(state, self, pair.object_id, screen_id, rng)
+
+    def outcome(self) -> tuple[bool, bool]:
+        return self.cases["screen-a"], self.cases["screen-b"]
 
     def prepare(self, state: SystemState, a_id: str, b_id: str):
         # each claim's roles are named here once, by object id: the pumps
         # meet at the source, a screen is a key of angles, and whatever
         # meets a screen is the pair
         self._source = a_id in PUMP_IDS and b_id in PUMP_IDS
+        if self._source:  # the emission direction is the source claim's first draw
+            self.theta = draw_emission_direction(self.spindir_policy, self.rng)
         if b_id in self.angles:
             self._pair_id, self._screen_id = a_id, b_id
         elif a_id in self.angles:
@@ -328,7 +347,6 @@ class BellRoundPolicy(RoundPolicy):
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
         if self._source:
-            self.theta = draw_emission_direction(self.spindir_policy, self.rng)
             return pair_table(self.theta)
         screen_id = self._screen_id
         if screen_id is None:
@@ -424,10 +442,7 @@ class BellConfig:
     scheduler: str = "round-robin"  # refined runtime only
 
     def __post_init__(self):
-        if self.trials <= 0:
-            raise ConfigError(f"bell.trials must be > 0, got {self.trials}")
-        if self.runtime not in ("centralized", "refined"):
-            raise ConfigError(f"bell.runtime must be centralized or refined, got {self.runtime!r}")
+        check_run(self.trials, self.runtime, self.scheduler, "bell.")
         if not (self.spindir_policy == "uniform" or isinstance(self.spindir_policy, (int, float))):
             raise ConfigError(f"bell.spindir_policy must be 'uniform' or an angle, got {self.spindir_policy!r}")
         for name in ("angle_a", "angle_b", "spindir_policy"):
@@ -470,51 +485,19 @@ def draw_emission_direction(policy, rng: RngState) -> float:
 
 
 def bell_trial(angle_a: float, angle_b: float, theta: float, rng: RngState) -> tuple[bool, bool]:
-    """One centralized trial: the source event, the pair's drift, then one
-    measurement per wing, claimed in that causal order."""
-    return _claim_in_causal_order(BellRoundPolicy(angle_a, angle_b, theta, rng), rng)
-
-
-def _claim_in_causal_order(policy: BellRoundPolicy, rng: RngState) -> tuple[bool, bool]:
-    """bell_trial on a policy whose trial has begun (emission fixed)."""
-    state = bell_world()
-    _, pair = claim(state, policy, *PUMP_IDS, rng)
-    state.objects[pair.object_id] = policy.propagate(state, pair.object_id)
-    for screen_id in ("screen-a", "screen-b"):
-        # the pipeline drops the measured column; the partner keeps the id
-        claim(state, policy, pair.object_id, screen_id, rng)
-    return policy.cases["screen-a"], policy.cases["screen-b"]
+    """One centralized trial at emission direction theta (BellRoundPolicy.causal_order)."""
+    policy = BellRoundPolicy(angle_a, angle_b, theta, rng)
+    policy.causal_order(rng)
+    return policy.outcome()
 
 
 def run_bell_experiment(cfg: BellConfig) -> BellResult:
-    """Monte Carlo joint statistics for one angle pair, under either scheduler.
-
-    Trials are independent: trial i draws only from the substream
-    (seed, i), so sequential and parallel execution produce identical
-    tallies.  Centralized, each trial claims the events in bell_trial's
-    causal order; refined, RefinedRuntime runs them in rounds from the
-    trial's substreams.  One policy, and under the refined scheduler one
-    runtime, serves every trial of the run.
-    """
-    if cfg.runtime == "refined":
-        from ..runtime import RefinedRuntime
-    root = RngState(cfg.seed)
-    policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, root)
+    """Monte Carlo joint statistics for one angle pair: run_trials of one
+    policy under the configured scheduler."""
+    policy = BellRoundPolicy(cfg.angle_a, cfg.angle_b, cfg.spindir_policy, RngState(cfg.seed))
     stats = JointStats()
-    for trial in range(cfg.trials):
-        rng = root.substream(trial)
-        if cfg.runtime == "refined":
-            policy.new_trial(cfg.spindir_policy, rng.substream("source"))
-            if trial == 0:
-                runner = RefinedRuntime(bell_world(), policy, rng, cfg.scheduler)
-            else:
-                runner.next_trial(bell_world(), rng)
-            runner.run(max_rounds=16)
-        else:
-            # the emission direction is the trial stream's first draw
-            policy.new_trial(draw_emission_direction(cfg.spindir_policy, rng), rng)
-            _claim_in_causal_order(policy, rng)
-        stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
+    for case_a, case_b in run_trials(policy, cfg.trials, cfg.seed, cfg.runtime, cfg.scheduler):
+        stats.record(case_a, case_b)
     return BellResult(config=cfg, stats=stats)
 
 
@@ -717,6 +700,7 @@ def bell_scan(
     scheduler: str = "round-robin",
 ) -> BellScanResult:
     """Estimate E for the three angle pairs and evaluate the Bell margin."""
+    lhv = lhv_oracle(angles, form)  # checks form before any trial runs
     a, b, c = angles
     results = {}
     for offset, (name, (x, y)) in enumerate(
@@ -735,5 +719,5 @@ def bell_scan(
         angles=tuple(float(v) for v in angles),
         form=form,
         results=results,
-        lhv=lhv_oracle(angles, form),
+        lhv=lhv,
     )

@@ -41,6 +41,7 @@ from ..interaction import (
     _selection_probabilities,
     claim,
     determine_potential_interactions,
+    run_trials,
 )
 from ..state import (
     ObjectKind,
@@ -392,10 +393,9 @@ class DoubleSlitRoundPolicy(RoundPolicy):
     claims, and marker first, as the decentralized runtime claims in sorted
     id order.
 
-    The claims' inputs are therefore the same objects trial after trial,
-    and so are the outcome tables (absorb_table and continue_table are
-    cached), so claim serves each interaction's effect from this policy's
-    memo: at most 3 * n_cells + 2 of them.
+    The claims' inputs and their outcome tables (cached) are therefore the
+    same objects trial after trial, so claim serves their effects from this
+    policy's memo (interaction.MAX_EFFECTS bounds it).
     """
 
     def __init__(self, geometry: SlitGeometry, marker: bool):
@@ -414,9 +414,23 @@ class DoubleSlitRoundPolicy(RoundPolicy):
         self.effects = {}
         self.hit_cell: int | None = None
 
-    def world(self) -> SystemState:
+    def start(self, rng: RngState) -> SystemState:
         """A fresh trial's world: the photon, the marker when on, the screen."""
         return SystemState(space=self.space, objects=dict(self.objects))
+
+    def causal_order(self, rng: RngState):
+        """One centralized trial from rng: the marking claim (marker on), the
+        fan to the screen, the screen claim."""
+        state = self.start(rng)
+        bearer_id = self.photon.object_id
+        if self.marker.object_id in state.objects:
+            _, product = claim(state, self, bearer_id, self.marker.object_id, rng)
+            bearer_id = product.object_id
+        state.objects[bearer_id] = self.propagate(state, bearer_id)
+        claim(state, self, bearer_id, self.screen.object_id, rng)
+
+    def outcome(self) -> int:
+        return self.hit_cell
 
     def fan_of(self, obj: QuantumObject) -> _Fan:
         """obj's fan to the screen with its screen candidates, from the memo."""
@@ -475,42 +489,12 @@ def run_double_slit(
     runtime: str = "centralized",
     scheduler: str = "round-robin",
 ) -> ScreenHistogram:
-    """Monte Carlo screen histogram, marker on or off, under either scheduler.
-
-    Centralized, each trial runs the world's causal order: the marker
-    claim (marker on), the fan to the screen, the screen claim, all drawn
-    from the trial stream (seed, i).  Refined, one decentralized runtime
-    runs the same policy in rounds for every trial, drawing from each trial
-    stream's substreams.
-    """
-    if trials <= 0:
-        raise ConfigError(f"trials must be > 0, got {trials}")
-    if runtime == "refined":
-        from ..runtime import RefinedRuntime
-    elif runtime != "centralized":
-        raise ConfigError(f"runtime must be centralized or refined, got {runtime!r}")
-
+    """Monte Carlo screen histogram, marker on or off: run_trials of one
+    policy under either scheduler."""
     policy = DoubleSlitRoundPolicy(geometry, marker)
-    root = RngState(seed)
     counts = np.zeros(geometry.n_cells, dtype=np.int64)
-    for trial in range(trials):
-        rng = root.substream(trial)
-        state = policy.world()
-        if runtime == "refined":
-            if trial == 0:
-                runner = RefinedRuntime(state, policy, rng, scheduler)
-            else:
-                runner.next_trial(state, rng)
-            runner.run(max_rounds=16)
-        else:
-            bearer_id = policy.photon.object_id
-            if marker:
-                _, product = claim(state, policy, bearer_id, policy.marker.object_id, rng)
-                bearer_id = product.object_id
-            state.objects[bearer_id] = policy.propagate(state, bearer_id)
-            claim(state, policy, bearer_id, policy.screen.object_id, rng)
-        counts[policy.hit_cell] += 1
-
+    for cell in run_trials(policy, trials, seed, runtime, scheduler):
+        counts[cell] += 1
     return ScreenHistogram(
         geometry=geometry,
         marker=marker,

@@ -36,16 +36,11 @@ Conserved quantities flow additively: the out collection carries exactly
 the sums recorded on the interaction object.
 
 A world says what its interactions mean through a RoundPolicy, and claim
-runs one event of it: prepare the participants, take the live candidates
-and their selection probabilities from the policy, select one, ask the
-policy for its outcome table and perform the interaction.  Each
-experiment's centralized trial calls claim in its world's causal order,
-and the decentralized runtime calls it for each granted event.  A policy
-whose candidates repeat from trial to trial (the two-slit fans and
-marking, the Bell source) serves them from a memo together with their
-probabilities' Cumulative form, so no weight is re-checked or re-summed
-per draw: random_draw bisects the running sums, which selects exactly
-what the left-to-right loop would.
+runs one event of it, both in the world's centralized causal order and
+for each event the decentralized runtime grants.  A policy whose
+candidates repeat from trial to trial (the two-slit fans and marking, the
+Bell source) serves them from a memo together with their probabilities'
+Cumulative form, so no weight is re-checked or re-summed per draw.
 
 An interaction's effect (the participants' survivors, the out collection
 and the event-log entries) depends only on the two objects, the chosen
@@ -54,6 +49,13 @@ interaction_effect written into the state by apply.  A policy whose
 claims repeat (the two-slit world) keeps an effect memo that claim serves
 from; the Bell world's pair and source table are new objects every trial,
 so it keeps none.
+
+run_trials is the one trial loop, for every world under both schedulers.
+Trial i draws only from the substream (seed, i).  Three policy hooks give
+a trial its shape: causal_order runs one centralized trial from that
+stream; start returns a fresh trial's world, which one RefinedRuntime
+serving the whole run runs in rounds; outcome reads what the trial
+measured, and run_trials yields it.
 
 The records built for every event skip their constructors (state._evolve):
 the candidates, the interaction object with its provenance, and the out
@@ -408,14 +410,9 @@ def interaction_effect(
     survivor) in participant order, the survivor None when the participant
     is consumed; out is the out collection; log holds the event-log entries.
 
-    Order: create the interaction object; for each interacting particle,
-    collapse a multi-particle owner to the interacting row (reducing
-    partner particles to the matching row) and drop the particle; process
-    the outcome table.  The module docstring says why collapsing before the
-    drop gives the same result as the paper's drop-then-eliminate order.
-    tag names the interaction object and the out collection ("ia-<tag>",
-    "out-<tag>").  The effect depends only on the arguments, so a world
-    whose claims repeat may serve it from a memo.
+    It runs the module docstring's steps, collapsing an owner that keeps
+    other particles before its drop (the same result, as shown there).
+    tag names the interaction object and the out collection ("ia-<tag>", "out-<tag>").
     """
     ia = create_interaction_object(a, b, candidate, outcome_table, tag=tag)
     owners = (
@@ -483,6 +480,8 @@ def perform_interaction(
 # a policy's effect memo is cleared when it passes this many entries; the
 # two-slit world needs at most 3 * n_cells + 2 (386 at 128 cells)
 MAX_EFFECTS = 512
+RUNTIMES = ("centralized", "refined")
+SCHEDULERS = ("round-robin", "randomized")
 
 
 class RoundPolicy:
@@ -497,6 +496,7 @@ class RoundPolicy:
     selected candidate or None to veto, propagate returns a moved
     replacement object or None to stand still.  effects, when a world sets
     it to a dict, is the memo claim serves interaction effects from.
+    start, causal_order and outcome are the trial hooks run_trials calls.
     """
 
     effects: dict | None = None
@@ -514,11 +514,17 @@ class RoundPolicy:
     def propagate(self, state: SystemState, object_id: str) -> QuantumObject | None:
         return None
 
-    def on_interaction(self, state: SystemState, a_id: str, b_id: str, candidate, out: QuantumObject):
-        pass
-
     def done(self, state: SystemState) -> bool:
         return not state.objects
+
+    def start(self, rng: RngState) -> SystemState:
+        raise NotImplementedError
+
+    def causal_order(self, rng: RngState):
+        raise NotImplementedError
+
+    def outcome(self):
+        raise NotImplementedError
 
 
 def claim(
@@ -557,3 +563,35 @@ def claim(
             memo.clear()
         entry = memo[key] = (a, b, chosen, table, interaction_effect(a, b, chosen, table, str(tag)))
     return chosen, apply(state, entry[-1])
+
+
+def check_run(trials, runtime: str, scheduler: str, prefix: str = ""):
+    """Stop a run unless trials is an int > 0 (not a bool) and runtime and scheduler are known."""
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
+        raise ConfigError(f"{prefix}trials must be an int > 0, got {trials!r}")
+    if runtime not in RUNTIMES:
+        raise ConfigError(f"{prefix}runtime must be one of {RUNTIMES}, got {runtime!r}")
+    if scheduler not in SCHEDULERS:
+        raise ConfigError(f"{prefix}scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
+
+
+def run_trials(policy: RoundPolicy, trials: int, seed: int, runtime: str, scheduler: str):
+    """Yield the outcome of each of policy's trials, in order, after checking
+    the arguments; a refined trial runs for at most 16 rounds."""
+    check_run(trials, runtime, scheduler)
+    root = RngState(seed)
+    if runtime == "centralized":
+        for trial in range(trials):
+            policy.causal_order(root.substream(trial))
+            yield policy.outcome()
+        return
+    from .runtime import RefinedRuntime  # the runtime imports the worlds, which import this module
+
+    for trial in range(trials):
+        rng = root.substream(trial)
+        if trial == 0:
+            runner = RefinedRuntime(policy.start(rng), policy, rng, scheduler)
+        else:
+            runner.next_trial(policy.start(rng), rng)
+        runner.run(max_rounds=16)
+        yield policy.outcome()

@@ -1,8 +1,8 @@
 """Decentralized runtime: per-object engines, a space mediator, rounds.
 
 A generic scheduler: what a world's events mean is its RoundPolicy,
-defined beside the world under experiments/, whose driver hands the same
-policy either to the world's fixed causal order or to RefinedRuntime.
+defined beside the world under experiments/.  interaction.run_trials runs
+a run's trials either in the world's causal order or here.
 
 Here each object is advanced by its own engine, and engines never read
 another object's state.  Coordination runs through a mediator board of
@@ -16,8 +16,8 @@ Objects are frozen records, and most of a round's objects are the very
 ones of the round before, or of the trial before (a screen, a pump, a
 memoised fan).  So each object's advertisements and invariant verdict are
 computed once, into a publication record keyed by the object's identity,
-and reused while the same object stays live.  One runtime serves a whole
-run: next_trial starts each trial and keeps the records.
+and reused while the same object stays live, across the trials a runtime
+serves.
 
 A round has four phases:
 
@@ -30,14 +30,10 @@ A round has four phases:
      object joins at most one interaction per round, later events with a
      busy participant are rejected and retried naturally next round.
      A granted event is claimed through interaction.claim, the step the
-     centralized trials run too: the policy's prepare hook runs (an
-     analyzer reweighting its target, for instance), the policy's
-     candidates hook gives the live candidates of the prepared objects,
-     one is selected by squared amplitude weight, and the policy supplies
-     its outcome table (or vetoes).  The selection distribution is
-     therefore identical by construction.  Every interaction appends a
-     ledger check: conserved totals over the participants before must
-     equal survivors plus the out collection after, exactly.
+     centralized trials run too, so the selection distribution is
+     identical by construction.  Every interaction appends a ledger
+     check: conserved totals over the participants before must equal
+     survivors plus the out collection after, exactly.
   3. propagate: engines that did not interact and have been alive for
      PROPAGATION_DELAY rounds ask the policy to advance their object
      (drift, a fan to the screen).  The delay guarantees an overlap
@@ -61,12 +57,11 @@ from .engine import RngState, random_draw
 from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
 from .experiments.doubleslit import ScreenHistogram, SlitGeometry, run_double_slit
-from .interaction import RoundPolicy, claim
+from .interaction import SCHEDULERS, RoundPolicy, claim
 from .state import QuantumObject, SystemState, total_conserved
 
 BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 
-SCHEDULERS = ("round-robin", "randomized")
 # rounds an object must sit on the board before it may move; detection of
 # a standing overlap takes one round of lag plus one to act on it
 PROPAGATION_DELAY = 2
@@ -358,7 +353,6 @@ class RefinedRuntime:
             self.ledger.append(entry)
         self.retire_missing_engines()
         self.spawn_engine(out.object_id)
-        self.policy.on_interaction(self.state, a_id, b_id, chosen, out)
         return True
 
     def propagate_phase(self, busy: set):

@@ -303,6 +303,11 @@ def test_bell_config_validation():
         with pytest.raises(ConfigError, match="spindir_policy"):
             BellConfig(0.0, 0.0, trials=1, spindir_policy=bad)
     BellConfig(0.0, 0.0, trials=1, spindir_policy=45.0)
+    for bad in (2.5, True, "10"):
+        with pytest.raises(ConfigError, match="bell.trials must be an int"):
+            BellConfig(0.0, 30.0, trials=bad)
+    with pytest.raises(ConfigError, match="bell.scheduler"):
+        BellConfig(0.0, 30.0, 10, scheduler="bogus")
 
 
 def test_draw_emission_direction():
@@ -439,6 +444,14 @@ def test_bell_scan_structure():
     assert d["pairs"]["bc"]["params"]["seed"] == 2
 
 
+def test_bell_scan_checks_form_before_any_trial(monkeypatch):
+    runs = []
+    monkeypatch.setattr(bell, "run_bell_experiment", lambda cfg: runs.append(cfg))
+    with pytest.raises(ConfigError, match="form must be one of"):
+        bell_scan((0.0, 30.0, 60.0), trials=10, form="bogus")
+    assert runs == []
+
+
 @pytest.mark.parametrize(
     "angles, spindir, counts",
     [
@@ -501,12 +514,12 @@ def test_source_candidates_are_detected_once_per_run(monkeypatch, runtime):
     root, stats = RngState(1), bell.JointStats()
     for trial in range(60):
         rng = root.substream(trial)
+        policy = BellRoundPolicy(0.0, 30.0, "uniform", rng)
         if runtime == "centralized":
-            stats.record(*bell_trial(0.0, 30.0, draw_emission_direction("uniform", rng), rng))
+            policy.causal_order(rng)
         else:
-            policy = BellRoundPolicy(0.0, 30.0, "uniform", rng.substream("source"))
-            RefinedRuntime(bell_world(), policy, rng).run(max_rounds=16)
-            stats.record(policy.cases["screen-a"], policy.cases["screen-b"])
+            RefinedRuntime(policy.start(rng), policy, rng).run(max_rounds=16)
+        stats.record(*policy.outcome())
     assert stats.counts() == counts
 
 

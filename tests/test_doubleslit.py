@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcausal import interaction
-from qcausal.engine import Cumulative
+from qcausal.engine import Cumulative, RngState
 from qcausal.errors import ConfigError
 from qcausal.experiments import doubleslit
 from qcausal.experiments.doubleslit import (
@@ -197,7 +197,7 @@ def _fan_inputs(policy):
     """The unmarked photon and the marker's product from each slit."""
     inputs = [policy.photon]
     for cand in determine_potential_interactions(policy.photon, policy.marker):
-        state = policy.world()
+        state = policy.start(RngState(0))
         table = policy.table_for(state, "photon", "marker", cand)
         inputs.append(perform_interaction(state, "photon", "marker", cand, table))
     return inputs
@@ -283,7 +283,7 @@ def test_marking_candidates_are_detected_once_per_run(runtime, monkeypatch):
 def test_marking_candidates_equal_fresh_ones_in_both_orders():
     policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, marker=True)
     for a, b in ((policy.photon, policy.marker), (policy.marker, policy.photon)):
-        state = policy.world()
+        state = policy.start(RngState(0))
         found, selection = policy.candidates(state, a.object_id, b.object_id)
         assert found == determine_potential_interactions(a, b)
         assert selection == Cumulative([0.5, 0.5])
@@ -335,6 +335,12 @@ def test_run_requires_positive_trials():
         run_double_slit(False, 0, SMALL_GEOMETRY)
     with pytest.raises(ConfigError):
         run_double_slit(False, 10, SMALL_GEOMETRY, runtime="cloud")
+    for bad in (2.5, True):
+        with pytest.raises(ConfigError, match="trials must be an int"):
+            run_double_slit(False, bad, SMALL_GEOMETRY)
+    for runtime in ("centralized", "refined"):
+        with pytest.raises(ConfigError, match="scheduler"):
+            run_double_slit(False, 10, SMALL_GEOMETRY, runtime=runtime, scheduler="bogus")
 
 
 def test_run_is_deterministic():

@@ -13,6 +13,10 @@ What a world means lives beside the world: every RoundPolicy subclass in
 the package is defined under experiments/, so the runtime stays a generic
 scheduler.
 
+There is one trial loop: interaction.run_trials.  No other function under
+src/ derives a trial's stream (a substream keyed by anything but a string
+literal) or names RefinedRuntime, apart from runtime.py, which defines it.
+
 All randomness goes through engine.random_draw: no other function under
 src/ calls .random() on a generator, so no memo or shortcut can open a
 second draw path past its checks.
@@ -163,9 +167,9 @@ def test_round_policies_live_beside_their_worlds():
     assert offenders == []
 
 
-def random_calls(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing function's qualified name) of each .random() call
-    without arguments, the call an RngState draws with; "" at module level."""
+def scoped_matches(source: str, match) -> list[tuple[int, str]]:
+    """(line, enclosing function's qualified name) of each node match
+    accepts; "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -173,18 +177,25 @@ def random_calls(source: str) -> list[tuple[int, str]]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "random"
-                and not child.args
-                and not child.keywords
-            ):
+            elif match(child):
                 found.append((child.lineno, scope))
             visit(child, inner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def random_calls(source: str) -> list[tuple[int, str]]:
+    """Each .random() call without arguments, the call an RngState draws
+    with, as scoped_matches gives it."""
+    return scoped_matches(
+        source,
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "random"
+        and not node.args
+        and not node.keywords,
+    )
 
 
 def test_random_call_scanner_names_the_enclosing_function():
@@ -212,5 +223,52 @@ def test_only_random_draw_draws():
         module = path.relative_to(PACKAGE).as_posix()
         for line, scope in random_calls(path.read_text()):
             if (module, scope) not in allowed:
+                offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
+    assert offenders == []
+
+
+def trial_loop_parts(source: str) -> list[tuple[int, str]]:
+    """Each place a module names RefinedRuntime, or derives a substream whose
+    first key is not a string literal (a per-trial stream), as
+    scoped_matches gives it."""
+
+    def match(node):
+        if isinstance(node, ast.Name):
+            return node.id == "RefinedRuntime"
+        if isinstance(node, ast.Attribute):
+            return node.attr == "RefinedRuntime"
+        if isinstance(node, ast.alias):
+            return node.name == "RefinedRuntime"
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "substream"
+            and bool(node.args)
+            and not (isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str))
+        )
+
+    return scoped_matches(source, match)
+
+
+def test_trial_loop_scanner_flags_runtimes_and_trial_streams():
+    source = (
+        "from ..runtime import RefinedRuntime\n"
+        "def run(root, trials):\n"
+        "    for trial in range(trials):\n"
+        "        rng = root.substream(trial)\n"
+        "        runtime.RefinedRuntime(None, None, rng.substream('events'))\n"
+        "    return RngState(0).substream('spin', 30.0), root.substream(0)\n"
+    )
+    assert trial_loop_parts(source) == [(1, ""), (4, "run"), (5, "run"), (6, "run")]
+
+
+def test_only_the_driver_runs_trials():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        if module == "runtime.py":
+            continue
+        for line, scope in trial_loop_parts(path.read_text()):
+            if (module, scope) != ("interaction.py", "run_trials"):
                 offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
     assert offenders == []

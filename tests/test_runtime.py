@@ -343,7 +343,7 @@ def test_prepare_can_starve_candidates():
 
 def test_consumed_third_party_is_rejected_as_gone():
     class EaterPolicy(MergePolicy):
-        def on_interaction(self, state, a_id, b_id, candidate, out):
+        def prepare(self, state, a_id, b_id):
             state.objects.pop("d", None)
 
         def done(self, state):
@@ -634,37 +634,29 @@ def test_records_are_dropped_when_the_space_changes():
 
 
 def _trials_of(world):
-    """(policy, start, outcome): start(rng) begins a trial and returns its
-    state, outcome() reads what the trial measured."""
+    """The policy whose start and outcome hooks run the world's trials."""
     if world == "bell":
-        policy = BellRoundPolicy(0.0, 30.0, "uniform", RngState(3))
-
-        def start(rng):
-            policy.new_trial("uniform", rng.substream("source"))
-            return bell.bell_world()
-
-        return policy, start, lambda: dict(policy.cases)
-    policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, world == "doubleslit-on")
-    return policy, lambda rng: policy.world(), lambda: policy.hit_cell
+        return BellRoundPolicy(0.0, 30.0, "uniform", RngState(3))
+    return DoubleSlitRoundPolicy(SMALL_GEOMETRY, world == "doubleslit-on")
 
 
 def _per_trial(world, scheduler, reuse, trials):
     """Each trial's rounds, interactions, rejections, ledger and outcome, from
     one runtime reset per trial (reuse) or a fresh runtime per trial, and
     the size of the record cache after each trial."""
-    policy, start, outcome = _trials_of(world)
+    policy = _trials_of(world)
     root = RngState(5)
     runtime, results, sizes = None, [], []
     for trial in range(trials):
         rng = root.substream(trial)
-        state = start(rng)
+        state = policy.start(rng)
         if reuse and runtime is not None:
             runtime.next_trial(state, rng)
         else:
             runtime = RefinedRuntime(state, policy, rng, scheduler, keep_ledger=True)
         rounds = runtime.run(max_rounds=16)
         results.append(
-            (rounds, runtime.interactions, runtime.mediator.rejections, runtime.ledger, outcome())
+            (rounds, runtime.interactions, runtime.mediator.rejections, runtime.ledger, policy.outcome())
         )
         sizes.append(len(runtime._records))
     return results, sizes
