@@ -35,7 +35,17 @@ from types import MappingProxyType
 
 from ..engine import Cumulative, RngState, random_draw
 from ..errors import ConfigError
-from ..interaction import OutcomeRow, OutcomeTable, RoundPolicy, check_run, claim, run_trials
+from ..interaction import (
+    MAX_EFFECTS,
+    OutcomeRow,
+    OutcomeTable,
+    RoundPolicy,
+    check_run,
+    check_trials,
+    claim,
+    interaction_effect,
+    run_trials,
+)
 from ..state import (
     ObjectKind,
     ParticleInfo,
@@ -46,6 +56,7 @@ from ..state import (
     SystemState,
     _evolve,
     _norm_angle,
+    reduce_to_path,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -87,6 +98,9 @@ SOURCE_CELL = (1,)
 WING_A_CELL = (0,)
 WING_B_CELL = (2,)
 PUMP_IDS = ("pump-1", "pump-2")
+# a policy's survivor memo is cleared at this size; a run needs at most 4
+# entries per screen and side
+MAX_SURVIVORS = 16
 _AT_SOURCE = frozenset({SOURCE_CELL})
 _SPACE = Space(dims=1, extent=(3,), delta_x=1.0)  # frozen, so every trial shares it
 
@@ -277,10 +291,37 @@ class BellRoundPolicy(RoundPolicy):
     before candidates are recomputed.
 
     One policy serves a whole run: causal_order and start begin each trial
-    (rng is the first trial's emission stream).  The pumps are the same
-    cached objects in every trial, so the source claim's one candidate and
-    its probability are found once and served from a memo while both pumps
-    are those objects.
+    (rng is the first trial's emission stream).  Its memos are per run and
+    bounded, and every draw is made as without them:
+
+    - The source claim: the pumps are the same cached objects in every
+      trial, so its one candidate and probability are found once and
+      served while both pumps are those objects.
+    - A survivor's claim.  What meets the second screen is the pair
+      collapsed by the first one: one of four values (the first screen's
+      case, times the sign of the row's amplitude), though a new object in
+      every trial.  prepare looks it up by the claim's ids, the screen
+      object and the survivor's equality, and serves the analyzed object
+      with its candidates and their Cumulative.  Its inputs are then the
+      same objects every time, so effects serves its effect by identity
+      (RoundPolicy.effect).
+    - The first screen's effect.  interaction_effect reads the analyzed
+      pair only through the chosen row collapsed by reduce_to_path: the
+      id, the particles, the conserved and global blocks and that row's
+      path states and amplitude.  The effect is served from effects by the
+      screen object, the table, the tag, the pair's side, the chosen
+      candidate's position and indices, and that collapsed row, compared
+      by equality.
+
+    Equality is exact here.  Floats that compare equal have the same bits
+    except for signed zeros, and no zero's sign varies within a run in
+    these records.  Every float of a survivor or a collapsed row is either
+    the same in every trial (computed from the templates' momenta and
+    masses and this policy's analyzer axes) or the row's amplitude, which
+    is +1 or -1 with imaginary part +0.0: the pair's phase (1+0j) times a
+    real projection, over its modulus.  An equal record therefore yields
+    the objects a fresh computation would build, bit for bit, and the
+    tests compare them by repr as well.
     """
 
     def __init__(self, angle_a: float, angle_b: float, spindir_policy, rng: RngState):
@@ -291,6 +332,10 @@ class BellRoundPolicy(RoundPolicy):
         self._pair_id: str | None = None
         self._screen_id: str | None = None
         self._source_memo: tuple | None = None  # (pump a, pump b, candidates, Cumulative)
+        # survivors' claims: ((a id, b id), screen, survivor, analyzed, candidates, Cumulative)
+        self.survivors: list[tuple] = []
+        self._served: tuple | None = None  # this claim's survivor entry
+        self.effects = {}
         self.new_trial(rng)
 
     def new_trial(self, rng: RngState):
@@ -322,6 +367,7 @@ class BellRoundPolicy(RoundPolicy):
         # meet at the source, a screen is a key of angles, and whatever
         # meets a screen is the pair
         self._source = a_id in PUMP_IDS and b_id in PUMP_IDS
+        self._served = None
         if self._source:  # the emission direction is the source claim's first draw
             self.theta = draw_emission_direction(self.spindir_policy, self.rng)
         if b_id in self.angles:
@@ -331,11 +377,27 @@ class BellRoundPolicy(RoundPolicy):
         else:
             self._pair_id = self._screen_id = None
             return
-        state.objects[self._pair_id] = apply_stern_gerlach(
-            state.objects[self._pair_id], 0, self.angles[self._screen_id]
-        )
+        pair = state.objects[self._pair_id]
+        if len(pair.particles) > 1:
+            state.objects[self._pair_id] = apply_stern_gerlach(pair, 0, self.angles[self._screen_id])
+            return
+        screen = state.objects[self._screen_id]
+        for entry in self.survivors:
+            if entry[0] == (a_id, b_id) and entry[1] is screen and entry[2] == pair:
+                break
+        else:
+            if len(self.survivors) >= MAX_SURVIVORS:
+                self.survivors.clear()
+            state.objects[self._pair_id] = analyzed = apply_stern_gerlach(pair, 0, self.angles[self._screen_id])
+            found, probabilities = super().candidates(state, a_id, b_id)
+            entry = ((a_id, b_id), screen, pair, analyzed, found, Cumulative(probabilities))
+            self.survivors.append(entry)
+        self._served = entry
+        state.objects[self._pair_id] = entry[3]
 
     def candidates(self, state: SystemState, a_id: str, b_id: str):
+        if self._served is not None:
+            return self._served[4], self._served[5]
         if not self._source:
             return super().candidates(state, a_id, b_id)
         a, b = state.objects[a_id], state.objects[b_id]
@@ -356,6 +418,30 @@ class BellRoundPolicy(RoundPolicy):
         angle = self.angles[screen_id]
         self.cases[screen_id] = case1
         return absorb_table(candidate.position, angle if case1 else angle + 90.0)
+
+    def effect(self, a: QuantumObject, b: QuantumObject, chosen, table: OutcomeTable, tag: int) -> tuple:
+        if self._source:  # its table is new every trial
+            return interaction_effect(a, b, chosen, table, str(tag))
+        if self._served is not None:  # a survivor's: every input is a memo's or a cache's own object
+            return super().effect(a, b, chosen, table, tag)
+        # the first screen's, served by its collapsed row
+        pair_first = a.object_id == self._pair_id
+        pair, screen = (a, b) if pair_first else (b, a)
+        row, screen_row = (
+            (chosen.path_index_1, chosen.path_index_2) if pair_first else (chosen.path_index_2, chosen.path_index_1)
+        )
+        collapsed = reduce_to_path(pair, row)
+        key = (
+            id(screen), id(table), tag, pair_first, screen_row, row, chosen.position,
+            chosen.particle_index_1, chosen.particle_index_2, collapsed.paths[0].amplitude,
+        )
+        memo = self.effects
+        entry = memo.get(key)
+        if entry is None or entry[0] != collapsed:
+            if len(memo) >= MAX_EFFECTS:
+                memo.clear()
+            entry = memo[key] = (collapsed, screen, table, interaction_effect(a, b, chosen, table, str(tag)))
+        return entry[-1]
 
     def propagate(self, state: SystemState, object_id: str):
         # only the pair moves, and only off the source
@@ -511,8 +597,7 @@ def run_spin_trials(delta_deg: float, trials: int, seed: int = 0) -> tuple[int, 
     one stream keyed by (seed, delta).  Unit tests pin this to the full
     analyzer+screen pipeline distribution.
     """
-    if trials <= 0:
-        raise ConfigError(f"trials must be > 0, got {trials}")
+    check_trials(trials, "spin.")
     p = spin_probability(delta_deg)
     rng = RngState(seed).substream("spin", delta_deg)
     n_case1 = 0
@@ -531,11 +616,19 @@ class UnentangledConfig:
     trials: int = 10000
     seed: int = 0
 
+    def __post_init__(self):
+        check_trials(self.trials, "unentangled.")
+        for name in ("spindir_a", "spindir_b", "angle_a", "angle_b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"unentangled.{name} must be finite, got {value!r}")
+
 
 def run_unentangled_pair(cfg: UnentangledConfig) -> JointStats:
-    """Two independent particles: joint frequencies obey the product law."""
-    pa = spin_probability(cfg.spindir_a - cfg.angle_a)
-    pb = spin_probability(cfg.spindir_b - cfg.angle_b)
+    """Two independent particles: joint frequencies obey the product law.
+    Each angle is reduced first, as in model_correlation."""
+    pa = spin_probability(_norm_angle(cfg.spindir_a) - _norm_angle(cfg.angle_a))
+    pb = spin_probability(_norm_angle(cfg.spindir_b) - _norm_angle(cfg.angle_b))
     rng = RngState(cfg.seed).substream("unentangled")
     stats = JointStats()
     for _ in range(cfg.trials):

@@ -39,16 +39,17 @@ A world says what its interactions mean through a RoundPolicy, and claim
 runs one event of it, both in the world's centralized causal order and
 for each event the decentralized runtime grants.  A policy whose
 candidates repeat from trial to trial (the two-slit fans and marking, the
-Bell source) serves them from a memo together with their probabilities'
-Cumulative form, so no weight is re-checked or re-summed per draw.
+Bell source, the Bell pair's survivors) serves them from a memo together
+with their probabilities' Cumulative form, so no weight is re-checked or
+re-summed per draw.
 
 An interaction's effect (the participants' survivors, the out collection
 and the event-log entries) depends only on the two objects, the chosen
 candidate, the outcome table and the tag, so perform_interaction is
-interaction_effect written into the state by apply.  A policy whose
-claims repeat (the two-slit world) keeps an effect memo that claim serves
-from; the Bell world's pair and source table are new objects every trial,
-so it keeps none.
+interaction_effect written into the state by apply.  claim takes every
+effect from its policy's effect hook, which a world whose claims repeat
+serves from a memo: the two-slit world by the identity of the inputs,
+the Bell world's screens by their equality (experiments/bell.py).
 
 run_trials is the one trial loop, for every world under both schedulers.
 Trial i draws only from the substream (seed, i).  Three policy hooks give
@@ -494,9 +495,10 @@ class RoundPolicy:
     probabilities or those probabilities' Cumulative form (a world may
     serve both from a memo), table_for returns the outcome table for a
     selected candidate or None to veto, propagate returns a moved
-    replacement object or None to stand still.  effects, when a world sets
-    it to a dict, is the memo claim serves interaction effects from.
-    start, causal_order and outcome are the trial hooks run_trials calls.
+    replacement object or None to stand still.  effect returns what a
+    claim's interaction does; by default it is interaction_effect, served
+    from effects when a world sets that to a dict.  start, causal_order and
+    outcome are the trial hooks run_trials calls.
     """
 
     effects: dict | None = None
@@ -510,6 +512,26 @@ class RoundPolicy:
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate) -> OutcomeTable | None:
         raise NotImplementedError
+
+    def effect(
+        self, a: QuantumObject, b: QuantumObject, chosen: InteractionCandidate, table: OutcomeTable, tag: int
+    ) -> tuple:
+        """interaction_effect(a, b, chosen, table, str(tag)).  With an effects
+        memo it is looked up by the identity of its inputs (the two objects,
+        the chosen candidate and the table) and the tag, and computed only
+        on a miss.  An entry holds its inputs, so their ids cannot be reused
+        while it is cached.  The memo is cleared when it reaches MAX_EFFECTS
+        entries."""
+        memo = self.effects
+        if memo is None:
+            return interaction_effect(a, b, chosen, table, str(tag))
+        key = (id(a), id(b), id(chosen), id(table), tag)
+        entry = memo.get(key)
+        if entry is None:
+            if len(memo) >= MAX_EFFECTS:
+                memo.clear()
+            entry = memo[key] = (a, b, chosen, table, interaction_effect(a, b, chosen, table, str(tag)))
+        return entry[-1]
 
     def propagate(self, state: SystemState, object_id: str) -> QuantumObject | None:
         return None
@@ -533,15 +555,11 @@ def claim(
     """Claim one event between two live objects and perform it.
 
     Runs prepare, the policy's candidates on the prepared objects,
-    select_interaction, the policy's table_for and perform_interaction.
-    Returns the chosen candidate and the out collection, or the reason no
-    interaction happened: "no live candidates" or "vetoed".
-
-    When the policy keeps an effect memo, the effect is looked up by the
-    identity of its inputs (the two objects, the chosen candidate and the
-    table) and the tag, len(state.event_log), and computed only on a miss.
-    An entry holds its inputs, so their ids cannot be reused while it is
-    cached.  The memo is cleared when it reaches MAX_EFFECTS entries.
+    select_interaction, the policy's table_for, and the policy's effect
+    (tagged len(state.event_log), as perform_interaction tags it) written
+    into state by apply.  Returns the chosen candidate and the out
+    collection, or the reason no interaction happened: "no live
+    candidates" or "vetoed".
     """
     policy.prepare(state, a_id, b_id)
     candidates, probabilities = policy.candidates(state, a_id, b_id)
@@ -551,24 +569,19 @@ def claim(
     table = policy.table_for(state, a_id, b_id, chosen)
     if table is None:
         return "vetoed"
-    memo = policy.effects
-    if memo is None:
-        return chosen, perform_interaction(state, a_id, b_id, chosen, table)
-    a, b = state.get_object(a_id), state.get_object(b_id)
-    tag = len(state.event_log)
-    key = (id(a), id(b), id(chosen), id(table), tag)
-    entry = memo.get(key)
-    if entry is None:
-        if len(memo) >= MAX_EFFECTS:
-            memo.clear()
-        entry = memo[key] = (a, b, chosen, table, interaction_effect(a, b, chosen, table, str(tag)))
-    return chosen, apply(state, entry[-1])
+    effect = policy.effect(state.get_object(a_id), state.get_object(b_id), chosen, table, len(state.event_log))
+    return chosen, apply(state, effect)
+
+
+def check_trials(trials, prefix: str = ""):
+    """Stop unless trials is an int > 0 (not a bool)."""
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
+        raise ConfigError(f"{prefix}trials must be an int > 0, got {trials!r}")
 
 
 def check_run(trials, runtime: str, scheduler: str, prefix: str = ""):
-    """Stop a run unless trials is an int > 0 (not a bool) and runtime and scheduler are known."""
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
-        raise ConfigError(f"{prefix}trials must be an int > 0, got {trials!r}")
+    """Stop a run unless check_trials passes and runtime and scheduler are known."""
+    check_trials(trials, prefix)
     if runtime not in RUNTIMES:
         raise ConfigError(f"{prefix}runtime must be one of {RUNTIMES}, got {runtime!r}")
     if scheduler not in SCHEDULERS:

@@ -1,13 +1,15 @@
 """Entangled-pair experiment: exact trig, analyzer mechanics, statistics, bounds."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcausal import interaction
-from qcausal.engine import RngState
+from qcausal.engine import Cumulative, RngState
 from qcausal.errors import ConfigError
 from qcausal.experiments import bell
 from qcausal.experiments.bell import (
@@ -39,9 +41,9 @@ from qcausal.experiments.bell import (
     sin_deg,
     spin_probability,
 )
-from qcausal.interaction import OutcomeRow, OutcomeTable, claim
+from qcausal.interaction import OutcomeRow, OutcomeTable, claim, interaction_effect, run_trials
 from qcausal.runtime import RefinedRuntime
-from qcausal.state import ParticleInfo, PathState, _norm_angle, total_conserved
+from qcausal.state import ParticleInfo, PathState, _norm_angle, reduce_to_path, total_conserved
 
 
 def _emit(theta, rng):
@@ -343,6 +345,32 @@ def test_spin_trials_match_full_pipeline():
     assert abs(res.stats.marginal_a() - n1 / 3000) < 0.035
 
 
+def test_light_drivers_check_trial_counts():
+    for bad in (2.5, True, 0, -5, "10"):
+        with pytest.raises(ConfigError, match="^spin.trials must be an int > 0, got .*$"):
+            run_spin_trials(30.0, bad)
+        with pytest.raises(ConfigError, match="^unentangled.trials must be an int > 0, got .*$"):
+            UnentangledConfig(0.0, 30.0, trials=bad)
+
+
+def test_unentangled_config_needs_finite_angles():
+    # reducing an infinite angle would raise ValueError from math.fmod
+    for name in ("spindir_a", "spindir_b", "angle_a", "angle_b"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^unentangled.{name} must be finite"):
+                UnentangledConfig(**{"spindir_a": 0.0, "spindir_b": 30.0, name: bad})
+
+
+def test_unentangled_pair_reduces_huge_angles():
+    # 1e20 degrees is 280: unreduced, 1e20 - 30 rounds the analyzer angle away
+    huge, plain = (
+        run_unentangled_pair(UnentangledConfig(spin, 0.0, angle_a=30.0, trials=4000, seed=3))
+        for spin in (1e20, 280.0)
+    )
+    assert huge.counts() == plain.counts()
+    assert huge.marginal_a() == pytest.approx(spin_probability(250.0), abs=0.02)  # 0.117
+
+
 def test_unentangled_pair_product_law():
     cfg = UnentangledConfig(spindir_a=30.0, spindir_b=60.0, trials=20000, seed=3)
     stats = run_unentangled_pair(cfg)
@@ -508,7 +536,8 @@ def test_source_candidates_are_detected_once_per_run(monkeypatch, runtime):
     counts = run_bell_experiment(cfg).stats.counts()
     assert [pair for pair in calls if pair[0] in PUMP_IDS] == [PUMP_IDS]
     if runtime == "centralized":
-        assert len(calls) == 1 + 2 * 60  # the source once, both screens every trial
+        # the source once, the first screen every trial, the second once per survivor
+        assert len(calls) == 1 + 60 + 4
     monkeypatch.undo()
     # the memo moves no draw: a fresh policy per trial gives the same tallies
     root, stats = RngState(1), bell.JointStats()
@@ -564,3 +593,217 @@ def test_fixed_emission_direction_draws_nothing():
     policy.prepare(state, "pump-1", "pump-2")
     assert policy.table_for(state, "pump-1", "pump-2", None) is not None
     assert policy.theta == 33.0 and rng.draws == 0
+
+
+# --- the screen memos ---------------------------------------------------------------
+
+
+def _same(got, fresh):
+    # == treats -0.0 and 0.0 alike, and the analyzer's ports hold amplitudes
+    # such as (0.5-0j); repr tells them apart
+    assert got == fresh and repr(got) == repr(fresh)
+
+
+class _CheckedPolicy(BellRoundPolicy):
+    """A Bell policy that checks each screen claim it serves against a fresh
+    computation on the incoming objects: the analyzed pair against
+    apply_stern_gerlach, its candidates and selection probabilities against
+    detection on that fresh object, and the effect against
+    interaction_effect on the fresh inputs.  other_table swaps the screens'
+    outcome table for an uncached one with other products."""
+
+    other_table = False
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.claims = self.reused = 0
+        self._returned = []  # every effect returned, so a repeat is seen by identity
+        self._fresh = None
+
+    def prepare(self, state, a_id, b_id):
+        incoming = dict(state.objects)
+        super().prepare(state, a_id, b_id)
+        self._fresh = None
+        if self._screen_id is not None:
+            pair_id = self._pair_id
+            fresh = apply_stern_gerlach(incoming[pair_id], 0, self.angles[self._screen_id])
+            _same(state.objects[pair_id], fresh)
+            self._fresh = {**state.objects, pair_id: fresh}
+
+    def candidates(self, state, a_id, b_id):
+        found, probabilities = super().candidates(state, a_id, b_id)
+        if self._fresh is not None:
+            fresh = interaction.determine_potential_interactions(self._fresh[a_id], self._fresh[b_id])
+            _same(found, fresh)
+            fresh_probabilities = interaction._selection_probabilities(fresh)
+            if isinstance(probabilities, Cumulative):
+                fresh_sums = Cumulative(fresh_probabilities)
+                _same((probabilities.sums, probabilities.total), (fresh_sums.sums, fresh_sums.total))
+            else:
+                _same(probabilities, fresh_probabilities)
+        return found, probabilities
+
+    def table_for(self, state, a_id, b_id, candidate):
+        table = super().table_for(state, a_id, b_id, candidate)
+        if self.other_table and self._screen_id is not None:
+            (row,) = table.rows
+            table = OutcomeTable(table.name, (OutcomeRow((ParticleInfo("other", 0.0),), row.pathstates, 1.0),))
+        return table
+
+    def effect(self, a, b, chosen, table, tag):
+        got = super().effect(a, b, chosen, table, tag)
+        if self._fresh is not None:
+            fresh = interaction_effect(self._fresh[a.object_id], self._fresh[b.object_id], chosen, table, str(tag))
+            _same(got, fresh)
+            self.claims += 1
+            if any(got is seen for seen in self._returned):
+                self.reused += 1
+            else:
+                self._returned.append(got)
+        return got
+
+
+SCHEDULES = [("centralized", "round-robin", 200), ("refined", "round-robin", 60), ("refined", "randomized", 60)]
+
+
+@pytest.mark.parametrize("runtime, scheduler, trials", SCHEDULES)
+@pytest.mark.parametrize("spindir", ["uniform", 0.0])
+@pytest.mark.parametrize("angles", [(0.0, 30.0), (0.0, 90.0), (30.0, 30.0), (45.0, 45.0), (1e20, 30.0)])
+def test_screen_memo_hits_equal_fresh_computations(angles, spindir, runtime, scheduler, trials):
+    policy = _CheckedPolicy(*angles, spindir, RngState(5))
+    stats = JointStats()
+    for outcome in run_trials(policy, trials, 5, runtime, scheduler):
+        stats.record(*outcome)
+    assert policy.claims == 2 * trials
+    # misses: at most 4 collapsed rows and 4 survivors (2 candidates each) per screen
+    assert policy.reused >= 2 * trials - 2 * (4 + 4 * 2)
+    cfg = BellConfig(*angles, trials=trials, seed=5, spindir_policy=spindir, runtime=runtime, scheduler=scheduler)
+    assert run_bell_experiment(cfg).stats.counts() == stats.counts()
+
+
+@pytest.mark.parametrize("spindir", ["uniform", 0.0])
+def test_screen_memos_tell_apart_what_the_effect_reads(spindir):
+    # trials that differ from the ones before only in the tag, the screen
+    # objects, the outcome table or the pair's particles must each be
+    # computed afresh; _CheckedPolicy compares every claim with a fresh one.
+    # The two-row screen-b is another screen object under the same id
+    policy = _CheckedPolicy(0.0, 30.0, spindir, RngState(0))
+    heavy = {
+        screen_id: make_screen.__wrapped__(screen_id, cell, 2.0)
+        for screen_id, cell in (("screen-a", WING_A_CELL), ("screen-b", WING_B_CELL))
+    }
+    plain_b = make_screen("screen-b", WING_B_CELL)
+    two_rows = dataclasses.replace(plain_b, paths=tuple(dataclasses.replace(plain_b.paths[0], amplitude=x) for x in (0.6, 0.8)))
+    light = (ParticleInfo("half", 0.25), ParticleInfo("half", 0.75))
+    for trial in range(60):
+        rng = RngState(0).substream(trial)
+        policy.new_trial(rng)
+        state = bell_world()
+        if trial % 4 == 1:
+            state.objects.update(heavy)
+        elif trial % 6 == 5:  # the survivor meets a screen with other candidates
+            state.objects["screen-b"] = two_rows
+        policy.other_table = trial % 5 == 2
+        _, pair = claim(state, policy, *PUMP_IDS, rng)
+        moved = policy.propagate(state, pair.object_id)
+        if trial % 7 == 3:
+            moved = dataclasses.replace(moved, particles=light)
+        state.objects[pair.object_id] = moved
+        state.event_log.extend({"event": "filler"} for _ in range(trial % 3))  # moves the screens' tags
+        for screen_id in ("screen-a", "screen-b"):
+            claim(state, policy, pair.object_id, screen_id, rng)
+    assert policy.claims == 120 and policy.reused > 20
+
+
+@pytest.mark.parametrize("runtime, scheduler", [(r, s) for r, s, _ in SCHEDULES])
+def test_screen_memos_plateau(runtime, scheduler):
+    policy = BellRoundPolicy(0.0, 30.0, "uniform", RngState(2))
+    sizes = []
+    for seed in (2, 3):
+        for _ in run_trials(policy, 150, seed, runtime, scheduler):
+            pass
+        sizes.append((len(policy.survivors), len(policy.effects)))
+    assert sizes[0] == sizes[1]
+    per_screen = Counter(ids for ids, *_ in policy.survivors)
+    assert set(per_screen.values()) == {4}  # the other screen's case, times the amplitude's sign
+    assert len(per_screen) == (2 if scheduler == "randomized" else 1)
+
+
+def test_screen_memos_stay_bounded(monkeypatch):
+    for module in (interaction, bell):
+        monkeypatch.setattr(module, "MAX_EFFECTS", 10)
+    rng = RngState(4).substream("bounded")
+    state, _, pair_id = _drifted_pair(0.0, 30.0, 10.0, rng)
+    policy = _CheckedPolicy(0.0, 30.0, 10.0, rng)
+    claim(state, policy, pair_id, "screen-a", rng)
+    survivor, sizes = state.objects[pair_id], []
+    for spin in range(3 * bell.MAX_SURVIVORS):
+        # the survivor at another spin: a new value for the memo each time
+        state = fresh_state()
+        state.add_object(reduce_to_path(apply_stern_gerlach(survivor, 0, float(spin)), 0))
+        state.add_object(make_screen("screen-b", WING_B_CELL))
+        claim(state, policy, pair_id, "screen-b", rng)
+        sizes.append((len(policy.survivors), len(policy.effects)))
+    # each memo filled up to its bound and was cleared there
+    assert max(survivors for survivors, _ in sizes) == bell.MAX_SURVIVORS
+    assert max(effects for _, effects in sizes) == 10
+    assert policy.claims == 1 + 3 * bell.MAX_SURVIVORS
+
+
+def test_screen_memos_are_per_run():
+    assert BellRoundPolicy.effects is None  # no memo lives on the class
+    first, second = (BellRoundPolicy(0.0, 30.0, "uniform", RngState(1)) for _ in range(2))
+    for policy in (first, second):
+        for _ in run_trials(policy, 100, 1, "centralized", "round-robin"):
+            pass
+
+    def built(policy):
+        """What the memos built: analyzed objects, candidate lists, Cumulatives, effects."""
+        objects = [obj for entry in policy.survivors for obj in entry[3:]]
+        return {id(obj) for obj in objects + [entry[-1] for entry in policy.effects.values()]}
+
+    assert first.effects is not second.effects and first.survivors is not second.survivors
+    assert len(first.effects) == len(second.effects) and len(first.survivors) == len(second.survivors)
+    assert built(first) and not built(first) & built(second)
+
+
+def _drawn_rows(candidates, probabilities) -> dict:
+    """{pair row: probability} of a screen claim's draw, read back from a
+    Cumulative's running sums when the claim was served one."""
+    if isinstance(probabilities, Cumulative):
+        sums = (0.0,) + probabilities.sums
+        probabilities = [(hi - lo) / probabilities.total for lo, hi in zip(sums, sums[1:])]
+    rows = {0: 0.0, 1: 0.0}
+    for candidate, p in zip(candidates, probabilities):
+        rows[candidate.path_index_1] += p
+    return rows
+
+
+@pytest.mark.parametrize("angles", [(0.0, 30.0), (30.0, 30.0), (45.0, 45.0), (0.0, 90.0), (10.0, 75.0), (1e20, 30.0)])
+def test_screen_claims_draw_from_the_exact_spin_probabilities(monkeypatch, angles):
+    drawn = []
+    original = interaction.select_interaction
+
+    def recording(candidates, rng, probabilities=None):
+        drawn.append((candidates, probabilities))
+        return original(candidates, rng, probabilities)
+
+    monkeypatch.setattr(interaction, "select_interaction", recording)
+    a, b = (_norm_angle(angle) for angle in angles)
+    served, seen = 0, []
+    for theta in [22.5 * k for k in range(16)] + [1e-9, 89.999999999, 1e20, -40.0]:
+        policy = BellRoundPolicy(*angles, theta, RngState(0))  # fresh: its first trial computes every claim
+        for trial in range(6):
+            drawn.clear()
+            policy.causal_order(RngState(0).substream(theta, trial))
+            (_, source), first, second = drawn
+            p_a = spin_probability(_norm_angle(theta) - a)
+            spin = a if policy.cases["screen-a"] else _norm_angle(a + 90.0)  # the partner after collapse
+            p_b = spin_probability(spin - b)
+            for rows, p in ((_drawn_rows(*first), p_a), (_drawn_rows(*second), p_b)):
+                assert abs(rows[0] - p) <= 1e-12 and abs(rows[1] - (1.0 - p)) <= 1e-12
+            if any(second[1] is s for s in seen):  # the second screen's sums, served from the memo
+                served += 1
+            else:
+                seen.append(second[1])
+    assert served >= 20 * (6 - 2)  # a fixed theta leaves at most two survivors

@@ -501,6 +501,20 @@ def test_effect_memo_keys_on_the_objects_and_the_candidate():
     assert len(policy.effects) == 3
 
 
+def test_effect_memo_keys_on_the_second_object():
+    # the second participant alternates with one of other momentum
+    a = _consistent("a", (3,), 1.0, (0.0,))
+    seconds = [_consistent("b", (3,), 1.0, (0.0,)), _consistent("b", (3,), 1.0, (-1.0,))]
+    table = table_at((3,))
+    policy = _FixedCandidates([table], determine_potential_interactions(a, seconds[0]))
+    for step in range(4):
+        state = _memo_world(a, seconds[step % 2], 0)
+        ref = _copy_of(state)
+        claimed = claim(state, policy, "a", "b", RngState(step))
+        _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, table)
+    assert len(policy.effects) == 2
+
+
 def test_effect_memo_stays_within_its_bound():
     # every claim a miss: the memo fills up to MAX_EFFECTS and is cleared
     a, b = _consistent("a", (3,), 1.0, (0.0,)), _consistent("b", (3,), 1.0, (0.0,))
