@@ -643,9 +643,16 @@ def run_unentangled_pair(cfg: UnentangledConfig) -> JointStats:
 FORMS = ("identical", "anticorrelated")
 
 
+def _check_finite(name: str, angles) -> None:
+    for value in angles:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 def model_correlation(angle_x: float, angle_y: float) -> float:
     """Closed-form E(x, y) implied by the response law: 2 cos^2(x-y) - 1.
     Each angle is reduced first, so a huge one does not round the other away."""
+    _check_finite("model_correlation angles", (angle_x, angle_y))
     return 2.0 * spin_probability(_norm_angle(angle_x) - _norm_angle(angle_y)) - 1.0
 
 
@@ -735,6 +742,7 @@ def lhv_oracle(angles: tuple[float, float, float], form: str = "identical") -> L
     """Enumerate every deterministic local strategy and its Bell margin."""
     if form not in FORMS:
         raise ConfigError(f"form must be one of {FORMS}, got {form!r}")
+    _check_finite("lhv.angles", angles)
     report = LhvReport(angles=tuple(float(a) for a in angles), form=form)
     signs = (-1, 1)
     for sa in ((x, y, z) for x in signs for y in signs for z in signs):

@@ -14,17 +14,29 @@ lag is the price of symmetry.
 
 Objects are frozen records, and most of a round's objects are the very
 ones of the round before, or of the trial before (a screen, a pump, a
-memoised fan).  So each object's advertisements and invariant verdict are
-computed once, into a publication record keyed by the object's identity,
-and reused while the same object stays live, across the trials a runtime
-serves.
+memoised fan).  So each object's advertisements, the sorted cells they
+occupy and its invariant verdict are computed once, into a publication
+record keyed by the object's identity, and reused while the same object
+stays live, across the trials a runtime serves.
+
+The board is a function of the live objects and their ids, and what an
+engine proposes is a function of the board and its object's id.  So when
+the same objects are live again, the board is not laid out again: a
+snapshot keyed by the object ids and the objects' identities holds the
+board and each engine's proposals against it, and is installed whole.  A
+snapshot holds its objects' records, so no identity in its key can be
+reused while it exists.  The last round's board is kept this way, and a
+board is stored for later rounds only when none of its records was built
+in the current trial: an object new to a trial (Bell's emitted pair) is
+likely new to every trial, and so is a board that holds it.
 
 A round has four phases:
 
-  1. detect: every engine intersects its own advertisements with the
-     board and proposes an event per overlapping object.  Proposals are
-     keyed by the (sorted) participant pair; the mediator checks the two
-     sides submitted identical shared-cell lists.
+  1. detect: every engine looks up its own cells on the board and
+     proposes an event per overlapping object; on a board installed again,
+     the runtime submits the proposals the engine made against it before.
+     Proposals are keyed by the (sorted) participant pair; the mediator
+     checks the two sides submitted identical shared-cell lists.
   2. grant: events are ordered by (position, participant ids), or
      shuffled under the randomized scheduler, and granted greedily; an
      object joins at most one interaction per round, later events with a
@@ -40,7 +52,8 @@ A round has four phases:
      standing at spawn time is detected before anyone moves.  Every live
      object the runtime has not seen before is then checked: a rectangular
      table inside the lattice.
-  4. publish: live objects advertise from their records, the board flips.
+  4. publish: the board is laid out from the live objects' records, or
+     the snapshot of the same live objects is installed again.
 
 Consumed objects retire their engines; interaction products get fresh
 ones.  All per-round iteration is in sorted order and every random draw
@@ -65,8 +78,8 @@ BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 # rounds an object must sit on the board before it may move; detection of
 # a standing overlap takes one round of lag plus one to act on it
 PROPAGATION_DELAY = 2
-# a runtime clears its publication records when they pass this many; a run
-# keeps a handful live and adds a few per trial
+# a runtime clears its publication records, and its board snapshots, when
+# either passes this many; a run keeps a handful live and adds a few per trial
 MAX_RECORDS = 256
 
 
@@ -80,16 +93,23 @@ class Advertisement:
     weight: float
 
 
-# one live object's publication: the object (its strong reference keeps the
-# id() the record is keyed by from being reused), the id it is published
-# under, its advertisements, and its invariant problem (None when sound)
-_Record = namedtuple("_Record", "obj object_id ads problem")
+# what a board holds of an object: its id, its advertisements and the
+# sorted cells they occupy; the list is shared by every board that holds
+# it, and never mutated
+_Publication = namedtuple("_Publication", "object_id ads cells")
+
+# one live object's publication record, which serves as its publication:
+# the object (its strong reference keeps the id() the record is keyed by
+# from being reused), the publication's fields, its invariant problem (None
+# when sound) and the trial it was built in
+_Record = namedtuple("_Record", "obj object_id ads cells problem trial")
 
 
-def _advertise(object_id: str, obj: QuantumObject) -> tuple[Advertisement, ...]:
+def _advertise(object_id: str, obj: QuantumObject) -> tuple[list[Advertisement], tuple]:
     """One advertisement per nonzero-weight path and occupied cell, in path
-    order and sorted cell order."""
+    order and sorted cell order, and the sorted cells they occupy."""
     ads = []
+    occupied = set()
     for i, path in enumerate(obj.paths):
         w = path.weight
         if w == 0.0:
@@ -97,9 +117,23 @@ def _advertise(object_id: str, obj: QuantumObject) -> tuple[Advertisement, ...]:
         cells = set()
         for ps in path.pathstates:
             cells.update(ps.spacepoints)
+        occupied.update(cells)
         for cell in sorted(cells):
             ads.append(Advertisement(object_id=object_id, path_index=i, cell=cell, weight=w))
-    return tuple(ads)
+    return ads, tuple(sorted(occupied))
+
+
+def _lay_out(publications) -> tuple[dict, dict]:
+    """The board of publications, in order: cell -> ads, and object id ->
+    publication for the objects with an advertisement."""
+    board, published = {}, {}
+    for publication in publications:
+        ads = publication.ads
+        if ads:
+            published[publication.object_id] = publication
+            for ad in ads:
+                board.setdefault(ad.cell, []).append(ad)
+    return board, published
 
 
 @dataclass
@@ -109,16 +143,18 @@ class ObjectEngine:
     object_id: str
     proper_time: int = 0
 
-    def detect(self, view: "RoundView"):
-        """Propose one event per object overlapping my advertised cells."""
-        mine = {ad.cell for ad in view.own_ads()}
+    def detect(self, view: "RoundView") -> tuple:
+        """Propose one event per object overlapping my advertised cells, and
+        return the proposals as (other id, shared cells) pairs."""
         partners: dict[str, set] = {}
-        for cell in sorted(mine):
+        for cell in view.own_cells():
             for ad in view.ads_at(cell):
                 if ad.object_id != self.object_id:
                     partners.setdefault(ad.object_id, set()).add(cell)
-        for other_id in sorted(partners):
-            view.propose(other_id, tuple(sorted(partners[other_id])))
+        proposals = tuple([(other_id, tuple(sorted(partners[other_id]))) for other_id in sorted(partners)])
+        for other_id, cells in proposals:
+            view.propose(other_id, cells)
+        return proposals
 
 
 class RoundView:
@@ -128,8 +164,10 @@ class RoundView:
         self._mediator = mediator
         self._object_id = object_id
 
-    def own_ads(self) -> list[Advertisement]:
-        return self._mediator.board_by_object.get(self._object_id, [])
+    def own_cells(self) -> tuple:
+        """The cells my object occupies on the board, sorted."""
+        publication = self._mediator.published.get(self._object_id)
+        return () if publication is None else publication.cells
 
     def ads_at(self, cell) -> list[Advertisement]:
         return self._mediator.board.get(cell, [])
@@ -171,10 +209,12 @@ def _conserved_signature(c: dict) -> tuple:
 class SpaceMediator:
     """Advertisement board plus event bookkeeping.
 
-    board holds last round's advertisements (cell -> ads, object -> ads);
-    next_board collects this round's publications and becomes the board at
-    the flip.  Proposals are checked pairwise for symmetry: both parties
-    must name the same shared cells, anything else is a protocol bug.
+    board holds last round's advertisements by cell, and published each
+    advertising object's publication (its ads and sorted cells) by id; the
+    publications collected during a round become the board at the flip.  A
+    board's dicts are never mutated, so a runtime may install one again.
+    Proposals are checked pairwise for symmetry: both parties must name the
+    same shared cells, anything else is a protocol bug.
     """
 
     def __init__(self, rng: RngState, scheduler: str = "round-robin"):
@@ -183,7 +223,7 @@ class SpaceMediator:
         self.rng = rng
         self.scheduler = scheduler
         self.board: dict[tuple, list[Advertisement]] = {}
-        self.board_by_object: dict[str, list[Advertisement]] = {}
+        self.published: dict[str, _Publication] = {}  # or records, which have its fields
         self._next: list[Advertisement] = []
         self._proposals: dict[tuple[str, str], dict[str, tuple]] = {}
         self.rejections: list[dict] = []
@@ -192,13 +232,28 @@ class SpaceMediator:
         self._next.extend(ads)
 
     def flip(self):
-        self.board = {}
-        self.board_by_object = {}
+        """Make the publications the board, each object's in publication
+        order, the objects in the order of their first publication."""
+        by_object: dict[str, list[Advertisement]] = {}
         for ad in self._next:
-            self.board.setdefault(ad.cell, []).append(ad)
-            self.board_by_object.setdefault(ad.object_id, []).append(ad)
+            by_object.setdefault(ad.object_id, []).append(ad)
         self._next = []
+        self.install(
+            *_lay_out(
+                _Publication(object_id, ads, tuple(sorted({ad.cell for ad in ads})))
+                for object_id, ads in by_object.items()
+            )
+        )
+
+    def install(self, board: dict, published: dict):
+        """Make a laid-out board (_lay_out's two dicts) the board."""
+        self.board, self.published = board, published
         self._proposals = {}
+
+    @property
+    def board_by_object(self) -> dict[str, list[Advertisement]]:
+        """object id -> its advertisements on the board."""
+        return {object_id: publication.ads for object_id, publication in self.published.items()}
 
     def submit_proposal(self, proposer: str, other: str, cells: tuple):
         if proposer == other:
@@ -256,7 +311,14 @@ class RefinedRuntime:
         self.scheduler = scheduler
         self.keep_ledger = keep_ledger
         self._records: dict[int, _Record] = {}  # id(obj) -> obj's record
+        self._built = False  # a record was built since the last publish
+        # a board snapshot is a tuple: the records it was laid out from (they
+        # hold the objects whose id()s key it, so no id can be reused),
+        # _lay_out's two dicts, and each engine's proposals against it by
+        # object id, filled as engines detect
+        self._snapshots: dict[tuple, tuple] = {}  # (*object ids, *id()s) -> snapshot
         self._space = None  # the space the records' verdicts hold for
+        self._trial = -1  # the current trial's index, counted by next_trial
         self.next_trial(state, rng)
 
     def next_trial(self, state: SystemState, rng: RngState):
@@ -265,9 +327,13 @@ class RefinedRuntime:
         over while the trial's space is the previous trial's."""
         if state.space is not self._space:
             self._records.clear()
+            self._snapshots.clear()
             self._space = state.space
+        self._trial += 1
         self.state = state
         self.mediator = SpaceMediator(rng.substream("events"), self.scheduler)
+        # the board's key and snapshot; a trial starts on an empty board
+        self._key, self._snapshot = None, ((), None, {})
         self.ledger: list[LedgerEntry] = []
         self.interactions = 0  # granted events, each checked against the ledger
         self.round_index = 0
@@ -293,9 +359,11 @@ class RefinedRuntime:
         if record is None or record.object_id != object_id:
             if len(self._records) >= MAX_RECORDS:
                 self._records.clear()
+                self._snapshots.clear()  # they could not hit again
             problem = self.state.object_problem(obj)
-            record = _Record(obj, object_id, _advertise(object_id, obj), problem)
+            record = _Record(obj, object_id, *_advertise(object_id, obj), problem, self._trial)
             self._records[id(obj)] = record
+            self._built = True
         return record
 
     # -- round phases ------------------------------------------------------
@@ -309,8 +377,14 @@ class RefinedRuntime:
         self.round_index += 1
 
     def detect_and_grant(self) -> set:
+        proposed = self._snapshot[2]
         for object_id in sorted(self.engines):
-            self.engines[object_id].detect(self._views[object_id])
+            proposals = proposed.get(object_id)
+            if proposals is None:
+                proposed[object_id] = self.engines[object_id].detect(self._views[object_id])
+            else:
+                for other_id, cells in proposals:
+                    self.mediator.submit_proposal(object_id, other_id, cells)
         busy: set[str] = set()
         for event in self.mediator.collect_events():
             a_id, b_id = event.pair
@@ -372,10 +446,25 @@ class RefinedRuntime:
                 raise InvariantViolation(f"after propagation: {problem}")
 
     def publish_phase(self):
+        """Lay out the live objects' board, or install it again: the stored
+        snapshot of the same objects, or the board of the last round."""
         objects = self.state.objects
-        for object_id in sorted(objects):
-            self.mediator.publish(*self._record(object_id, objects[object_id]).ads)
-        self.mediator.flip()
+        key = (*objects, *map(id, objects.values()))
+        built, self._built = self._built, False
+        if key != self._key:
+            # no stored key holds an object whose record was built since the
+            # last publish: records and snapshots are cleared together
+            snapshot = None if built else self._snapshots.get(key)
+            if snapshot is None:
+                records = [self._record(object_id, objects[object_id]) for object_id in sorted(objects)]
+                snapshot = (records, _lay_out(records), {})
+                trial = self._trial  # stored when no record is new to this trial
+                if not built and all(record.trial < trial for record in records):
+                    if len(self._snapshots) >= MAX_RECORDS:
+                        self._snapshots.clear()
+                    self._snapshots[key] = snapshot
+            self._key, self._snapshot = key, snapshot
+        self.mediator.install(*self._snapshot[1])
 
     def run(self, max_rounds: int = 64) -> int:
         """Rounds until the policy reports completion; returns the count."""

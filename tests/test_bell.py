@@ -20,6 +20,7 @@ from qcausal.experiments.bell import (
     BellConfig,
     BellRoundPolicy,
     JointStats,
+    LhvReport,
     UnentangledConfig,
     apply_stern_gerlach,
     bell_scan,
@@ -419,6 +420,28 @@ def test_model_correlation_reduces_huge_angles():
     assert _norm_angle(1e20) == 280.0
     assert model_correlation(1e20, 30.0) == model_correlation(280.0, 30.0)
     assert model_correlation(30.0, -1e20) == model_correlation(30.0, 80.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_model_correlation_needs_finite_angles(bad):
+    # an infinite angle made math.fmod raise a bare ValueError; nan gave nan
+    for args in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ConfigError, match="^model_correlation angles must be finite"):
+            model_correlation(*args)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_lhv_model_margins_need_finite_angles(bad):
+    report = LhvReport(angles=(0.0, bad, 30.0), form="identical")
+    with pytest.raises(ConfigError, match="must be finite"):
+        report.model_margins()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_lhv_oracle_needs_finite_angles(bad):
+    for angles in ((bad, 0.0, 30.0), (0.0, 30.0, bad)):
+        with pytest.raises(ConfigError, match="^lhv.angles must be finite"):
+            lhv_oracle(angles)
 
 
 def test_evaluate_bell_forms():

@@ -20,6 +20,10 @@ literal) or names RefinedRuntime, apart from runtime.py, which defines it.
 All randomness goes through engine.random_draw: no other function under
 src/ calls .random() on a generator, so no memo or shortcut can open a
 second draw path past its checks.
+
+Engines never read another object's state: ObjectEngine reaches the world
+only through the public methods of the RoundView it is handed, and names
+no mediator, board, state or record store.
 """
 
 import ast
@@ -272,3 +276,54 @@ def test_only_the_driver_runs_trials():
             if (module, scope) != ("interaction.py", "run_trials"):
                 offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
     assert offenders == []
+
+
+ENGINE_FORBIDDEN = {"_mediator", "mediator", "board", "board_by_object", "published", "state", "_records", "_snapshots"}
+
+
+def engine_reach(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each place ObjectEngine names something outside its
+    RoundView: a name or attribute in ENGINE_FORBIDDEN, a private attribute
+    of anything but self, or an attribute of `view` that is not a public
+    method of RoundView."""
+    classes = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+    aperture = {
+        node.name
+        for node in classes["RoundView"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    found = []
+    for node in ast.walk(classes["ObjectEngine"]):
+        if isinstance(node, ast.Name) and node.id in ENGINE_FORBIDDEN:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if (
+                node.attr in ENGINE_FORBIDDEN
+                or (node.attr.startswith("_") and owner != "self")
+                or (owner == "view" and node.attr not in aperture)
+            ):
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_engine_scanner_flags_reaches_past_the_view():
+    source = (
+        "class RoundView:\n"
+        "    def own_cells(self):\n"
+        "        return self._mediator.cells\n"
+        "    def _peek(self):\n"
+        "        pass\n"
+        "class ObjectEngine:\n"
+        "    def detect(self, view):\n"
+        "        mine = view.own_cells()\n"
+        "        board = view._mediator.board\n"
+        "        other = view._peek()\n"
+        "        return view.state, self.object_id, mine\n"
+    )
+    assert engine_reach(source) == [(9, "_mediator"), (9, "board"), (9, "board"), (10, "_peek"), (11, "state")]
+
+
+def test_engines_reach_the_world_only_through_their_view():
+    path = PACKAGE / "runtime.py"
+    assert engine_reach(path.read_text()) == []

@@ -9,6 +9,7 @@ import pytest
 from qcausal.engine import RngState
 from qcausal.errors import ConfigError, InvariantViolation
 from qcausal import interaction
+from qcausal import runtime as runtime_module
 from qcausal.experiments import bell
 from qcausal.experiments.bell import BellConfig, run_bell_experiment
 from qcausal.experiments.doubleslit import (
@@ -640,10 +641,10 @@ def _trials_of(world):
     return DoubleSlitRoundPolicy(SMALL_GEOMETRY, world == "doubleslit-on")
 
 
-def _per_trial(world, scheduler, reuse, trials):
+def _per_trial(world, scheduler, reuse, trials, size=lambda runtime: len(runtime._records)):
     """Each trial's rounds, interactions, rejections, ledger and outcome, from
     one runtime reset per trial (reuse) or a fresh runtime per trial, and
-    the size of the record cache after each trial."""
+    the size of the record cache (or what size gives) after each trial."""
     policy = _trials_of(world)
     root = RngState(5)
     runtime, results, sizes = None, [], []
@@ -658,7 +659,7 @@ def _per_trial(world, scheduler, reuse, trials):
         results.append(
             (rounds, runtime.interactions, runtime.mediator.rejections, runtime.ledger, policy.outcome())
         )
-        sizes.append(len(runtime._records))
+        sizes.append(size(runtime))
     return results, sizes
 
 
@@ -682,3 +683,104 @@ def test_record_cache_stays_within_its_bound(world):
     else:  # memoised fans and effects bring back the same objects: the records plateau
         assert len(set(sizes[1000:])) == 1
         assert sizes[-1] > SMALL_GEOMETRY.n_cells  # records of many trials' hits carried over
+
+
+# -- board snapshots: each distinct board laid out, and detected on, once per run -----
+
+
+def _stored_objects(runtime):
+    return {id(record.obj) for records, _, _ in runtime._snapshots.values() for record in records}
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("world", ["bell", "doubleslit-off", "doubleslit-on"])
+def test_served_proposals_equal_a_fresh_detect(monkeypatch, world, scheduler):
+    detect_and_grant, detect = RefinedRuntime.detect_and_grant, ObjectEngine.detect
+    propagate = BellRoundPolicy.propagate
+    detected, served, runtimes, pairs = [], [], set(), []
+
+    def counted_detect(engine, view):
+        detected.append(engine.object_id)
+        return detect(engine, view)
+
+    def tracked_propagate(policy, state, object_id):
+        moved = propagate(policy, state, object_id)
+        if moved is not None:  # the emitted pair, at the source and drifted
+            pairs.extend((state.objects[object_id], moved))
+        return moved
+
+    def checked_detect_and_grant(runtime):
+        # a fresh detect by every engine against the board rebuilt from its ads
+        probe = SpaceMediator(RngState(0))
+        for ads in runtime.mediator.board_by_object.values():
+            probe.publish(*ads)
+        probe.flip()
+        for object_id in sorted(runtime.engines):
+            detect(ObjectEngine(object_id), RoundView(probe, object_id))
+        engines = len(runtime.engines)
+        detected.clear()
+        busy = detect_and_grant(runtime)
+        assert runtime.mediator._proposals == probe._proposals
+        served.append(engines - len(detected))
+        assert not _stored_objects(runtime) & {id(pair) for pair in pairs}
+        runtimes.add(id(runtime))
+        return busy
+
+    monkeypatch.setattr(ObjectEngine, "detect", counted_detect)
+    monkeypatch.setattr(BellRoundPolicy, "propagate", tracked_propagate)
+    monkeypatch.setattr(RefinedRuntime, "detect_and_grant", checked_detect_and_grant)
+    if world == "bell":
+        run_bell_experiment(BellConfig(0.0, 30.0, trials=40, seed=2, runtime="refined", scheduler=scheduler))
+        assert pairs  # and none of them was ever on a stored board
+    else:
+        run_double_slit(world == "doubleslit-on", 40, SMALL_GEOMETRY, seed=2, runtime="refined", scheduler=scheduler)
+    assert len(served) >= 40 * 4
+    assert len(runtimes) == 1  # one runtime per run
+    assert sum(served) > 0  # boards repeat: engines were served their earlier proposals
+
+
+def test_a_tampered_stored_proposal_fails_the_symmetry_check():
+    policy = _trials_of("doubleslit-on")
+    root = RngState(5)
+    runtime = RefinedRuntime(policy.start(root.substream(0)), policy, root.substream(0))
+    runtime.run(max_rounds=16)
+    for trial in range(1, 10):
+        runtime.next_trial(policy.start(root.substream(trial)), root.substream(trial))
+        runtime.run(max_rounds=16)
+    tampered = 0
+    for _, _, proposals in runtime._snapshots.values():
+        for object_id, submitted in list(proposals.items()):
+            # one side of each pair names a cell the other side does not
+            changed = tuple((other, cells + ((99,),)) if object_id < other else (other, cells) for other, cells in submitted)
+            tampered += changed != submitted
+            proposals[object_id] = changed
+    assert tampered
+    with pytest.raises(InvariantViolation, match="proposal mismatch"):
+        for trial in range(10, 20):
+            runtime.next_trial(policy.start(root.substream(trial)), root.substream(trial))
+            runtime.run(max_rounds=16)
+
+
+@pytest.mark.parametrize("world", ["bell", "doubleslit-on"])
+def test_snapshot_store_stays_within_its_bound(monkeypatch, world):
+    full, sizes = _per_trial(world, "round-robin", reuse=True, trials=2000, size=lambda r: len(r._snapshots))
+    assert 0 < max(sizes) <= MAX_RECORDS
+    # a bound small enough to clear the store often changes no trial
+    monkeypatch.setattr(runtime_module, "MAX_RECORDS", 4)
+    bounded, small = _per_trial(world, "round-robin", reuse=True, trials=300, size=lambda r: len(r._snapshots))
+    assert bounded == full[:300]
+    assert max(small) <= 4
+
+
+def test_snapshots_are_dropped_when_the_space_changes():
+    atom = _atom("a", (6,))
+    first = _world(atom)
+    runtime = RefinedRuntime(first, VetoPolicy(), RngState(0))
+    runtime.run_round()
+    # the atom's record is from the trial before, so its board is stored
+    runtime.next_trial(SystemState(space=first.space, objects={"a": atom}), RngState(1))
+    runtime.run_round()
+    assert len(runtime._snapshots) == 1
+    small = SystemState(space=Space(dims=1, extent=(4,), delta_x=1.0), objects={"a": atom})
+    runtime.next_trial(small, RngState(2))
+    assert runtime._snapshots == {} and runtime._records == {}
