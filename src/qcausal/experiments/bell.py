@@ -29,17 +29,19 @@ so equal-angle agreement is an exact model property, not a float accident.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from ..engine import Cumulative, RngState, random_draw
+from ..engine import RngState, random_draw
 from ..errors import ConfigError
 from ..interaction import (
-    MAX_EFFECTS,
+    MAX_MEMO,
     OutcomeRow,
     OutcomeTable,
     RoundPolicy,
+    _candidates,
     check_run,
     check_trials,
     claim,
@@ -98,9 +100,6 @@ SOURCE_CELL = (1,)
 WING_A_CELL = (0,)
 WING_B_CELL = (2,)
 PUMP_IDS = ("pump-1", "pump-2")
-# a policy's survivor memo is cleared at this size; a run needs at most 4
-# entries per screen and side
-MAX_SURVIVORS = 16
 _AT_SOURCE = frozenset({SOURCE_CELL})
 _SPACE = Space(dims=1, extent=(3,), delta_x=1.0)  # frozen, so every trial shares it
 
@@ -291,37 +290,36 @@ class BellRoundPolicy(RoundPolicy):
     before candidates are recomputed.
 
     One policy serves a whole run: causal_order and start begin each trial
-    (rng is the first trial's emission stream).  Its memos are per run and
-    bounded, and every draw is made as without them:
+    (rng is the first trial's emission stream).  Its memo is per run and
+    bounded (RoundPolicy.memoised), and every draw is made as without it:
 
     - The source claim: the pumps are the same cached objects in every
-      trial, so its one candidate and probability are found once and
-      served while both pumps are those objects.
-    - A survivor's claim.  What meets the second screen is the pair
-      collapsed by the first one: one of four values (the first screen's
-      case, times the sign of the row's amplitude), though a new object in
-      every trial.  prepare looks it up by the claim's ids, the screen
-      object and the survivor's equality, and serves the analyzed object
-      with its candidates and their Cumulative.  Its inputs are then the
-      same objects every time, so effects serves its effect by identity
-      (RoundPolicy.effect).
-    - The first screen's effect.  interaction_effect reads the analyzed
+      trial, so its candidates are served by their identity.  Its table
+      depends on theta, so its effect is computed every trial.
+    - The first screen's claim.  The analyzed pair is new in every trial,
+      so its candidates are found afresh.  interaction_effect reads the
       pair only through the chosen row collapsed by reduce_to_path: the
       id, the particles, the conserved and global blocks and that row's
-      path states and amplitude.  The effect is served from effects by the
-      screen object, the table, the tag, the pair's side, the chosen
+      path states and amplitude.  The effect is served from the memo by
+      the screen object, the table, the tag, the pair's side, the chosen
       candidate's position and indices, and that collapsed row, compared
       by equality.
+    - A survivor's claim.  What meets the second screen is the pair
+      collapsed by the first one, an owner of the first screen's effect,
+      so it is the same object on every hit of that effect.  prepare
+      serves the analyzed survivor by the survivor's identity and the
+      screen's angle; its candidates and effect are then served by
+      identity too.
 
     Equality is exact here.  Floats that compare equal have the same bits
     except for signed zeros, and no zero's sign varies within a run in
-    these records.  Every float of a survivor or a collapsed row is either
-    the same in every trial (computed from the templates' momenta and
-    masses and this policy's analyzer axes) or the row's amplitude, which
-    is +1 or -1 with imaginary part +0.0: the pair's phase (1+0j) times a
-    real projection, over its modulus.  An equal record therefore yields
-    the objects a fresh computation would build, bit for bit, and the
-    tests compare them by repr as well.
+    these records.  Every float of a collapsed row is either the same in
+    every trial (computed from the templates' momenta and masses and this
+    policy's analyzer axes) or the row's amplitude, which is +1 or -1 with
+    imaginary part +0.0: the pair's phase (1+0j) times a real projection,
+    over its modulus.  An equal row therefore yields the objects a fresh
+    computation would build, bit for bit, and the tests compare them by
+    repr as well.
     """
 
     def __init__(self, angle_a: float, angle_b: float, spindir_policy, rng: RngState):
@@ -329,13 +327,10 @@ class BellRoundPolicy(RoundPolicy):
         self.angles = {"screen-a": _norm_angle(angle_a), "screen-b": _norm_angle(angle_b)}
         self.spindir_policy = spindir_policy  # a fixed angle or "uniform"
         self._source = False
+        self._first_screen = False
         self._pair_id: str | None = None
         self._screen_id: str | None = None
-        self._source_memo: tuple | None = None  # (pump a, pump b, candidates, Cumulative)
-        # survivors' claims: ((a id, b id), screen, survivor, analyzed, candidates, Cumulative)
-        self.survivors: list[tuple] = []
-        self._served: tuple | None = None  # this claim's survivor entry
-        self.effects = {}
+        self.memo = {}
         self.new_trial(rng)
 
     def new_trial(self, rng: RngState):
@@ -367,7 +362,7 @@ class BellRoundPolicy(RoundPolicy):
         # meet at the source, a screen is a key of angles, and whatever
         # meets a screen is the pair
         self._source = a_id in PUMP_IDS and b_id in PUMP_IDS
-        self._served = None
+        self._first_screen = False
         if self._source:  # the emission direction is the source claim's first draw
             self.theta = draw_emission_direction(self.spindir_policy, self.rng)
         if b_id in self.angles:
@@ -377,35 +372,18 @@ class BellRoundPolicy(RoundPolicy):
         else:
             self._pair_id = self._screen_id = None
             return
-        pair = state.objects[self._pair_id]
-        if len(pair.particles) > 1:
-            state.objects[self._pair_id] = apply_stern_gerlach(pair, 0, self.angles[self._screen_id])
-            return
-        screen = state.objects[self._screen_id]
-        for entry in self.survivors:
-            if entry[0] == (a_id, b_id) and entry[1] is screen and entry[2] == pair:
-                break
+        pair, angle = state.objects[self._pair_id], self.angles[self._screen_id]
+        self._first_screen = len(pair.particles) > 1
+        if self._first_screen:
+            analyzed = apply_stern_gerlach(pair, 0, angle)
         else:
-            if len(self.survivors) >= MAX_SURVIVORS:
-                self.survivors.clear()
-            state.objects[self._pair_id] = analyzed = apply_stern_gerlach(pair, 0, self.angles[self._screen_id])
-            found, probabilities = super().candidates(state, a_id, b_id)
-            entry = ((a_id, b_id), screen, pair, analyzed, found, Cumulative(probabilities))
-            self.survivors.append(entry)
-        self._served = entry
-        state.objects[self._pair_id] = entry[3]
+            analyzed = self.memoised(("analyzed", id(pair), angle), apply_stern_gerlach, pair, 0, angle)
+        state.objects[self._pair_id] = analyzed
 
     def candidates(self, state: SystemState, a_id: str, b_id: str):
-        if self._served is not None:
-            return self._served[4], self._served[5]
-        if not self._source:
-            return super().candidates(state, a_id, b_id)
-        a, b = state.objects[a_id], state.objects[b_id]
-        memo = self._source_memo
-        if memo is None or memo[0] is not a or memo[1] is not b:
-            found, probabilities = super().candidates(state, a_id, b_id)
-            memo = self._source_memo = (a, b, found, Cumulative(probabilities))
-        return memo[2], memo[3]
+        if self._first_screen:
+            return _candidates(state.objects[a_id], state.objects[b_id])
+        return super().candidates(state, a_id, b_id)
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
         if self._source:
@@ -421,10 +399,10 @@ class BellRoundPolicy(RoundPolicy):
 
     def effect(self, a: QuantumObject, b: QuantumObject, chosen, table: OutcomeTable, tag: int) -> tuple:
         if self._source:  # its table is new every trial
-            return interaction_effect(a, b, chosen, table, str(tag))
-        if self._served is not None:  # a survivor's: every input is a memo's or a cache's own object
+            return interaction_effect(a, b, chosen, table, tag)
+        if not self._first_screen:
             return super().effect(a, b, chosen, table, tag)
-        # the first screen's, served by its collapsed row
+        # the first screen's, served by the equality of its collapsed row
         pair_first = a.object_id == self._pair_id
         pair, screen = (a, b) if pair_first else (b, a)
         row, screen_row = (
@@ -432,16 +410,16 @@ class BellRoundPolicy(RoundPolicy):
         )
         collapsed = reduce_to_path(pair, row)
         key = (
-            id(screen), id(table), tag, pair_first, screen_row, row, chosen.position,
+            "collapsed", id(screen), id(table), tag, pair_first, screen_row, row, chosen.position,
             chosen.particle_index_1, chosen.particle_index_2, collapsed.paths[0].amplitude,
         )
-        memo = self.effects
+        memo = self.memo
         entry = memo.get(key)
-        if entry is None or entry[0] != collapsed:
-            if len(memo) >= MAX_EFFECTS:
+        if entry is None or entry[0][0] != collapsed:
+            if len(memo) >= MAX_MEMO:
                 memo.clear()
-            entry = memo[key] = (collapsed, screen, table, interaction_effect(a, b, chosen, table, str(tag)))
-        return entry[-1]
+            entry = memo[key] = ((collapsed, screen, table), interaction_effect(a, b, chosen, table, tag))
+        return entry[1]
 
     def propagate(self, state: SystemState, object_id: str):
         # only the pair moves, and only off the source
@@ -528,13 +506,14 @@ class BellConfig:
     scheduler: str = "round-robin"  # refined runtime only
 
     def __post_init__(self):
-        check_run(self.trials, self.runtime, self.scheduler, "bell.")
-        if not (self.spindir_policy == "uniform" or isinstance(self.spindir_policy, (int, float))):
-            raise ConfigError(f"bell.spindir_policy must be 'uniform' or an angle, got {self.spindir_policy!r}")
+        check_run(self.trials, self.seed, self.runtime, self.scheduler, "bell.")
         for name in ("angle_a", "angle_b", "spindir_policy"):
             value = getattr(self, name)
-            if value != "uniform" and not math.isfinite(value):
-                raise ConfigError(f"bell.{name} must be finite, got {value!r}")
+            if name == "spindir_policy" and value == "uniform":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                expected = "'uniform' or a finite angle" if name == "spindir_policy" else "a finite angle"
+                raise ConfigError(f"bell.{name} must be {expected}, got {value!r}")
 
 
 @dataclass

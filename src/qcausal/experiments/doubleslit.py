@@ -26,21 +26,18 @@ the configured geometry alone.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..engine import Cumulative, RngState
+from ..engine import RngState
 from ..errors import ConfigError
 from ..interaction import (
     OutcomeRow,
     OutcomeTable,
     RoundPolicy,
-    _selection_probabilities,
     claim,
-    determine_potential_interactions,
     run_trials,
 )
 from ..state import (
@@ -369,33 +366,20 @@ class ScreenHistogram:
 # -- the world and its policy -----------------------------------------------------
 
 
-# one memoised fan: its input, the fanned object, and the fan's screen
-# candidates with their selection probabilities in Cumulative form
-_Fan = namedtuple("_Fan", "source fan candidates selection")
-
-
-def _selection(candidates) -> tuple[list, Cumulative]:
-    return candidates, Cumulative(_selection_probabilities(candidates))
-
-
 class DoubleSlitRoundPolicy(RoundPolicy):
     """Slit-plane marking (optional), fan to the screen, absorption.
 
     Roles are named by object id: the photon meets the marker, and
     whatever meets the screen carries the photon, alone or as the marker's
-    product.  One policy serves a whole run under either scheduler.  Every
-    trial fans one of at most three inputs (the unmarked photon, or the
-    product from either slit), so each fan and its screen candidates with
-    their summed selection probabilities are built once per distinct input
-    and served from a memo after that.  A memo hit needs an input equal to
-    the one the fan was built from.  The marking claim's two candidates are
-    built once for each claim order: photon first, as the centralized trial
-    claims, and marker first, as the decentralized runtime claims in sorted
-    id order.
-
-    The claims' inputs and their outcome tables (cached) are therefore the
-    same objects trial after trial, so claim serves their effects from this
-    policy's memo (interaction.MAX_EFFECTS bounds it).
+    product.  One policy serves a whole run under either scheduler, and
+    its memo serves every claim by identity (RoundPolicy.memoised).  The
+    photon, the marker, the screen and the outcome tables (cached) are the
+    same objects in every trial, so the marking claim's candidates and
+    effects are too; the marker's product is an effect's out collection,
+    the same object on every hit.  So every trial fans one of at most
+    three inputs (the unmarked photon, or the product from either slit),
+    and each fan with its screen candidates and their effects is built
+    once per run.
     """
 
     def __init__(self, geometry: SlitGeometry, marker: bool):
@@ -406,12 +390,7 @@ class DoubleSlitRoundPolicy(RoundPolicy):
         self.space = geometry.space()
         cast = (self.photon, self.marker, self.screen) if marker else (self.photon, self.screen)
         self.objects = {obj.object_id: obj for obj in cast}
-        orders = ((self.photon, self.marker), (self.marker, self.photon)) if marker else ()
-        self._marking = {
-            (id(a), id(b)): _selection(determine_potential_interactions(a, b)) for a, b in orders
-        }
-        self.fans: list[_Fan] = []
-        self.effects = {}
+        self.memo = {}
         self.hit_cell: int | None = None
 
     def start(self, rng: RngState) -> SystemState:
@@ -432,28 +411,6 @@ class DoubleSlitRoundPolicy(RoundPolicy):
     def outcome(self) -> int:
         return self.hit_cell
 
-    def fan_of(self, obj: QuantumObject) -> _Fan:
-        """obj's fan to the screen with its screen candidates, from the memo."""
-        for entry in self.fans:
-            if entry.source is obj or entry.source == obj:
-                return entry
-        fanned = propagate_to_screen(obj, self.geometry)
-        entry = _Fan(obj, fanned, *_selection(determine_potential_interactions(fanned, self.screen)))
-        self.fans.append(entry)
-        return entry
-
-    def candidates(self, state: SystemState, a_id: str, b_id: str):
-        a, b = state.objects[a_id], state.objects[b_id]
-        if b is self.screen:
-            for entry in self.fans:
-                if entry.fan is a:
-                    return entry.candidates, entry.selection
-        else:
-            marking = self._marking.get((id(a), id(b)))
-            if marking is not None:
-                return marking
-        return super().candidates(state, a_id, b_id)
-
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
         if self.screen.object_id in (a_id, b_id):
             self.hit_cell = candidate.position[0]
@@ -472,7 +429,7 @@ class DoubleSlitRoundPolicy(RoundPolicy):
         plane = next(iter(obj.paths[0].pathstates[0].spacepoints))[1]
         if plane != SLIT_PLANE:
             return None
-        return self.fan_of(obj).fan
+        return self.memoised(("fan", id(obj)), propagate_to_screen, obj, self.geometry)
 
     def done(self, state: SystemState) -> bool:
         return self.screen.object_id not in state.objects
@@ -491,6 +448,8 @@ def run_double_slit(
 ) -> ScreenHistogram:
     """Monte Carlo screen histogram, marker on or off: run_trials of one
     policy under either scheduler."""
+    if not isinstance(marker, bool):
+        raise ConfigError(f"marker must be a bool, got {marker!r}")
     policy = DoubleSlitRoundPolicy(geometry, marker)
     counts = np.zeros(geometry.n_cells, dtype=np.int64)
     for cell in run_trials(policy, trials, seed, runtime, scheduler):

@@ -37,19 +37,19 @@ the sums recorded on the interaction object.
 
 A world says what its interactions mean through a RoundPolicy, and claim
 runs one event of it, both in the world's centralized causal order and
-for each event the decentralized runtime grants.  A policy whose
-candidates repeat from trial to trial (the two-slit fans and marking, the
-Bell source, the Bell pair's survivors) serves them from a memo together
-with their probabilities' Cumulative form, so no weight is re-checked or
-re-summed per draw.
+for each event the decentralized runtime grants.
 
 An interaction's effect (the participants' survivors, the out collection
 and the event-log entries) depends only on the two objects, the chosen
 candidate, the outcome table and the tag, so perform_interaction is
-interaction_effect written into the state by apply.  claim takes every
-effect from its policy's effect hook, which a world whose claims repeat
-serves from a memo: the two-slit world by the identity of the inputs,
-the Bell world's screens by their equality (experiments/bell.py).
+interaction_effect written into the state by apply.  A world whose claims
+see the same objects trial after trial keeps one per-run memo, and
+RoundPolicy.memoised serves from it, by the identity of their inputs, the
+claims' candidates with their probabilities' Cumulative form (so no
+weight is re-checked or re-summed per draw), their effects, and what the
+world itself builds from them (the two-slit fans, the Bell survivors'
+analyzed pair).  Only the Bell world's first screen trusts equality
+(experiments/bell.py).
 
 run_trials is the one trial loop, for every world under both schedulers.
 Trial i draws only from the substream (seed, i).  Three policy hooks give
@@ -273,7 +273,7 @@ def create_interaction_object(
     candidate: InteractionCandidate,
     outcome_table: OutcomeTable | None = None,
     *,
-    tag: str,
+    tag: str | int,
 ) -> InteractionObject:
     """Record the selected interaction at its position.
 
@@ -404,7 +404,7 @@ def interaction_effect(
     b: QuantumObject,
     candidate: InteractionCandidate,
     outcome_table: OutcomeTable,
-    tag: str,
+    tag: str | int,
 ) -> tuple:
     """What performing the selected candidate does, computed without a state:
     (owners, out, log).  owners holds each participant's (object id,
@@ -478,11 +478,19 @@ def perform_interaction(
     return apply(state, effect)
 
 
-# a policy's effect memo is cleared when it passes this many entries; the
-# two-slit world needs at most 3 * n_cells + 2 (386 at 128 cells)
-MAX_EFFECTS = 512
+# a policy's memo is cleared when it reaches this many entries; a two-slit
+# run at 128 cells keeps at most 263 (258 effects, 3 candidate lists, 2 fans)
+MAX_MEMO = 512
 RUNTIMES = ("centralized", "refined")
 SCHEDULERS = ("round-robin", "randomized")
+
+
+def _candidates(a: QuantumObject, b: QuantumObject) -> tuple[list, list[float] | Cumulative]:
+    """a and b's candidates with their selection probabilities, in
+    Cumulative form when there are any."""
+    found = determine_potential_interactions(a, b)
+    probabilities = _selection_probabilities(found)
+    return found, Cumulative(probabilities) if found else probabilities
 
 
 class RoundPolicy:
@@ -492,23 +500,41 @@ class RoundPolicy:
     these hooks.  prepare may rewrite a participant before candidates are
     recomputed (measurement devices do), candidates returns the live
     candidates between the prepared participants with their selection
-    probabilities or those probabilities' Cumulative form (a world may
-    serve both from a memo), table_for returns the outcome table for a
-    selected candidate or None to veto, propagate returns a moved
-    replacement object or None to stand still.  effect returns what a
-    claim's interaction does; by default it is interaction_effect, served
-    from effects when a world sets that to a dict.  start, causal_order and
-    outcome are the trial hooks run_trials calls.
+    probabilities or those probabilities' Cumulative form, table_for
+    returns the outcome table for a selected candidate or None to veto,
+    propagate returns a moved replacement object or None to stand still.
+    effect returns what a claim's interaction does.  start, causal_order
+    and outcome are the trial hooks run_trials calls.
+
+    A world whose claims repeat sets memo to a dict of its own, and
+    memoised then serves the default candidates and effect, and whatever
+    the world builds through it, once per distinct input; without a memo
+    each is built every time.
     """
 
-    effects: dict | None = None
+    memo: dict | None = None
+
+    def memoised(self, key: tuple, build, *args):
+        """build(*args), served from memo under key.  key names what is built
+        and its inputs among args by id(); an entry holds args, so no id in
+        its key can be reused while it is cached.  The memo is cleared when
+        it reaches MAX_MEMO entries."""
+        memo = self.memo
+        if memo is None:
+            return build(*args)
+        entry = memo.get(key)
+        if entry is None:
+            if len(memo) >= MAX_MEMO:
+                memo.clear()
+            entry = memo[key] = (args, build(*args))
+        return entry[1]
 
     def prepare(self, state: SystemState, a_id: str, b_id: str):
         pass
 
     def candidates(self, state: SystemState, a_id: str, b_id: str) -> tuple[list, list[float] | Cumulative]:
-        found = determine_potential_interactions(state.objects[a_id], state.objects[b_id])
-        return found, _selection_probabilities(found)
+        a, b = state.objects[a_id], state.objects[b_id]
+        return self.memoised(("candidates", id(a), id(b)), _candidates, a, b)
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate) -> OutcomeTable | None:
         raise NotImplementedError
@@ -516,22 +542,11 @@ class RoundPolicy:
     def effect(
         self, a: QuantumObject, b: QuantumObject, chosen: InteractionCandidate, table: OutcomeTable, tag: int
     ) -> tuple:
-        """interaction_effect(a, b, chosen, table, str(tag)).  With an effects
-        memo it is looked up by the identity of its inputs (the two objects,
-        the chosen candidate and the table) and the tag, and computed only
-        on a miss.  An entry holds its inputs, so their ids cannot be reused
-        while it is cached.  The memo is cleared when it reaches MAX_EFFECTS
-        entries."""
-        memo = self.effects
-        if memo is None:
-            return interaction_effect(a, b, chosen, table, str(tag))
-        key = (id(a), id(b), id(chosen), id(table), tag)
-        entry = memo.get(key)
-        if entry is None:
-            if len(memo) >= MAX_EFFECTS:
-                memo.clear()
-            entry = memo[key] = (a, b, chosen, table, interaction_effect(a, b, chosen, table, str(tag)))
-        return entry[-1]
+        """interaction_effect(a, b, chosen, table, tag), keyed by the identity
+        of the two objects, the chosen candidate and the table, and the tag."""
+        return self.memoised(
+            ("effect", id(a), id(b), id(chosen), id(table), tag), interaction_effect, a, b, chosen, table, tag
+        )
 
     def propagate(self, state: SystemState, object_id: str) -> QuantumObject | None:
         return None
@@ -579,9 +594,12 @@ def check_trials(trials, prefix: str = ""):
         raise ConfigError(f"{prefix}trials must be an int > 0, got {trials!r}")
 
 
-def check_run(trials, runtime: str, scheduler: str, prefix: str = ""):
-    """Stop a run unless check_trials passes and runtime and scheduler are known."""
+def check_run(trials, seed, runtime: str, scheduler: str, prefix: str = ""):
+    """Stop a run unless check_trials passes, seed is an int (not a bool),
+    and runtime and scheduler are known."""
     check_trials(trials, prefix)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"{prefix}seed must be an int, got {seed!r}")
     if runtime not in RUNTIMES:
         raise ConfigError(f"{prefix}runtime must be one of {RUNTIMES}, got {runtime!r}")
     if scheduler not in SCHEDULERS:
@@ -591,7 +609,7 @@ def check_run(trials, runtime: str, scheduler: str, prefix: str = ""):
 def run_trials(policy: RoundPolicy, trials: int, seed: int, runtime: str, scheduler: str):
     """Yield the outcome of each of policy's trials, in order, after checking
     the arguments; a refined trial runs for at most 16 rounds."""
-    check_run(trials, runtime, scheduler)
+    check_run(trials, seed, runtime, scheduler)
     root = RngState(seed)
     if runtime == "centralized":
         for trial in range(trials):

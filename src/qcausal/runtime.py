@@ -14,8 +14,8 @@ lag is the price of symmetry.
 
 Objects are frozen records, and most of a round's objects are the very
 ones of the round before, or of the trial before (a screen, a pump, a
-memoised fan).  So each object's advertisements, the sorted cells they
-occupy and its invariant verdict are computed once, into a publication
+memoised fan).  So each object is checked once, and its advertisements
+and the sorted cells they occupy are computed once, into a publication
 record keyed by the object's identity, and reused while the same object
 stays live, across the trials a runtime serves.
 
@@ -49,11 +49,11 @@ A round has four phases:
   3. propagate: engines that did not interact and have been alive for
      PROPAGATION_DELAY rounds ask the policy to advance their object
      (drift, a fan to the screen).  The delay guarantees an overlap
-     standing at spawn time is detected before anyone moves.  Every live
-     object the runtime has not seen before is then checked: a rectangular
-     table inside the lattice.
+     standing at spawn time is detected before anyone moves.
   4. publish: the board is laid out from the live objects' records, or
-     the snapshot of the same live objects is installed again.
+     the snapshot of the same live objects is installed again.  A record
+     is built when its object is first seen live, after checking the
+     object: a rectangular table inside the lattice.
 
 Consumed objects retire their engines; interaction products get fresh
 ones.  All per-round iteration is in sorted order and every random draw
@@ -100,9 +100,8 @@ _Publication = namedtuple("_Publication", "object_id ads cells")
 
 # one live object's publication record, which serves as its publication:
 # the object (its strong reference keeps the id() the record is keyed by
-# from being reused), the publication's fields, its invariant problem (None
-# when sound) and the trial it was built in
-_Record = namedtuple("_Record", "obj object_id ads cells problem trial")
+# from being reused), the publication's fields and the trial it was built in
+_Record = namedtuple("_Record", "obj object_id ads cells trial")
 
 
 def _advertise(object_id: str, obj: QuantumObject) -> tuple[list[Advertisement], tuple]:
@@ -311,13 +310,12 @@ class RefinedRuntime:
         self.scheduler = scheduler
         self.keep_ledger = keep_ledger
         self._records: dict[int, _Record] = {}  # id(obj) -> obj's record
-        self._built = False  # a record was built since the last publish
         # a board snapshot is a tuple: the records it was laid out from (they
         # hold the objects whose id()s key it, so no id can be reused),
         # _lay_out's two dicts, and each engine's proposals against it by
         # object id, filled as engines detect
         self._snapshots: dict[tuple, tuple] = {}  # (*object ids, *id()s) -> snapshot
-        self._space = None  # the space the records' verdicts hold for
+        self._space = None  # the space the records' objects were checked in
         self._trial = -1  # the current trial's index, counted by next_trial
         self.next_trial(state, rng)
 
@@ -354,16 +352,18 @@ class RefinedRuntime:
             del self._views[object_id]
 
     def _record(self, object_id: str, obj: QuantumObject) -> _Record:
-        """obj's publication record, built the first time obj is seen live."""
+        """obj's publication record, built, and its invariants checked, the
+        first time obj is seen live."""
         record = self._records.get(id(obj))
         if record is None or record.object_id != object_id:
+            problem = self.state.object_problem(obj)
+            if problem is not None:
+                raise InvariantViolation(f"after propagation: {problem}")
             if len(self._records) >= MAX_RECORDS:
                 self._records.clear()
                 self._snapshots.clear()  # they could not hit again
-            problem = self.state.object_problem(obj)
-            record = _Record(obj, object_id, *_advertise(object_id, obj), problem, self._trial)
+            record = _Record(obj, object_id, *_advertise(object_id, obj), self._trial)
             self._records[id(obj)] = record
-            self._built = True
         return record
 
     # -- round phases ------------------------------------------------------
@@ -440,26 +440,21 @@ class RefinedRuntime:
                 if moved.object_id != object_id:
                     raise ConfigError("propagation must keep the object id")
                 self.state.objects[object_id] = moved
-        for object_id, obj in self.state.objects.items():
-            problem = self._record(object_id, obj).problem
-            if problem is not None:
-                raise InvariantViolation(f"after propagation: {problem}")
 
     def publish_phase(self):
         """Lay out the live objects' board, or install it again: the stored
         snapshot of the same objects, or the board of the last round."""
         objects = self.state.objects
         key = (*objects, *map(id, objects.values()))
-        built, self._built = self._built, False
         if key != self._key:
-            # no stored key holds an object whose record was built since the
-            # last publish: records and snapshots are cleared together
-            snapshot = None if built else self._snapshots.get(key)
+            # a stored key names only objects its snapshot holds, so no
+            # object new since it was stored can match it
+            snapshot = self._snapshots.get(key)
             if snapshot is None:
                 records = [self._record(object_id, objects[object_id]) for object_id in sorted(objects)]
                 snapshot = (records, _lay_out(records), {})
                 trial = self._trial  # stored when no record is new to this trial
-                if not built and all(record.trial < trial for record in records):
+                if all(record.trial < trial for record in records):
                     if len(self._snapshots) >= MAX_RECORDS:
                         self._snapshots.clear()
                     self._snapshots[key] = snapshot

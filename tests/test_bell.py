@@ -311,6 +311,19 @@ def test_bell_config_validation():
             BellConfig(0.0, 30.0, trials=bad)
     with pytest.raises(ConfigError, match="bell.scheduler"):
         BellConfig(0.0, 30.0, 10, scheduler="bogus")
+    # a seed that is not an int would run truncated and echo as given
+    for bad in (1.5, True, "x", None):
+        with pytest.raises(ConfigError, match="^bell.seed must be an int"):
+            BellConfig(0.0, 30.0, 10, seed=bad)
+    # an angle must be a real number, and a bool is not one
+    for bad in (True, "0", None, 1j):
+        with pytest.raises(ConfigError, match="^bell.angle_a must be a finite angle"):
+            BellConfig(bad, 30.0, 10)
+        with pytest.raises(ConfigError, match="^bell.angle_b must be a finite angle"):
+            BellConfig(0.0, bad, 10)
+        with pytest.raises(ConfigError, match="^bell.spindir_policy must be 'uniform' or a finite angle"):
+            BellConfig(0.0, 30.0, 10, spindir_policy=bad)
+    BellConfig(0, 30, 10, seed=3, spindir_policy=45)  # ints are angles
 
 
 def test_draw_emission_direction():
@@ -596,7 +609,8 @@ def test_other_pumps_are_never_served_the_memo(monkeypatch):
     twin = make_pump.__wrapped__("pump-2")
     assert twin == cached[1] and twin is not cached[1]
     assert source_candidates(cached[0], twin) == first and len(calls) == 3
-    assert source_candidates(*cached) == first and len(calls) == 4
+    # the cached pumps again: their entry is still in the memo
+    assert source_candidates(*cached) == first and len(calls) == 3
 
 
 def test_drift_memo_does_not_grow_with_trials():
@@ -745,48 +759,49 @@ def test_screen_memos_plateau(runtime, scheduler):
     for seed in (2, 3):
         for _ in run_trials(policy, 150, seed, runtime, scheduler):
             pass
-        sizes.append((len(policy.survivors), len(policy.effects)))
-    assert sizes[0] == sizes[1]
-    per_screen = Counter(ids for ids, *_ in policy.survivors)
+        sizes.append(len(policy.memo))
+    assert sizes[0] == sizes[1] < interaction.MAX_MEMO
+    # analyzed survivors by the angle of the screen they meet
+    per_screen = Counter(key[2] for key in policy.memo if key[0] == "analyzed")
     assert set(per_screen.values()) == {4}  # the other screen's case, times the amplitude's sign
     assert len(per_screen) == (2 if scheduler == "randomized" else 1)
 
 
 def test_screen_memos_stay_bounded(monkeypatch):
     for module in (interaction, bell):
-        monkeypatch.setattr(module, "MAX_EFFECTS", 10)
+        monkeypatch.setattr(module, "MAX_MEMO", 10)
     rng = RngState(4).substream("bounded")
     state, _, pair_id = _drifted_pair(0.0, 30.0, 10.0, rng)
     policy = _CheckedPolicy(0.0, 30.0, 10.0, rng)
     claim(state, policy, pair_id, "screen-a", rng)
     survivor, sizes = state.objects[pair_id], []
-    for spin in range(3 * bell.MAX_SURVIVORS):
-        # the survivor at another spin: a new value for the memo each time
+    for spin in range(48):
+        # the survivor at another spin: a new object for the memo each time,
+        # which adds its analyzed object, candidates and effect
         state = fresh_state()
         state.add_object(reduce_to_path(apply_stern_gerlach(survivor, 0, float(spin)), 0))
         state.add_object(make_screen("screen-b", WING_B_CELL))
         claim(state, policy, pair_id, "screen-b", rng)
-        sizes.append((len(policy.survivors), len(policy.effects)))
-    # each memo filled up to its bound and was cleared there
-    assert max(survivors for survivors, _ in sizes) == bell.MAX_SURVIVORS
-    assert max(effects for _, effects in sizes) == 10
-    assert policy.claims == 1 + 3 * bell.MAX_SURVIVORS
+        sizes.append(len(policy.memo))
+    # the memo filled up to its bound and was cleared there
+    assert max(sizes) == 10 and min(sizes) <= 3
+    assert policy.claims == 1 + 48
 
 
 def test_screen_memos_are_per_run():
-    assert BellRoundPolicy.effects is None  # no memo lives on the class
+    assert BellRoundPolicy.memo is None  # no memo lives on the class
     first, second = (BellRoundPolicy(0.0, 30.0, "uniform", RngState(1)) for _ in range(2))
     for policy in (first, second):
         for _ in run_trials(policy, 100, 1, "centralized", "round-robin"):
             pass
 
     def built(policy):
-        """What the memos built: analyzed objects, candidate lists, Cumulatives, effects."""
-        objects = [obj for entry in policy.survivors for obj in entry[3:]]
-        return {id(obj) for obj in objects + [entry[-1] for entry in policy.effects.values()]}
+        """What the memo built: analyzed objects, candidate lists, Cumulatives, effects."""
+        parts = [value if key[0] == "candidates" else (value,) for key, (_, value) in policy.memo.items()]
+        return {id(part) for values in parts for part in values}
 
-    assert first.effects is not second.effects and first.survivors is not second.survivors
-    assert len(first.effects) == len(second.effects) and len(first.survivors) == len(second.survivors)
+    assert first.memo is not second.memo and len(first.memo) == len(second.memo)
+    assert {key[0] for key in first.memo} == {"candidates", "collapsed", "analyzed", "effect"}
     assert built(first) and not built(first) & built(second)
 
 

@@ -34,7 +34,7 @@ from qcausal.experiments.doubleslit import (
     screen_object,
 )
 from qcausal.interaction import determine_potential_interactions, perform_interaction
-from qcausal.state import ObjectKind, Path, QuantumObject
+from qcausal.state import ObjectKind, Path, QuantumObject, SystemState
 
 
 # --- geometry ----------------------------------------------------------------
@@ -203,27 +203,47 @@ def _fan_inputs(policy):
     return inputs
 
 
+def _fan(policy, obj):
+    """The policy's fan of obj, through its propagate hook."""
+    state = policy.start(RngState(0))
+    state.objects[obj.object_id] = obj
+    return policy.propagate(state, obj.object_id)
+
+
+def _fans(policy) -> list:
+    return [fan for key, (_, fan) in policy.memo.items() if key[0] == "fan"]
+
+
 def test_memoised_fan_equals_a_fresh_fan():
     policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, marker=True)
     inputs = _fan_inputs(policy)
     assert [len(obj.particles) for obj in inputs] == [1, 2, 2]
     for obj in inputs:
-        entry = policy.fan_of(obj)
+        fan = _fan(policy, obj)
         fresh = propagate_to_screen(obj, SMALL_GEOMETRY)
-        assert entry.fan == fresh
-        assert repr(entry.fan) == repr(fresh)
-        assert entry.candidates == determine_potential_interactions(fresh, policy.screen)
-        total = sum(c.joint_weight for c in entry.candidates)
-        assert entry.selection == Cumulative([c.joint_weight / total for c in entry.candidates])
-        assert policy.fan_of(obj) is entry
-    assert len(policy.fans) == 3
+        assert fan == fresh
+        assert repr(fan) == repr(fresh)
+        state = SystemState(space=policy.space, objects={fan.object_id: fan, "screen": policy.screen})
+        found, selection = policy.candidates(state, fan.object_id, "screen")
+        assert found == determine_potential_interactions(fresh, policy.screen)
+        total = sum(c.joint_weight for c in found)
+        assert selection == Cumulative([c.joint_weight / total for c in found])
+        assert _fan(policy, obj) is fan
+        assert policy.candidates(state, fan.object_id, "screen")[0] is found
+    assert len(_fans(policy)) == 3
 
 
 def test_fan_memo_hits_only_equal_inputs():
     policy = DoubleSlitRoundPolicy(SMALL_GEOMETRY, marker=False)
-    entry = policy.fan_of(policy.photon)
-    # an equal object built separately is the same input
-    assert policy.fan_of(photon_at_slits(SMALL_GEOMETRY)) is entry
+    fan = _fan(policy, policy.photon)
+    assert _fan(policy, policy.photon) is fan
+    # an equal object built separately is fanned again, to an equal fan.
+    # Identity is enough: every input a run fans is the policy's own photon
+    # or the out collection of a memoised effect, the same object on every hit
+    twin = photon_at_slits(SMALL_GEOMETRY)
+    assert twin == policy.photon and twin is not policy.photon
+    again = _fan(policy, twin)
+    assert again is not fan and again == fan and repr(again) == repr(fan)
     lo, hi = policy.photon.paths
     others = [
         dataclasses.replace(policy.photon, object_id="photon-2"),
@@ -231,11 +251,10 @@ def test_fan_memo_hits_only_equal_inputs():
         dataclasses.replace(policy.photon, paths=(lo,)),
     ]
     for other in others:
-        recomputed = policy.fan_of(other)
-        assert recomputed is not entry
-        assert recomputed.fan == propagate_to_screen(other, SMALL_GEOMETRY)
-        assert recomputed.fan != entry.fan
-    assert len(policy.fans) == 1 + len(others)
+        recomputed = _fan(policy, other)
+        assert recomputed == propagate_to_screen(other, SMALL_GEOMETRY)
+        assert recomputed != fan
+    assert len(_fans(policy)) == 2 + len(others)
 
 
 @pytest.mark.parametrize(
@@ -259,25 +278,23 @@ def test_fan_memo_does_not_grow_with_trials(marker, runtime, fans, monkeypatch):
     hist = run_double_slit(marker, 1000, SMALL_GEOMETRY, seed=5, runtime=runtime)
     assert hist.counts.sum() == 1000
     (policy,) = policies
-    assert len(policy.fans) == len(fanned) == fans <= 3
+    assert len(_fans(policy)) == len(fanned) == fans <= 3
 
 
 @pytest.mark.parametrize("runtime", ["centralized", "refined"])
 def test_marking_candidates_are_detected_once_per_run(runtime, monkeypatch):
-    # the refined runtime claims (marker, photon) in sorted id order, the
-    # centralized trial (photon, marker); both orders are memoised
+    # detected when a claim order first runs: the centralized trial claims
+    # (photon, marker), the refined runtime (marker, photon) in sorted id order
     calls = []
 
     def counted(a, b):
         calls.append((a.object_id, b.object_id))
         return determine_potential_interactions(a, b)
 
-    monkeypatch.setattr(doubleslit, "determine_potential_interactions", counted)
     monkeypatch.setattr(interaction, "determine_potential_interactions", counted)
     run_double_slit(True, 200, SMALL_GEOMETRY, seed=5, runtime=runtime)
-    marking = [pair for pair in calls if set(pair) == {"photon", "marker"}]
-    assert sorted(marking) == [("marker", "photon"), ("photon", "marker")]  # when the policy is built
-    assert calls[2:] == [("out-0", "screen")] * 2  # then once per fan, one fan per slit
+    assert calls[0] == (("photon", "marker") if runtime == "centralized" else ("marker", "photon"))
+    assert calls[1:] == [("out-0", "screen")] * 2  # then once per fan, one fan per slit
 
 
 def test_marking_candidates_equal_fresh_ones_in_both_orders():
@@ -341,6 +358,12 @@ def test_run_requires_positive_trials():
     for runtime in ("centralized", "refined"):
         with pytest.raises(ConfigError, match="scheduler"):
             run_double_slit(False, 10, SMALL_GEOMETRY, runtime=runtime, scheduler="bogus")
+    for bad in (2.7, True, "1"):
+        with pytest.raises(ConfigError, match="^seed must be an int"):
+            run_double_slit(False, 10, SMALL_GEOMETRY, seed=bad)
+    for bad in ("no", 1, None):
+        with pytest.raises(ConfigError, match="^marker must be a bool"):
+            run_double_slit(bad, 10, SMALL_GEOMETRY)
 
 
 def test_run_is_deterministic():

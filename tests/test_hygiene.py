@@ -24,6 +24,10 @@ second draw path past its checks.
 Engines never read another object's state: ObjectEngine reaches the world
 only through the public methods of the RoundView it is handed, and names
 no mediator, board, state or record store.
+
+Memo keys live in one place: under experiments/, every id(...) call is an
+argument of a self.memoised(...) call, whose entry holds what the id names,
+or sits in BellRoundPolicy.effect, the one memo that trusts equality.
 """
 
 import ast
@@ -327,3 +331,59 @@ def test_engine_scanner_flags_reaches_past_the_view():
 def test_engines_reach_the_world_only_through_their_view():
     path = PACKAGE / "runtime.py"
     assert engine_reach(path.read_text()) == []
+
+
+MEMO_KEY_SCOPE = "BellRoundPolicy.effect"
+
+
+def stray_ids(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each id(...) call that is neither inside
+    the arguments of a self.memoised(...) call nor in MEMO_KEY_SCOPE."""
+    found = []
+
+    def visit(node, scope, in_memoised):
+        for child in ast.iter_child_nodes(node):
+            inner, memoised = scope, in_memoised
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name) and func.id == "id" and not in_memoised and scope != MEMO_KEY_SCOPE:
+                    found.append((child.lineno, scope))
+                memoised = in_memoised or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "memoised"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "self"
+                )
+            visit(child, inner, memoised)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_memo_key_scanner_flags_ids_outside_the_memo():
+    source = (
+        "KEY = id(object())\n"
+        "class BellRoundPolicy:\n"
+        "    def effect(self, a, b):\n"
+        "        return {(id(a), id(b)): 1}\n"
+        "    def prepare(self, pair, angle):\n"
+        "        key = ('analyzed', id(pair), angle)\n"
+        "        return self.memoised(('analyzed', id(pair), angle), build, pair)\n"
+        "class DoubleSlitRoundPolicy:\n"
+        "    def effect(self, a):\n"
+        "        return other.memoised((id(a),), build, a), self.memoised((f(id(a)),), build, a)\n"
+        "    def propagate(self, obj):\n"
+        "        return self.memoised(('fan', id(obj)), build, obj) if id(obj) else None\n"
+    )
+    assert stray_ids(source) == [(1, ""), (6, "BellRoundPolicy.prepare"), (10, "DoubleSlitRoundPolicy.effect"),
+                                 (12, "DoubleSlitRoundPolicy.propagate")]
+
+
+def test_worlds_key_memos_only_through_memoised():
+    offenders = []
+    for path in sorted(PACKAGE.glob("experiments/*.py")):
+        for line, scope in stray_ids(path.read_text()):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
+    assert offenders == []

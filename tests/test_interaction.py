@@ -12,7 +12,7 @@ from qcausal.engine import Cumulative, RngState
 from qcausal.errors import ConfigError, UnknownObjectError
 from qcausal.experiments import bell, doubleslit
 from qcausal.interaction import (
-    MAX_EFFECTS,
+    MAX_MEMO,
     InteractionCandidate,
     InteractionObject,
     OutcomeRow,
@@ -427,10 +427,10 @@ def _assert_applied_like_a_fresh_perform(state, ref, a_id, b_id, claimed, table)
 
 
 class _MemoPolicy(RoundPolicy):
-    """Keeps an effect memo; serves the tables in turn, one per claim."""
+    """Keeps a memo; serves the tables in turn, one per claim."""
 
     def __init__(self, tables):
-        self.effects = {}
+        self.memo = {}
         self.tables = tables
         self.turn = 0
 
@@ -468,7 +468,7 @@ def test_effect_memo_keys_on_the_tag():
         claimed = claim(state, policy, "a", "b", RngState(earlier))
         _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, table)
         assert claimed[1].object_id == f"out-{earlier}"
-    assert len(policy.effects) == 3
+    assert len(policy.memo) == 3
 
 
 def test_effect_memo_keys_on_the_table():
@@ -481,7 +481,7 @@ def test_effect_memo_keys_on_the_table():
         ref = _copy_of(state)
         claimed = claim(state, policy, "a", "b", RngState(turn))
         _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, tables[turn % 2])
-    assert len(policy.effects) == 2
+    assert len(policy.memo) == 2
 
 
 def test_effect_memo_keys_on_the_objects_and_the_candidate():
@@ -498,7 +498,7 @@ def test_effect_memo_keys_on_the_objects_and_the_candidate():
         ref = _copy_of(state)
         claimed = claim(state, policy, "a", "b", RngState(step))
         _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, table)
-    assert len(policy.effects) == 3
+    assert len(policy.memo) == 3
 
 
 def test_effect_memo_keys_on_the_second_object():
@@ -512,19 +512,32 @@ def test_effect_memo_keys_on_the_second_object():
         ref = _copy_of(state)
         claimed = claim(state, policy, "a", "b", RngState(step))
         _assert_applied_like_a_fresh_perform(state, ref, "a", "b", claimed, table)
-    assert len(policy.effects) == 2
+    assert len(policy.memo) == 2
+
+
+class _FreshCandidates(_MemoPolicy):
+    def candidates(self, state, a_id, b_id):
+        found = determine_potential_interactions(state.objects[a_id], state.objects[b_id])
+        return found, Cumulative([1.0])
 
 
 def test_effect_memo_stays_within_its_bound():
-    # every claim a miss: the memo fills up to MAX_EFFECTS and is cleared
+    # every claim a miss, for its candidate is new: the memo fills up to
+    # MAX_MEMO and is cleared
     a, b = _consistent("a", (3,), 1.0, (0.0,)), _consistent("b", (3,), 1.0, (0.0,))
-    policy = _MemoPolicy([table_at((3,))])
+    policy = _FreshCandidates([table_at((3,))])
     sizes = []
     for trial in range(2000):
         claim(_memo_world(a, b, 0), policy, "a", "b", RngState(trial))
-        sizes.append(len(policy.effects))
-    assert max(sizes) == MAX_EFFECTS
-    assert sizes[MAX_EFFECTS] == 1  # cleared, then refilled
+        sizes.append(len(policy.memo))
+    assert max(sizes) == MAX_MEMO
+    assert sizes[MAX_MEMO] == 1  # cleared, then refilled
+    # the default candidates are memoised too: the same two objects meet
+    # in every claim, so one candidate list and its one effect serve them all
+    policy = _MemoPolicy([table_at((3,))])
+    for trial in range(100):
+        claim(_memo_world(a, b, 0), policy, "a", "b", RngState(trial))
+    assert sorted(key[0] for key in policy.memo) == ["candidates", "effect"]
 
 
 def test_perform_interaction_is_its_effect_applied():
@@ -565,6 +578,11 @@ def _checked_claims(monkeypatch):
     return checked
 
 
+def _effects(policy) -> dict:
+    """The effect entries of a policy's memo."""
+    return {key: entry for key, entry in policy.memo.items() if key[0] == "effect"}
+
+
 def _recorded_policies(monkeypatch):
     policies = []
 
@@ -592,9 +610,10 @@ def test_two_slit_effects_served_from_the_memo_equal_fresh_ones(marker, schedule
     claims = hist.trials * (2 if marker else 1)
     assert len(checked) == claims
     (policy,) = policies
+    effects = _effects(policy)
     # at most one effect per (fan, screen cell), plus the two marking ones
-    assert len(policy.effects) <= (2 + 2 * geometry.n_cells if marker else geometry.n_cells) < claims
-    assert len({id(out) for out in checked}) == len(policy.effects)
+    assert len(effects) <= (2 + 2 * geometry.n_cells if marker else geometry.n_cells) < claims
+    assert len({id(out) for out in checked}) == len(effects)
 
 
 def test_two_slit_effect_memo_is_per_run_and_never_written_into(monkeypatch):
@@ -610,13 +629,81 @@ def test_two_slit_effect_memo_is_per_run_and_never_written_into(monkeypatch):
     runs = [doubleslit.run_double_slit(True, 2000, geometry, seed=9) for _ in range(2)]
     assert np.array_equal(runs[0].counts, runs[1].counts)
     first, second = policies
-    assert first.effects is not second.effects
+    assert first.memo is not second.memo
+    effects = _effects(first)
     # a new run starts empty, so it computes exactly what the first did
-    assert len(computed) == 2 * len(first.effects) == 2 * len(second.effects)
-    assert len(first.effects) <= 2 + 2 * geometry.n_cells <= MAX_EFFECTS
-    for key, (a, b, chosen, table, effect) in first.effects.items():
+    assert len(computed) == 2 * len(effects) == 2 * len(_effects(second))
+    assert len(effects) <= 2 + 2 * geometry.n_cells and len(first.memo) <= MAX_MEMO
+    for key, ((a, b, chosen, table, tag), effect) in effects.items():
         again = interaction_effect(a, b, chosen, table, str(key[-1]))
-        assert effect == again and repr(effect) == repr(again)
+        assert tag == key[-1] and effect == again and repr(effect) == repr(again)
+
+
+# --- the per-run memo: every world's claims served through RoundPolicy.memoised -----
+
+def _comparable(value):
+    """value with a Cumulative replaced by its sums and total, which repr shows."""
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], Cumulative):
+        return value[0], (value[1].sums, value[1].total)
+    return value
+
+
+MEMO_RUNS = [
+    ("bell", None, "centralized", "round-robin"),
+    ("bell", None, "refined", "round-robin"),
+    ("bell", None, "refined", "randomized"),
+    ("doubleslit", False, "centralized", "round-robin"),
+    ("doubleslit", True, "centralized", "round-robin"),
+    ("doubleslit", False, "refined", "randomized"),
+    ("doubleslit", True, "refined", "randomized"),
+]
+
+
+def _memo_run(world, marker, runtime, scheduler, trials):
+    """A fresh world policy and the outcomes of its run."""
+    if world == "bell":
+        policy = bell.BellRoundPolicy(0.0, 30.0, "uniform", RngState(6))
+    else:
+        policy = doubleslit.DoubleSlitRoundPolicy(doubleslit.SMALL_GEOMETRY, marker)
+    return policy, list(interaction.run_trials(policy, trials, 6, runtime, scheduler))
+
+
+@pytest.mark.parametrize("world, marker, runtime, scheduler", MEMO_RUNS)
+def test_every_memo_hit_equals_a_fresh_build(world, marker, runtime, scheduler, monkeypatch):
+    memoised, served = RoundPolicy.memoised, {}
+
+    def checked(self, key, build, *args):
+        hit = key in self.memo
+        got = memoised(self, key, build, *args)
+        fresh = build(*args)
+        assert _comparable(got) == _comparable(fresh)
+        assert repr(_comparable(got)) == repr(_comparable(fresh))
+        if hit:
+            served[key[0]] = served.get(key[0], 0) + 1
+        return got
+
+    monkeypatch.setattr(RoundPolicy, "memoised", checked)
+    policy, outcomes = _memo_run(world, marker, runtime, scheduler, 80)
+    # every kind a world memoises was served from the memo, and often
+    kinds = {"candidates", "effect", "analyzed"} if world == "bell" else {"candidates", "effect", "fan"}
+    assert set(served) == kinds and min(served.values()) >= 10
+    monkeypatch.undo()
+    assert _memo_run(world, marker, runtime, scheduler, 80)[1] == outcomes
+
+
+def test_memo_traffic_stays_inside_its_bound():
+    # a default-geometry marker-on run never clears the memo: it fills to
+    # 258 effects (two marking ones, one per fan and screen cell), 3 candidate
+    # lists and 2 fans, and stays there
+    policy = doubleslit.DoubleSlitRoundPolicy(doubleslit.DEFAULT_GEOMETRY, True)
+    sizes = [len(policy.memo) for _ in interaction.run_trials(policy, 4000, 0, "centralized", "round-robin")]
+    assert sizes == sorted(sizes)
+    assert sizes[-1] == 2 + 2 * doubleslit.DEFAULT_GEOMETRY.n_cells + 3 + 2 < MAX_MEMO
+    # a Bell run's memo stops growing once every case has been seen
+    for runtime, scheduler in (("centralized", "round-robin"), ("refined", "randomized")):
+        policy = bell.BellRoundPolicy(0.0, 30.0, "uniform", RngState(8))
+        sizes = [len(policy.memo) for _ in interaction.run_trials(policy, 600, 8, runtime, scheduler)]
+        assert sizes == sorted(sizes) and len(set(sizes[300:])) == 1 and sizes[-1] < MAX_MEMO
 
 
 # --- collapse before drop: equal to the paper's drop-then-eliminate order ------------
