@@ -246,28 +246,21 @@ def apply_stern_gerlach(obj: QuantumObject, particle_index: int, angle: float) -
     # would round away the spin and the quarter turn
     up_axis = _norm_angle(angle)
     down_axis = _norm_angle(up_axis + 90.0)
-    s = obj.paths[0].pathstates[particle_index].spindir
-    c = cos_deg(s - up_axis)
-    sn = sin_deg(s - up_axis)
 
     def retagged(path: Path, axis: float, amplitude: complex) -> Path:
         states = tuple(_evolve(ps, spindir=axis) for ps in path.pathstates)
-        # complex() as Path() would: _unit_phase may return the float 1.0
-        return _evolve(path, amplitude=complex(amplitude), pathstates=states)
+        return _evolve(path, amplitude=amplitude, pathstates=states)
 
     if len(obj.paths) == 1:
         base = obj.paths[0]
+        s = base.pathstates[particle_index].spindir
         ports = (
-            retagged(base, up_axis, base.amplitude * c),
-            retagged(base, down_axis, base.amplitude * sn),
+            retagged(base, up_axis, complex(base.amplitude * cos_deg(s - up_axis))),
+            retagged(base, down_axis, complex(base.amplitude * sin_deg(s - up_axis))),
         )
     elif len(obj.paths) == 2:
-        phase0 = _unit_phase(obj.paths[0].amplitude)
-        phase1 = _unit_phase(obj.paths[1].amplitude)
-        ports = (
-            retagged(obj.paths[0], up_axis, phase0 * c),
-            retagged(obj.paths[1], down_axis, phase1 * sn),
-        )
+        up, down = _port_amplitudes(obj, particle_index, up_axis)
+        ports = (retagged(obj.paths[0], up_axis, up), retagged(obj.paths[1], down_axis, down))
     else:
         raise ConfigError(
             f"object {obj.object_id!r}: analyzer defined for 1- or 2-row tables, not {len(obj.paths)}"
@@ -275,9 +268,35 @@ def apply_stern_gerlach(obj: QuantumObject, particle_index: int, angle: float) -
     return _evolve(obj, paths=ports)
 
 
+def _port_amplitudes(pair: QuantumObject, particle_index: int, up_axis: float) -> tuple[complex, complex]:
+    """The two ports' amplitudes when the analyzer at up_axis (reduced)
+    reweights a two-row table: each row's phase times its projection."""
+    s = pair.paths[0].pathstates[particle_index].spindir
+    up, down = pair.paths
+    # complex() as Path() would: _unit_phase may return the float 1.0
+    return (
+        complex(_unit_phase(up.amplitude) * cos_deg(s - up_axis)),
+        complex(_unit_phase(down.amplitude) * sin_deg(s - up_axis)),
+    )
+
+
 def _unit_phase(amplitude: complex) -> complex:
     mod = abs(amplitude)
     return amplitude / mod if mod > 0.0 else 1.0
+
+
+def _analyzed_template(source_out: QuantumObject, angle: float) -> QuantumObject:
+    """The drifted source collection through the analyzer at angle: a
+    template whose path states every trial's analyzed pair shares."""
+    return apply_stern_gerlach(drift(source_out), 0, angle)
+
+
+def _analyzed_from(template: QuantumObject, pair: QuantumObject, angle: float) -> QuantumObject:
+    """apply_stern_gerlach(pair, 0, angle), for a pair whose analyzed path
+    states are template's: template with pair's port amplitudes."""
+    up, down = _port_amplitudes(pair, 0, _norm_angle(angle))
+    first, second = template.paths
+    return _evolve(template, paths=(_evolve(first, amplitude=up), _evolve(second, amplitude=down)))
 
 
 class BellRoundPolicy(RoundPolicy):
@@ -294,8 +313,22 @@ class BellRoundPolicy(RoundPolicy):
     bounded (RoundPolicy.memoised), and every draw is made as without it:
 
     - The source claim: the pumps are the same cached objects in every
-      trial, so its candidates are served by their identity.  Its table
-      depends on theta, so its effect is computed every trial.
+      trial, so its candidates are served by their identity.  Its table,
+      pair_table(theta), is the cell's template with new path states, and
+      interaction_effect reads a table only through its rows' particles
+      and amplitudes, which are the template's, and their path states,
+      which it keeps by reference; the conserved sums come from the pumps.
+      So the effect on the template table is served by identity, and each
+      trial copies its out collection with the two paths pointed at this
+      trial's rows' path states.
+    - The first screen's analyzed pair.  When the pair is this trial's
+      drift of that copy, the analyzer leaves path states that depend only
+      on the template (spins set to its axes, cells and momenta the
+      template's), and only the two port amplitudes depend on theta.  So
+      the drifted template through the analyzer is served by identity and
+      the screen's angle, and each trial copies its two paths with the
+      amplitudes apply_stern_gerlach computes (_port_amplitudes).  Any
+      other pair is analyzed afresh.
     - The first screen's claim.  The analyzed pair is new in every trial,
       so its candidates are found afresh.  interaction_effect reads the
       pair only through the chosen row collapsed by reduce_to_path: the
@@ -320,6 +353,12 @@ class BellRoundPolicy(RoundPolicy):
     over its modulus.  An equal row therefore yields the objects a fresh
     computation would build, bit for bit, and the tests compare them by
     repr as well.
+
+    The templates make no float of their own: a copy keeps the template's
+    fields, which a fresh build computes from the same template records,
+    and takes the rest from this trial's records or by the same
+    expressions.  Copies share the template's conserved and global
+    blocks, which no code writes into (tests/test_hygiene.py).
     """
 
     def __init__(self, angle_a: float, angle_b: float, spindir_policy, rng: RngState):
@@ -338,6 +377,9 @@ class BellRoundPolicy(RoundPolicy):
         self.rng = rng
         self.theta: float | None = None
         self.cases: dict[str, bool] = {}
+        # (template, copy): the source effect's out collection and this
+        # trial's copy of it, then that copy's drift
+        self._emitted = self._drifted = (None, None)
 
     def start(self, rng: RngState) -> SystemState:
         self.new_trial(rng.substream("source"))
@@ -375,7 +417,12 @@ class BellRoundPolicy(RoundPolicy):
         pair, angle = state.objects[self._pair_id], self.angles[self._screen_id]
         self._first_screen = len(pair.particles) > 1
         if self._first_screen:
-            analyzed = apply_stern_gerlach(pair, 0, angle)
+            source_out, drifted = self._drifted
+            if pair is drifted:
+                template = self.memoised(("ports", id(source_out), angle), _analyzed_template, source_out, angle)
+                analyzed = _analyzed_from(template, pair, angle)
+            else:
+                analyzed = apply_stern_gerlach(pair, 0, angle)
         else:
             analyzed = self.memoised(("analyzed", id(pair), angle), apply_stern_gerlach, pair, 0, angle)
         state.objects[self._pair_id] = analyzed
@@ -398,8 +445,11 @@ class BellRoundPolicy(RoundPolicy):
         return absorb_table(candidate.position, angle if case1 else angle + 90.0)
 
     def effect(self, a: QuantumObject, b: QuantumObject, chosen, table: OutcomeTable, tag: int) -> tuple:
-        if self._source:  # its table is new every trial
-            return interaction_effect(a, b, chosen, table, tag)
+        if self._source:  # served from the template table's, with this trial's spins
+            owners, source_out, log = super().effect(a, b, chosen, _pair_template(SOURCE_CELL), tag)
+            paths = tuple(_evolve(p, pathstates=row.pathstates) for p, row in zip(source_out.paths, table.rows))
+            self._emitted = (source_out, _evolve(source_out, paths=paths))
+            return owners, self._emitted[1], log
         if not self._first_screen:
             return super().effect(a, b, chosen, table, tag)
         # the first screen's, served by the equality of its collapsed row
@@ -430,7 +480,10 @@ class BellRoundPolicy(RoundPolicy):
             for ps in path.pathstates:
                 if ps.spacepoints != _AT_SOURCE:
                     return None
-        return drift(obj)
+        moved = drift(obj)
+        if obj is self._emitted[1]:
+            self._drifted = (self._emitted[0], moved)
+        return moved
 
     def done(self, state: SystemState) -> bool:
         return len(self.cases) == 2

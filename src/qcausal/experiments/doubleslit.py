@@ -391,6 +391,10 @@ class DoubleSlitRoundPolicy(RoundPolicy):
         cast = (self.photon, self.marker, self.screen) if marker else (self.photon, self.screen)
         self.objects = {obj.object_id: obj for obj in cast}
         self.memo = {}
+        # room for every entry a run can make, in either claim order: a screen
+        # effect per cell of each fan, the marking effects, the candidate
+        # lists and the fans
+        self.memo_bound = 4 * geometry.n_cells + 16
         self.hit_cell: int | None = None
 
     def start(self, rng: RngState) -> SystemState:

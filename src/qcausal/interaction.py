@@ -478,8 +478,9 @@ def perform_interaction(
     return apply(state, effect)
 
 
-# a policy's memo is cleared when it reaches this many entries; a two-slit
-# run at 128 cells keeps at most 263 (258 effects, 3 candidate lists, 2 fans)
+# a policy's memo is cleared when it reaches this many entries, or its
+# memo_bound if that is larger; a two-slit run at 128 cells keeps at most
+# 263 (258 effects, 3 candidate lists, 2 fans)
 MAX_MEMO = 512
 RUNTIMES = ("centralized", "refined")
 SCHEDULERS = ("round-robin", "randomized")
@@ -513,18 +514,19 @@ class RoundPolicy:
     """
 
     memo: dict | None = None
+    memo_bound = 0  # a world whose run keeps more than MAX_MEMO entries derives its own
 
     def memoised(self, key: tuple, build, *args):
         """build(*args), served from memo under key.  key names what is built
         and its inputs among args by id(); an entry holds args, so no id in
         its key can be reused while it is cached.  The memo is cleared when
-        it reaches MAX_MEMO entries."""
+        it reaches MAX_MEMO entries, or memo_bound if that is larger."""
         memo = self.memo
         if memo is None:
             return build(*args)
         entry = memo.get(key)
         if entry is None:
-            if len(memo) >= MAX_MEMO:
+            if len(memo) >= max(MAX_MEMO, self.memo_bound):
                 memo.clear()
             entry = memo[key] = (args, build(*args))
         return entry[1]

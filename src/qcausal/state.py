@@ -79,12 +79,14 @@ def _evolve(record, **changes):
     The records a run builds for every event come from here: the collapse,
     drop and normalization rewrites below; the interaction object, its
     provenance, candidates and out collection (interaction.py); the Bell
-    source table, drift and analyzer ports (experiments/bell.py).  Each
-    starts from a constructor-built record (the record being rewritten, or
-    a module template) and replaces only fields whose values already pass
-    its checks, so the copy equals, hashes and reprs like the
-    constructor-built one.  tests/test_interaction.py and tests/test_bell.py
-    compare the two.
+    source table, drift and analyzer ports, and each trial's copies of the
+    run's templates: the source effect's out collection with this trial's
+    path states and the analyzed pair with this trial's port amplitudes
+    (experiments/bell.py).  Each starts from a constructor-built record
+    (the record being rewritten, or a module or run template) and replaces
+    only fields whose values already pass its checks, so the copy equals,
+    hashes and reprs like the constructor-built one.
+    tests/test_interaction.py and tests/test_bell.py compare the two.
     """
     new = object.__new__(record.__class__)
     fields = new.__dict__

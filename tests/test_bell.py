@@ -1,6 +1,7 @@
 """Entangled-pair experiment: exact trig, analyzer mechanics, statistics, bounds."""
 
 import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcausal import interaction
+from qcausal import state as state_module
 from qcausal.engine import Cumulative, RngState
 from qcausal.errors import ConfigError
 from qcausal.experiments import bell
@@ -642,18 +644,19 @@ def _same(got, fresh):
 
 
 class _CheckedPolicy(BellRoundPolicy):
-    """A Bell policy that checks each screen claim it serves against a fresh
-    computation on the incoming objects: the analyzed pair against
-    apply_stern_gerlach, its candidates and selection probabilities against
-    detection on that fresh object, and the effect against
-    interaction_effect on the fresh inputs.  other_table swaps the screens'
-    outcome table for an uncached one with other products."""
+    """A Bell policy that checks each claim it serves against a fresh
+    computation on the incoming objects: the source effect against
+    interaction_effect on this trial's pair_table; on a screen claim, the
+    analyzed pair against apply_stern_gerlach, its candidates and selection
+    probabilities against detection on that fresh object, and the effect
+    against interaction_effect on the fresh inputs.  other_table swaps the
+    screens' outcome table for an uncached one with other products."""
 
     other_table = False
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.claims = self.reused = 0
+        self.claims = self.reused = self.sources = self.templated = 0
         self._returned = []  # every effect returned, so a repeat is seen by identity
         self._fresh = None
 
@@ -666,6 +669,8 @@ class _CheckedPolicy(BellRoundPolicy):
             fresh = apply_stern_gerlach(incoming[pair_id], 0, self.angles[self._screen_id])
             _same(state.objects[pair_id], fresh)
             self._fresh = {**state.objects, pair_id: fresh}
+            # served from the analyzed template: this trial's drifted pair
+            self.templated += incoming[pair_id] is self._drifted[1]
 
     def candidates(self, state, a_id, b_id):
         found, probabilities = super().candidates(state, a_id, b_id)
@@ -689,6 +694,9 @@ class _CheckedPolicy(BellRoundPolicy):
 
     def effect(self, a, b, chosen, table, tag):
         got = super().effect(a, b, chosen, table, tag)
+        if self._source:
+            _same(got, interaction_effect(a, b, chosen, table, str(tag)))
+            self.sources += 1
         if self._fresh is not None:
             fresh = interaction_effect(self._fresh[a.object_id], self._fresh[b.object_id], chosen, table, str(tag))
             _same(got, fresh)
@@ -711,7 +719,7 @@ def test_screen_memo_hits_equal_fresh_computations(angles, spindir, runtime, sch
     stats = JointStats()
     for outcome in run_trials(policy, trials, 5, runtime, scheduler):
         stats.record(*outcome)
-    assert policy.claims == 2 * trials
+    assert policy.claims == 2 * trials and policy.sources == policy.templated == trials
     # misses: at most 4 collapsed rows and 4 survivors (2 candidates each) per screen
     assert policy.reused >= 2 * trials - 2 * (4 + 4 * 2)
     cfg = BellConfig(*angles, trials=trials, seed=5, spindir_policy=spindir, runtime=runtime, scheduler=scheduler)
@@ -796,13 +804,123 @@ def test_screen_memos_are_per_run():
             pass
 
     def built(policy):
-        """What the memo built: analyzed objects, candidate lists, Cumulatives, effects."""
+        """What the memo built: analyzed objects and templates, candidate lists, Cumulatives, effects."""
         parts = [value if key[0] == "candidates" else (value,) for key, (_, value) in policy.memo.items()]
         return {id(part) for values in parts for part in values}
 
     assert first.memo is not second.memo and len(first.memo) == len(second.memo)
-    assert {key[0] for key in first.memo} == {"candidates", "collapsed", "analyzed", "effect"}
+    assert {key[0] for key in first.memo} == {"candidates", "collapsed", "analyzed", "effect", "ports"}
     assert built(first) and not built(first) & built(second)
+
+
+# --- the per-run templates ------------------------------------------------------------
+
+# multiples of 90 from an analyzer at 30 or 75 (a port of zero weight), huge
+# directions and generic ones; the first is of zero weight for screen-a at 30
+THETAS = [30.0, 47.0, 120.0, 75.0, 165.0, 0.0, 90.0, 1e17, 1e20, -1e20, 22.5, 300.0, 1e-9, 210.0, 345.0]
+
+
+@pytest.mark.parametrize("runtime, scheduler, trials", SCHEDULES)
+@pytest.mark.parametrize("spindir", ["forced", "uniform", 1e17])
+@pytest.mark.parametrize("angles", [(30.0, 75.0), (0.0, 90.0), (1e20, 30.0)])
+def test_templates_serve_exactly_what_a_trial_builds(monkeypatch, angles, spindir, runtime, scheduler, trials):
+    # _CheckedPolicy compares every source effect and every analyzed pair
+    # with a fresh computation, by == and repr; "forced" runs THETAS in turn,
+    # so the templates are built at a zero-weight theta and then serve others
+    if spindir == "forced":
+        thetas = itertools.cycle(THETAS)
+        monkeypatch.setattr(bell, "draw_emission_direction", lambda policy, rng: next(thetas))
+    policy = _CheckedPolicy(*angles, spindir, RngState(7))
+    outcomes = list(run_trials(policy, trials, 7, runtime, scheduler))
+    assert policy.sources == policy.templated == trials and policy.claims == 2 * trials
+    # one analyzed template per angle a first screen was met at
+    templates = [key for key in policy.memo if key[0] == "ports"]
+    assert len(templates) == (2 if scheduler == "randomized" and angles[0] != angles[1] else 1)
+    # and the templates move no outcome: a fresh policy per trial gives the same
+    if spindir == "forced":
+        thetas = itertools.cycle(THETAS)
+    root = RngState(7)
+    for trial, outcome in enumerate(outcomes):
+        rng = root.substream(trial)
+        fresh = BellRoundPolicy(*angles, spindir, rng)
+        if runtime == "centralized":
+            fresh.causal_order(rng)
+        else:
+            RefinedRuntime(fresh.start(rng), fresh, rng, scheduler).run(max_rounds=16)
+        assert fresh.outcome() == outcome
+
+
+def test_a_template_built_at_a_zero_weight_theta_serves_the_next(monkeypatch):
+    # at theta 30 the analyzer at 30 leaves the case2 port at weight 0, so
+    # the first screen has one candidate; at 47 the same templates serve two
+    thetas = iter([30.0, 47.0, 120.0, 47.0])
+    monkeypatch.setattr(bell, "draw_emission_direction", lambda policy, rng: next(thetas))
+    policy = _CheckedPolicy(30.0, 75.0, "uniform", RngState(0))
+    found = []
+    for trial in range(4):
+        rng = RngState(0).substream(trial)
+        state = bell_world()
+        policy.new_trial(rng)
+        _, pair = claim(state, policy, *PUMP_IDS, rng)
+        drifted = state.objects[pair.object_id] = policy.propagate(state, pair.object_id)
+        policy.prepare(state, pair.object_id, "screen-a")
+        found.append(len(policy.candidates(state, pair.object_id, "screen-a")[0]))
+        if trial == 0:
+            built = {key: entry[1] for key, entry in policy.memo.items()}
+        state.objects[pair.object_id] = drifted  # the claim analyzes the drifted pair again
+        claim(state, policy, pair.object_id, "screen-a", rng)
+    assert found == [1, 2, 1, 2]
+    assert policy.sources == 4 and policy.templated == 8  # the test's prepare and the claim's
+    # the templates of the first trial served every later one
+    for key, value in built.items():
+        assert policy.memo[key][1] is value
+
+
+def test_only_the_drift_of_this_trials_emission_is_served_the_template():
+    # a pair at the source that the source effect did not emit this trial
+    # (here: other particles, or the last trial's emission) is drifted and
+    # analyzed afresh; _CheckedPolicy compares the source effect and both
+    # screens with fresh ones, and the last three trials move the source's tag
+    policy = _CheckedPolicy(0.0, 30.0, "uniform", RngState(1))
+    light = (ParticleInfo("half", 0.25), ParticleInfo("half", 0.75))
+    last = None
+    for trial in range(6):
+        rng = RngState(1).substream(trial)
+        policy.new_trial(rng)
+        state = bell_world()
+        state.event_log.extend({"event": "filler"} for _ in range(trial // 3))
+        _, pair = claim(state, policy, *PUMP_IDS, rng)
+        if trial % 3 == 1:
+            state.objects[pair.object_id] = dataclasses.replace(pair, particles=light)
+        elif trial % 3 == 2:
+            state.objects[pair.object_id] = last
+        last = pair
+        state.objects[pair.object_id] = policy.propagate(state, pair.object_id)
+        for screen_id in ("screen-a", "screen-b"):
+            claim(state, policy, pair.object_id, screen_id, rng)
+    assert policy.sources == 6 and policy.templated == 2 and policy.claims == 12
+
+
+def test_a_centralized_trial_copies_at_most_24_records(monkeypatch):
+    # 33 before the templates, when the source effect (15 copies with the
+    # table) and the analyzed pair (7) were built afresh every trial; now
+    # 10 and 3, with the drift's 7, the first screen's 2 candidates and its
+    # collapsed row's 2
+    copies = [0]
+    original = state_module._evolve
+
+    def counted(record, **changes):
+        copies[0] += 1
+        return original(record, **changes)
+
+    for module in (state_module, interaction, bell):
+        monkeypatch.setattr(module, "_evolve", counted)
+    policy = BellRoundPolicy(0.0, 30.0, "uniform", RngState(3))
+    per_trial = []
+    for _ in run_trials(policy, 300, 3, "centralized", "round-robin"):
+        per_trial.append(copies[0])
+        copies[0] = 0
+    assert max(per_trial[100:]) <= 24 < max(per_trial[:1])
 
 
 def _drawn_rows(candidates, probabilities) -> dict:

@@ -282,6 +282,20 @@ def test_fan_memo_does_not_grow_with_trials(marker, runtime, fans, monkeypatch):
 
 
 @pytest.mark.parametrize("runtime", ["centralized", "refined"])
+def test_wide_screen_memo_is_never_cleared(runtime):
+    # a marked run keeps 2 * n_cells + 7 entries; at 300 cells that is more
+    # than MAX_MEMO, so the policy's bound comes from its geometry
+    geometry = SlitGeometry(n_cells=300, slit_separation=25)
+    policy = DoubleSlitRoundPolicy(geometry, True)
+    assert policy.memo_bound >= 2 * geometry.n_cells + 7
+    trials = 6000 if runtime == "centralized" else 2000
+    sizes = [len(policy.memo) for _ in interaction.run_trials(policy, trials, 0, runtime, "round-robin")]
+    assert sizes == sorted(sizes) and sizes[-1] > interaction.MAX_MEMO
+    # a geometry that needs less keeps the shared bound
+    assert DoubleSlitRoundPolicy(SMALL_GEOMETRY, True).memo_bound < interaction.MAX_MEMO
+
+
+@pytest.mark.parametrize("runtime", ["centralized", "refined"])
 def test_marking_candidates_are_detected_once_per_run(runtime, monkeypatch):
     # detected when a claim order first runs: the centralized trial claims
     # (photon, marker), the refined runtime (marker, photon) in sorted id order

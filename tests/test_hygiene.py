@@ -28,6 +28,13 @@ no mediator, board, state or record store.
 Memo keys live in one place: under experiments/, every id(...) call is an
 argument of a self.memoised(...) call, whose entry holds what the id names,
 or sits in BellRoundPolicy.effect, the one memo that trusts equality.
+
+An object's attribute blocks are never written in place: memoised and
+template-served objects share their conserved and global_attrs dicts with
+every later trial, so no code under src/ assigns, deletes or augments
+into .conserved or .global_attrs, or calls a dict method that changes
+them.  The scan is syntactic: it sees the blocks only where they are
+named as attributes.
 """
 
 import ast
@@ -385,5 +392,64 @@ def test_worlds_key_memos_only_through_memoised():
     offenders = []
     for path in sorted(PACKAGE.glob("experiments/*.py")):
         for line, scope in stray_ids(path.read_text()):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
+    assert offenders == []
+
+
+BLOCKS = ("conserved", "global_attrs")
+DICT_WRITERS = ("update", "pop", "popitem", "setdefault", "clear")
+
+
+def block_writes(source: str) -> list[tuple[int, str]]:
+    """Each in-place write into a .conserved or .global_attrs block (an item
+    assigned, deleted or augmented, the block augmented, or a dict method
+    that changes it called), as scoped_matches gives it."""
+
+    def is_block(node):
+        return isinstance(node, ast.Attribute) and node.attr in BLOCKS
+
+    def match(node):
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.ctx, (ast.Store, ast.Del)) and is_block(node.value)
+        if isinstance(node, ast.AugAssign):
+            return is_block(node.target)
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in DICT_WRITERS
+            and is_block(node.func.value)
+        )
+
+    return scoped_matches(source, match)
+
+
+def test_block_write_scanner_flags_in_place_writes():
+    source = (
+        "def build(obj, out):\n"
+        "    obj.conserved['energy'] = 1.0\n"
+        "    out.core.global_attrs['position'] += (1,)\n"
+        "    del obj.conserved['momentum']\n"
+        "    obj.global_attrs |= {'x': 1}\n"
+        "class Policy:\n"
+        "    def step(self, obj):\n"
+        "        obj.conserved.update(energy=2.0)\n"
+        "        self.out.global_attrs.setdefault('x', 0), obj.conserved.pop('energy')\n"
+        "        obj.global_attrs.clear() or obj.conserved.popitem()\n"
+        "def fine(obj, x):\n"
+        "    c = dict(obj.conserved)\n"
+        "    c['energy'] = obj.conserved['energy'] + obj.global_attrs.get('x', 0)\n"
+        "    x.conserved = {}\n"
+        "    return obj.conserved.copy(), conserved.update(c)\n"
+    )
+    assert block_writes(source) == [
+        (2, "build"), (3, "build"), (4, "build"), (5, "build"),
+        (8, "Policy.step"), (9, "Policy.step"), (9, "Policy.step"), (10, "Policy.step"), (10, "Policy.step"),
+    ]
+
+
+def test_no_code_writes_into_an_objects_blocks():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for line, scope in block_writes(path.read_text()):
             offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
     assert offenders == []
