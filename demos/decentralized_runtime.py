@@ -5,7 +5,8 @@ runs its own engine and coordinates through an advertisement board:
 publish where you are, read where everyone was last round, propose
 interactions to whoever overlaps.  A mediator checks the two sides of every proposal
 agree, grants at most one interaction per object per round, and every
-granted interaction is closed with an exact conservation ledger check.
+granted interaction's effect passes an exact conservation check; the
+ledger printed below records each one's totals.
 
 Here one entangled-pair trial is traced round by round, then the
 aggregate statistics are compared against the centralized engine: same

@@ -33,7 +33,9 @@ class RngState:
     fully determined by the seed, the substream key, and the number of draws
     made so far.  substream() derives an independent generator for a child
     component; the derivation is pure, so sequential and parallel users of
-    sibling substreams see identical streams.
+    sibling substreams see identical streams.  The generator is seeded on
+    the first draw, so a stream that only derives substreams (a refined
+    trial's) never pays for it; the draws are the same either way.
     """
 
     __slots__ = ("seed", "key", "draws", "_rng")
@@ -42,7 +44,7 @@ class RngState:
         self.seed = int(seed)
         self.key = tuple(key)
         self.draws = 0
-        self._rng = random.Random(_mix_seed(self.seed, self.key))
+        self._rng = None
 
     def substream(self, *key) -> "RngState":
         """Independent child stream for a component (object id, trial index, ...)."""
@@ -50,7 +52,10 @@ class RngState:
 
     def random(self) -> float:
         self.draws += 1
-        return self._rng.random()
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(_mix_seed(self.seed, self.key))
+        return rng.random()
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, key={self.key!r}, draws={self.draws})"

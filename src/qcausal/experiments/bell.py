@@ -168,15 +168,22 @@ def pair_table(theta: float, cell=SOURCE_CELL) -> OutcomeTable:
     on theta, so the table is copied from the cell's validated template
     with the spins normalized as the PathState constructor would.  theta is
     reduced before the quarter turn is added, so the spins stay 90 degrees
-    apart however large theta is.
+    apart however large theta is.  BellRoundPolicy claims on the template
+    itself and sets these spins on the out collection; the tests compare
+    its effects with interaction_effect on this table.
     """
     template = _pair_template(cell)
+    return _evolve(template, rows=_spun(template.rows, theta))
+
+
+def _spun(rows: tuple, theta: float) -> tuple:
+    """Two rows (outcome rows or paths) with every path state's spin set to
+    theta in the first and theta + 90 in the second, both reduced."""
     spin = _norm_angle(theta)
-    rows = tuple(
+    return tuple(
         _evolve(row, pathstates=tuple(_evolve(ps, spindir=s) for ps in row.pathstates))
-        for row, s in zip(template.rows, (spin, _norm_angle(spin + 90.0)))
+        for row, s in zip(rows, (spin, _norm_angle(spin + 90.0)))
     )
-    return _evolve(template, rows=rows)
 
 
 @lru_cache(maxsize=None)
@@ -313,14 +320,14 @@ class BellRoundPolicy(RoundPolicy):
     bounded (RoundPolicy.memoised), and every draw is made as without it:
 
     - The source claim: the pumps are the same cached objects in every
-      trial, so its candidates are served by their identity.  Its table,
-      pair_table(theta), is the cell's template with new path states, and
-      interaction_effect reads a table only through its rows' particles
-      and amplitudes, which are the template's, and their path states,
-      which it keeps by reference; the conserved sums come from the pumps.
-      So the effect on the template table is served by identity, and each
-      trial copies its out collection with the two paths pointed at this
-      trial's rows' path states.
+      trial, so its candidates are served by their identity.  Its table is
+      the cell's template, pair_table at theta 0.  interaction_effect reads
+      a table only through its rows' particles and amplitudes, which do
+      not depend on theta, and their path states, which it keeps by
+      reference; the conserved sums come from the pumps.  So the effect on
+      the template is served by identity, and each trial copies its out
+      collection with the path states' spins set as pair_table(theta)
+      sets them.
     - The first screen's analyzed pair.  When the pair is this trial's
       drift of that copy, the analyzer leaves path states that depend only
       on the template (spins set to its axes, cells and momenta the
@@ -433,8 +440,8 @@ class BellRoundPolicy(RoundPolicy):
         return super().candidates(state, a_id, b_id)
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
-        if self._source:
-            return pair_table(self.theta)
+        if self._source:  # the spins are set in effect
+            return _pair_template(SOURCE_CELL)
         screen_id = self._screen_id
         if screen_id is None:
             return None
@@ -445,10 +452,9 @@ class BellRoundPolicy(RoundPolicy):
         return absorb_table(candidate.position, angle if case1 else angle + 90.0)
 
     def effect(self, a: QuantumObject, b: QuantumObject, chosen, table: OutcomeTable, tag: int) -> tuple:
-        if self._source:  # served from the template table's, with this trial's spins
-            owners, source_out, log = super().effect(a, b, chosen, _pair_template(SOURCE_CELL), tag)
-            paths = tuple(_evolve(p, pathstates=row.pathstates) for p, row in zip(source_out.paths, table.rows))
-            self._emitted = (source_out, _evolve(source_out, paths=paths))
+        if self._source:  # the template table's effect, with this trial's spins
+            owners, source_out, log = super().effect(a, b, chosen, table, tag)
+            self._emitted = (source_out, _evolve(source_out, paths=_spun(source_out.paths, self.theta)))
             return owners, self._emitted[1], log
         if not self._first_screen:
             return super().effect(a, b, chosen, table, tag)

@@ -33,7 +33,9 @@ row only for all but one to be thrown away, which on a wide table (the
 128-row marked two-slit collection) is most of the cost of an interaction.
 
 Conserved quantities flow additively: the out collection carries exactly
-the sums recorded on the interaction object.
+the sums recorded on the interaction object.  interaction_effect checks
+each effect it builds: the participants' conserved totals must equal the
+survivors' and the out collection's, exactly, under either scheduler.
 
 A world says what its interactions mean through a RoundPolicy, and claim
 runs one event of it, both in the world's centralized causal order and
@@ -87,10 +89,12 @@ from .state import (
     PathState,
     QuantumObject,
     SystemState,
+    _conserved_signature,
     _evolve,
     normalize_amplitudes,
     path_support,
     reduce_to_path,
+    total_conserved,
 )
 
 
@@ -414,6 +418,15 @@ def interaction_effect(
     It runs the module docstring's steps, collapsing an owner that keeps
     other particles before its drop (the same result, as shown there).
     tag names the interaction object and the out collection ("ia-<tag>", "out-<tag>").
+
+    The conserved totals of a and b must equal those of the survivors, in
+    participant order, and out, exactly, or InvariantViolation is raised.
+    A memo hit serves an effect checked here, with its inputs' totals: an
+    identity key holds its inputs; the Bell source's copy changes only its
+    path states' spins and shares the template's conserved block; the
+    Bell first screen matches by == of the collapsed row, which compares
+    its conserved block; and no code writes into a .conserved block
+    (tests/test_hygiene.py).
     """
     ia = create_interaction_object(a, b, candidate, outcome_table, tag=tag)
     owners = (
@@ -421,6 +434,10 @@ def interaction_effect(
         (b.object_id, _consumed(b, candidate.particle_index_2, candidate.path_index_2)),
     )
     out = process_interaction_object(ia)
+    before = total_conserved((a, b))
+    after = total_conserved([survivor for _, survivor in owners if survivor is not None] + [out])
+    if _conserved_signature(before) != _conserved_signature(after):
+        raise InvariantViolation(f"conservation ledger unbalanced at {(a.object_id, b.object_id)}: {before} -> {after}")
     log = (
         {"event": "drop_particle", "object": a.object_id, "particle": candidate.particle_index_1},
         {"event": "drop_particle", "object": b.object_id, "particle": candidate.particle_index_2},
@@ -545,7 +562,9 @@ class RoundPolicy:
         self, a: QuantumObject, b: QuantumObject, chosen: InteractionCandidate, table: OutcomeTable, tag: int
     ) -> tuple:
         """interaction_effect(a, b, chosen, table, tag), keyed by the identity
-        of the two objects, the chosen candidate and the table, and the tag."""
+        of the two objects, the chosen candidate and the table, and the tag.
+        An override serves interaction_effect's effects, or copies that keep
+        their conserved blocks: claim checks no conservation of its own."""
         return self.memoised(
             ("effect", id(a), id(b), id(chosen), id(table), tag), interaction_effect, a, b, chosen, table, tag
         )

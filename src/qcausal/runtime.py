@@ -43,9 +43,11 @@ A round has four phases:
      busy participant are rejected and retried naturally next round.
      A granted event is claimed through interaction.claim, the step the
      centralized trials run too, so the selection distribution is
-     identical by construction.  Every interaction appends a ledger
-     check: conserved totals over the participants before must equal
-     survivors plus the out collection after, exactly.
+     identical by construction, and so is the conservation check
+     interaction_effect makes on every effect it builds.  With
+     keep_ledger, each interaction also appends a ledger entry: the
+     participants' conserved totals before and the survivors' plus the
+     out collection's after.
   3. propagate: engines that did not interact and have been alive for
      PROPAGATION_DELAY rounds ask the policy to advance their object
      (drift, a fan to the screen).  The delay guarantees an overlap
@@ -71,7 +73,7 @@ from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
 from .experiments.doubleslit import ScreenHistogram, SlitGeometry, run_double_slit
 from .interaction import SCHEDULERS, RoundPolicy, claim
-from .state import QuantumObject, SystemState, total_conserved
+from .state import QuantumObject, SystemState, _conserved_signature, total_conserved
 
 BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 
@@ -83,15 +85,9 @@ PROPAGATION_DELAY = 2
 MAX_RECORDS = 256
 
 
-@dataclass(frozen=True)
-class Advertisement:
-    """One (path, cell) occupancy notice on the mediator board."""
-
-    object_id: str
-    path_index: int
-    cell: tuple[int, ...]
-    weight: float
-
+# one (path, cell) occupancy notice on the mediator board; a namedtuple,
+# like the records below, since a run builds one per path and cell
+Advertisement = namedtuple("Advertisement", "object_id path_index cell weight")
 
 # what a board holds of an object: its id, its advertisements and the
 # sorted cells they occupy; the list is shared by every board that holds
@@ -118,7 +114,7 @@ def _advertise(object_id: str, obj: QuantumObject) -> tuple[list[Advertisement],
             cells.update(ps.spacepoints)
         occupied.update(cells)
         for cell in sorted(cells):
-            ads.append(Advertisement(object_id=object_id, path_index=i, cell=cell, weight=w))
+            ads.append(Advertisement(object_id, i, cell, w))
     return ads, tuple(sorted(occupied))
 
 
@@ -183,7 +179,7 @@ class ProposedEvent:
 
 @dataclass
 class LedgerEntry:
-    """Conservation check for one interaction; totals must match exactly."""
+    """One interaction's conserved totals; balanced when they match exactly."""
 
     round_index: int
     position: tuple[int, ...]
@@ -195,14 +191,6 @@ class LedgerEntry:
     @property
     def balanced(self) -> bool:
         return _conserved_signature(self.before) == _conserved_signature(self.after)
-
-
-def _conserved_signature(c: dict) -> tuple:
-    return (
-        c.get("energy", 0.0),
-        tuple(c.get("momentum") or ()),
-        tuple(c.get("angularmomentum") or ()),
-    )
 
 
 class SpaceMediator:
@@ -333,7 +321,7 @@ class RefinedRuntime:
         # the board's key and snapshot; a trial starts on an empty board
         self._key, self._snapshot = None, ((), None, {})
         self.ledger: list[LedgerEntry] = []
-        self.interactions = 0  # granted events, each checked against the ledger
+        self.interactions = 0  # granted events
         self.round_index = 0
         self.engines: dict[str, ObjectEngine] = {}
         self._views: dict[str, RoundView] = {}
@@ -399,32 +387,21 @@ class RefinedRuntime:
         return busy
 
     def claim_and_interact(self, event: ProposedEvent) -> bool:
-        """Claim the event through the shared pipeline step, check the ledger."""
+        """Claim the event through the shared pipeline step, which checks
+        conservation; with keep_ledger, record the event's totals."""
         a_id, b_id = event.pair
-        before = total_conserved([self.state.objects[a_id], self.state.objects[b_id]])
+        objects = self.state.objects
+        if self.keep_ledger:
+            before = total_conserved([objects[a_id], objects[b_id]])
         claimed = claim(self.state, self.policy, a_id, b_id, self.mediator.rng)
         if isinstance(claimed, str):
             self.mediator.reject(event, self.round_index, claimed)
             return False
         chosen, out = claimed
-        survivors = [self.state.objects[i] for i in event.pair if i in self.state.objects]
-        after = total_conserved(survivors + [out])
-        entry = LedgerEntry(
-            round_index=self.round_index,
-            position=chosen.position,
-            participants=event.pair,
-            out_id=out.object_id,
-            before=before,
-            after=after,
-        )
-        if not entry.balanced:
-            raise InvariantViolation(
-                f"conservation ledger unbalanced at {event.pair}: "
-                f"{entry.before} -> {entry.after}"
-            )
         self.interactions += 1
         if self.keep_ledger:
-            self.ledger.append(entry)
+            after = total_conserved([objects[i] for i in event.pair if i in objects] + [out])
+            self.ledger.append(LedgerEntry(self.round_index, chosen.position, event.pair, out.object_id, before, after))
         self.retire_missing_engines()
         self.spawn_engine(out.object_id)
         return True

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -81,7 +82,7 @@ def _evolve(record, **changes):
     provenance, candidates and out collection (interaction.py); the Bell
     source table, drift and analyzer ports, and each trial's copies of the
     run's templates: the source effect's out collection with this trial's
-    path states and the analyzed pair with this trial's port amplitudes
+    spins and the analyzed pair with this trial's port amplitudes
     (experiments/bell.py).  Each starts from a constructor-built record
     (the record being rewritten, or a module or run template) and replaces
     only fields whose values already pass its checks, so the copy equals,
@@ -283,18 +284,32 @@ class SystemState:
 
 
 def total_conserved(objects: Iterable[QuantumObject]) -> dict:
-    """Elementwise sums of the conserved blocks over a set of objects."""
-    total = {"energy": 0.0, "momentum": None, "angularmomentum": None}
+    """Elementwise sums of the conserved blocks over a set of objects, in
+    order.  A vector total starts as the first object's vector, and an
+    empty or missing vector adds nothing."""
+    energy = 0.0
+    momentum = angularmomentum = None
     for obj in objects:
         c = obj.conserved
-        total["energy"] += c.get("energy", 0.0)
-        for key in ("momentum", "angularmomentum"):
-            vec = tuple(c.get(key, ()))
-            if total[key] is None:
-                total[key] = vec
-            elif vec:
-                total[key] = tuple(a + b for a, b in zip(total[key], vec))
-    for key in ("momentum", "angularmomentum"):
-        if total[key] is None:
-            total[key] = ()
-    return total
+        energy += c.get("energy", 0.0)
+        vec = tuple(c.get("momentum", ()))
+        if momentum is None:
+            momentum = vec
+        elif vec:
+            momentum = tuple(map(operator.add, momentum, vec))
+        vec = tuple(c.get("angularmomentum", ()))
+        if angularmomentum is None:
+            angularmomentum = vec
+        elif vec:
+            angularmomentum = tuple(map(operator.add, angularmomentum, vec))
+    return {"energy": energy, "momentum": momentum or (), "angularmomentum": angularmomentum or ()}
+
+
+def _conserved_signature(c: dict) -> tuple:
+    """A conserved block, or total_conserved's sums, in the form two of them
+    are compared in: exactly, a missing quantity counting as empty."""
+    return (
+        c.get("energy", 0.0),
+        tuple(c.get("momentum") or ()),
+        tuple(c.get("angularmomentum") or ()),
+    )

@@ -647,9 +647,10 @@ class _CheckedPolicy(BellRoundPolicy):
     """A Bell policy that checks each claim it serves against a fresh
     computation on the incoming objects: the source effect against
     interaction_effect on this trial's pair_table; on a screen claim, the
-    analyzed pair against apply_stern_gerlach, its candidates and selection
-    probabilities against detection on that fresh object, and the effect
-    against interaction_effect on the fresh inputs.  other_table swaps the
+    conserved totals before and after prepare, the analyzed pair against
+    apply_stern_gerlach, its candidates and selection probabilities
+    against detection on that fresh object, and the effect against
+    interaction_effect on the fresh inputs.  other_table swaps the
     screens' outcome table for an uncached one with other products."""
 
     other_table = False
@@ -665,6 +666,10 @@ class _CheckedPolicy(BellRoundPolicy):
         super().prepare(state, a_id, b_id)
         self._fresh = None
         if self._screen_id is not None:
+            # the runtime's ledger reads its totals before prepare, and the
+            # effect's own check reads them after: the analyzer keeps them
+            prepared = total_conserved([state.objects[a_id], state.objects[b_id]])
+            assert prepared == total_conserved([incoming[a_id], incoming[b_id]])
             pair_id = self._pair_id
             fresh = apply_stern_gerlach(incoming[pair_id], 0, self.angles[self._screen_id])
             _same(state.objects[pair_id], fresh)
@@ -695,7 +700,7 @@ class _CheckedPolicy(BellRoundPolicy):
     def effect(self, a, b, chosen, table, tag):
         got = super().effect(a, b, chosen, table, tag)
         if self._source:
-            _same(got, interaction_effect(a, b, chosen, table, str(tag)))
+            _same(got, interaction_effect(a, b, chosen, pair_table(self.theta), str(tag)))
             self.sources += 1
         if self._fresh is not None:
             fresh = interaction_effect(self._fresh[a.object_id], self._fresh[b.object_id], chosen, table, str(tag))
@@ -904,8 +909,9 @@ def test_only_the_drift_of_this_trials_emission_is_served_the_template():
 def test_a_centralized_trial_copies_at_most_24_records(monkeypatch):
     # 33 before the templates, when the source effect (15 copies with the
     # table) and the analyzed pair (7) were built afresh every trial; now
-    # 10 and 3, with the drift's 7, the first screen's 2 candidates and its
-    # collapsed row's 2
+    # 7 (the template's out collection with its 4 path states' spins set)
+    # and 3, with the drift's 7, the first screen's 2 candidates and its
+    # collapsed row's 2: 21, within the 24 the name gives
     copies = [0]
     original = state_module._evolve
 
@@ -920,7 +926,7 @@ def test_a_centralized_trial_copies_at_most_24_records(monkeypatch):
     for _ in run_trials(policy, 300, 3, "centralized", "round-robin"):
         per_trial.append(copies[0])
         copies[0] = 0
-    assert max(per_trial[100:]) <= 24 < max(per_trial[:1])
+    assert max(per_trial[100:]) <= 21 < max(per_trial[:1])
 
 
 def _drawn_rows(candidates, probabilities) -> dict:

@@ -1,12 +1,14 @@
 """Deterministic RNG: seeded substreams and random_draw."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal.engine import Cumulative, RngState, random_draw
+from qcausal import engine
+from qcausal.engine import Cumulative, RngState, _mix_seed, random_draw
 from qcausal.errors import ConfigError
 
 
@@ -28,6 +30,42 @@ def test_rng_draw_counter():
     for _ in range(7):
         rng.random()
     assert rng.draws == 7
+
+
+def test_lazy_seeding_draws_what_eager_seeding_drew():
+    # the generator is seeded on the first draw, from the same mixed seed
+    root = RngState(2026)
+    for key in [(), ("events",), ("source", 3)] + [(i,) for i in range(47)]:
+        stream = root.substream(*key)
+        eager = random.Random(_mix_seed(2026, key))
+        assert [stream.random() for _ in range(100)] == [eager.random() for _ in range(100)]
+
+
+def test_a_stream_never_drawn_from_is_never_seeded(monkeypatch):
+    mixed = []
+
+    def counted(seed, key):
+        mixed.append(key)
+        return _mix_seed(seed, key)
+
+    monkeypatch.setattr(engine, "_mix_seed", counted)
+    trial = RngState(7).substream(12)  # a refined trial's parent stream
+    events, source = trial.substream("events"), trial.substream("source")
+    assert mixed == [] and trial.draws == 0
+    drawn = [source.random() for _ in range(3)] + [events.random()]
+    # only the streams drawn from were seeded, and they draw as if the
+    # parent had been seeded too
+    assert mixed == [(12, "source"), (12, "events")] and trial.draws == 0
+    reference = random.Random(_mix_seed(7, (12, "source")))
+    assert drawn[:3] == [reference.random() for _ in range(3)]
+    assert drawn[3] == random.Random(_mix_seed(7, (12, "events"))).random()
+
+
+def test_lazy_seeding_keeps_repr_and_draw_count():
+    rng = RngState(3, ("x", 1))
+    assert repr(rng) == "RngState(seed=3, key=('x', 1), draws=0)"
+    rng.random(), rng.random()
+    assert repr(rng) == "RngState(seed=3, key=('x', 1), draws=2)" and rng.draws == 2
 
 
 def test_substream_derivation_is_pure():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qcausal import interaction, runtime
 from qcausal.engine import Cumulative, RngState
-from qcausal.errors import ConfigError, UnknownObjectError
+from qcausal.errors import ConfigError, InvariantViolation, UnknownObjectError
 from qcausal.experiments import bell, doubleslit
 from qcausal.interaction import (
     MAX_MEMO,
@@ -704,6 +704,55 @@ def test_memo_traffic_stays_inside_its_bound():
         policy = bell.BellRoundPolicy(0.0, 30.0, "uniform", RngState(8))
         sizes = [len(policy.memo) for _ in interaction.run_trials(policy, 600, 8, runtime, scheduler)]
         assert sizes == sorted(sizes) and len(set(sizes[300:])) == 1 and sizes[-1] < MAX_MEMO
+
+
+# --- conservation, checked where each effect is built -------------------------------
+
+@pytest.mark.parametrize("nth", [0, 1, 2])
+@pytest.mark.parametrize("world, marker", [("bell", None), ("doubleslit", False), ("doubleslit", True)])
+@pytest.mark.parametrize(
+    "runtime, scheduler", [("centralized", "round-robin"), ("refined", "round-robin"), ("refined", "randomized")]
+)
+def test_an_unbalanced_effect_stops_the_run(nth, world, marker, runtime, scheduler, monkeypatch):
+    # the nth out collection a fresh memo builds (a Bell source, first and
+    # second screen; a two-slit marking or screen claim) carries momentum one
+    # ulp off, and the claim that built it stops the run, under any scheduler.
+    # (An ulp of the first screen's energy, 1.5, would round away in the
+    # total with the survivor's 0.5: the check compares totals.)
+    process, built = interaction.process_interaction_object, []
+
+    def corrupted(ia):
+        out = process(ia)
+        built.append(out)
+        if len(built) - 1 != nth:
+            return out
+        first, *rest = out.conserved["momentum"]
+        momentum = (math.nextafter(first, math.inf), *rest)
+        return _evolve(out, conserved={**out.conserved, "momentum": momentum})
+
+    monkeypatch.setattr(interaction, "process_interaction_object", corrupted)
+    with pytest.raises(InvariantViolation, match=r"^conservation ledger unbalanced at \('[\w-]+', '[\w-]+'\): "):
+        _memo_run(world, marker, runtime, scheduler, 20)
+    assert len(built) == nth + 1
+    monkeypatch.undo()
+    _memo_run(world, marker, runtime, scheduler, 20)
+
+
+def test_a_warm_memo_serves_checked_effects_without_summing_again(monkeypatch):
+    calls = []
+
+    def counted(objects):
+        calls.append(objects)
+        return total_conserved(objects)
+
+    monkeypatch.setattr(interaction, "total_conserved", counted)
+    monkeypatch.setattr(runtime, "total_conserved", counted)
+    policy = bell.BellRoundPolicy(0.0, 30.0, "uniform", RngState(4))
+    list(interaction.run_trials(policy, 300, 4, "refined", "round-robin"))
+    assert calls  # the cold memo built, and checked, each effect once
+    calls.clear()
+    outcomes = list(interaction.run_trials(policy, 300, 5, "refined", "round-robin"))
+    assert calls == [] and len(outcomes) == 300
 
 
 # --- collapse before drop: equal to the paper's drop-then-eliminate order ------------

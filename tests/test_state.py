@@ -249,3 +249,40 @@ def test_total_conserved_handles_missing_blocks():
     assert total["energy"] == 2.0
     assert total["momentum"] == ()
     assert total_conserved([]) == {"energy": 0.0, "momentum": (), "angularmomentum": ()}
+
+
+def _summed_one_key_at_a_time(objects):
+    """total_conserved as first written: the reference for its bits."""
+    total = {"energy": 0.0, "momentum": None, "angularmomentum": None}
+    for obj in objects:
+        c = obj.conserved
+        total["energy"] += c.get("energy", 0.0)
+        for key in ("momentum", "angularmomentum"):
+            vec = tuple(c.get(key, ()))
+            if total[key] is None:
+                total[key] = vec
+            elif vec:
+                total[key] = tuple(a + b for a, b in zip(total[key], vec))
+    for key in ("momentum", "angularmomentum"):
+        if total[key] is None:
+            total[key] = ()
+    return total
+
+
+_components = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1e16, 1.0])
+_blocks = st.fixed_dictionaries(
+    {},
+    optional={
+        "energy": _components,
+        "momentum": st.lists(_components, max_size=3).map(tuple),
+        "angularmomentum": st.lists(_components, max_size=2).map(tuple),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_blocks, max_size=4))
+def test_total_conserved_sums_as_the_reference_does(blocks):
+    objects = [one_particle(f"o{i}", [Path(1.0, (ps((0,)),))], conserved=c) for i, c in enumerate(blocks)]
+    got, want = total_conserved(objects), _summed_one_key_at_a_time(objects)
+    assert got == want and repr(got) == repr(want)
