@@ -453,9 +453,9 @@ class BellRoundPolicy(RoundPolicy):
 
     def effect(self, a: QuantumObject, b: QuantumObject, chosen, table: OutcomeTable, tag: int) -> tuple:
         if self._source:  # the template table's effect, with this trial's spins
-            owners, source_out, log = super().effect(a, b, chosen, table, tag)
+            owners, source_out = super().effect(a, b, chosen, table, tag)
             self._emitted = (source_out, _evolve(source_out, paths=_spun(source_out.paths, self.theta)))
-            return owners, self._emitted[1], log
+            return owners, self._emitted[1]
         if not self._first_screen:
             return super().effect(a, b, chosen, table, tag)
         # the first screen's, served by the equality of its collapsed row
@@ -606,13 +606,6 @@ def draw_emission_direction(policy, rng: RngState) -> float:
     if policy == "uniform":
         return random_draw((0.0, 360.0), "uniform", rng)
     return float(policy)
-
-
-def bell_trial(angle_a: float, angle_b: float, theta: float, rng: RngState) -> tuple[bool, bool]:
-    """One centralized trial at emission direction theta (BellRoundPolicy.causal_order)."""
-    policy = BellRoundPolicy(angle_a, angle_b, theta, rng)
-    policy.causal_order(rng)
-    return policy.outcome()
 
 
 def run_bell_experiment(cfg: BellConfig) -> BellResult:

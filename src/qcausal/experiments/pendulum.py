@@ -240,7 +240,7 @@ def run_pendulum(
     times, local_a, local_b = integrate_local(mode, params, delta_t, steps)
     closed_a, closed_b = closed_form_trajectory(mode, params, times)
     mode_a, mode_b = normal_mode_trajectory(mode, params, times)
-    return PendulumResult(
+    result = PendulumResult(
         mode=mode,
         params=params,
         delta_t=delta_t,
@@ -252,3 +252,8 @@ def run_pendulum(
         mode_a=mode_a,
         mode_b=mode_b,
     )
+    # every sample enters a deviation, so an overflowed sample, or difference
+    # of two, leaves one not finite
+    if not all(map(math.isfinite, (result.deviation_from_normal_mode, result.deviation_from_closed_form))):
+        raise ConfigError(f"pendulum.amplitude {amplitude!r} overflows: a trajectory sample or deviation is not finite")
+    return result

@@ -22,13 +22,14 @@ Performing the selected candidate runs a fixed sequence:
      ParticleCollection; no dynamics are computed here, outcomes are
      entirely table-driven.
 
-interaction_effect runs steps 2 and 3 the other way round for an owner
-that keeps other particles: it first collapses the owner to the
-interacting row, then drops the column from that one row.  The two steps
-commute.  Collapsing keeps the row's path states and the owner's conserved
-block as they are, and the departing share is read from the same path
-state either way, so the survivor, its conserved block and the event log
-come out identical to the order above.  Dropping first would rebuild every
+Each step is a pure function of records; only apply writes into a
+SystemState.  interaction_effect runs steps 2 and 3 the other way round
+for an owner that keeps other particles: it first collapses the owner to
+the interacting row, then drops the column from that one row.  The two
+steps commute.  Collapsing keeps the row's path states and the owner's
+conserved block as they are, and the departing share is read from the
+same path state either way, so the survivor and its conserved block come
+out identical to the order above.  Dropping first would rebuild every
 row only for all but one to be thrown away, which on a wide table (the
 128-row marked two-slit collection) is most of the cost of an interaction.
 
@@ -41,10 +42,10 @@ A world says what its interactions mean through a RoundPolicy, and claim
 runs one event of it, both in the world's centralized causal order and
 for each event the decentralized runtime grants.
 
-An interaction's effect (the participants' survivors, the out collection
-and the event-log entries) depends only on the two objects, the chosen
-candidate, the outcome table and the tag, so perform_interaction is
-interaction_effect written into the state by apply.  A world whose claims
+An interaction's effect (the participants' survivors and the out
+collection) depends only on the two objects, the chosen candidate, the
+outcome table and the tag, so perform_interaction is interaction_effect
+written into the state by apply.  A world whose claims
 see the same objects trial after trial keeps one per-run memo, and
 RoundPolicy.memoised serves from it, by the identity of their inputs, the
 claims' candidates with their probabilities' Cumulative form (so no
@@ -328,7 +329,7 @@ def create_interaction_object(
     return InteractionObject(core=core, provenance=prov, outcome_table=outcome_table)
 
 
-def _dropped(obj: QuantumObject, particle_index: int, row_index: int) -> QuantumObject | None:
+def drop_particle(obj: QuantumObject, particle_index: int = 0, row_index: int = 0) -> QuantumObject | None:
     """obj without one particle column, or None when it was the last one.
 
     The survivor's conserved block loses the column's share, read from the
@@ -350,26 +351,6 @@ def _dropped(obj: QuantumObject, particle_index: int, row_index: int) -> Quantum
         paths=paths,
         conserved=_combine_conserved(obj.conserved, share, operator.sub) if obj.conserved else {},
     )
-
-
-def drop_particle(
-    state: SystemState, object_id: str, particle_index: int = 0, row_index: int = 0
-) -> QuantumObject | None:
-    """Destroy one particle column; remove the object when none remain.
-
-    Returns the surviving owner (with the column removed and its conserved
-    share subtracted) or None when the object was removed outright.
-    row_index names the row whose pathstate carries the departing conserved
-    share (the interacting row).  The drop is recorded in the state's event
-    log.  Dropping from a missing id raises, so a double drop is an error.
-    """
-    survivor = _dropped(state.get_object(object_id), particle_index, row_index)
-    state.event_log.append({"event": "drop_particle", "object": object_id, "particle": particle_index})
-    if survivor is None:
-        del state.objects[object_id]
-    else:
-        state.objects[object_id] = survivor
-    return survivor
 
 
 def eliminate_unaffected_paths(obj: QuantumObject, path_index: int) -> QuantumObject:
@@ -411,9 +392,9 @@ def interaction_effect(
     tag: str | int,
 ) -> tuple:
     """What performing the selected candidate does, computed without a state:
-    (owners, out, log).  owners holds each participant's (object id,
-    survivor) in participant order, the survivor None when the participant
-    is consumed; out is the out collection; log holds the event-log entries.
+    (owners, out).  owners holds each participant's (object id, survivor)
+    in participant order, the survivor None when the participant is
+    consumed; out is the out collection.
 
     It runs the module docstring's steps, collapsing an owner that keeps
     other particles before its drop (the same result, as shown there).
@@ -438,36 +419,25 @@ def interaction_effect(
     after = total_conserved([survivor for _, survivor in owners if survivor is not None] + [out])
     if _conserved_signature(before) != _conserved_signature(after):
         raise InvariantViolation(f"conservation ledger unbalanced at {(a.object_id, b.object_id)}: {before} -> {after}")
-    log = (
-        {"event": "drop_particle", "object": a.object_id, "particle": candidate.particle_index_1},
-        {"event": "drop_particle", "object": b.object_id, "particle": candidate.particle_index_2},
-        {
-            "event": "interaction",
-            "participants": [a.object_id, b.object_id],
-            "position": candidate.position,
-            "result": out.object_id,
-        },
-    )
-    return owners, out, log
+    return owners, out
 
 
 def _consumed(owner: QuantumObject, particle_index: int, path_index: int) -> QuantumObject | None:
     """owner after its interacting particle leaves: an owner that keeps
     other particles is collapsed to the interacting row first."""
     if len(owner.particles) > 1:
-        return _dropped(eliminate_unaffected_paths(owner, path_index), particle_index, 0)
-    return _dropped(owner, particle_index, path_index)
+        return drop_particle(eliminate_unaffected_paths(owner, path_index), particle_index, 0)
+    return drop_particle(owner, particle_index, path_index)
 
 
 def apply(state: SystemState, effect: tuple) -> QuantumObject:
     """Write an effect into state and return its out collection.
 
     Each participant is replaced by its survivor or removed, the out
-    collection is added, and the effect's log entries are appended.  The
-    effect itself is not changed, so one effect may be applied to many
-    states.
+    collection is added, and state.events advances.  The effect itself is
+    not changed, so one effect may be applied to many states.
     """
-    owners, out, log = effect
+    owners, out = effect
     objects = state.objects
     for object_id, survivor in owners:
         if survivor is None:
@@ -475,7 +445,10 @@ def apply(state: SystemState, effect: tuple) -> QuantumObject:
         else:
             objects[object_id] = survivor
     state.add_object(out)
-    state.event_log.extend(log)
+    # 3 per interaction, one per drop and one for the interaction, so the ids
+    # ia-/out-<tag> run 0, 3, 6: the refined runtime orders engines by id and
+    # breaks ties at a cell by participant ids, so renumbering could move draws
+    state.events += 3
     return out
 
 
@@ -487,11 +460,11 @@ def perform_interaction(
     outcome_table: OutcomeTable,
 ) -> QuantumObject:
     """Run the full pipeline for one selected candidate: the interaction's
-    effect, written into state.  Returns the out collection."""
-    # event-log length is unique per interaction within a state, so the id
-    # is reproducible run to run (a global counter would not be)
-    tag = str(len(state.event_log))
-    effect = interaction_effect(state.get_object(a_id), state.get_object(b_id), candidate, outcome_table, tag)
+    effect, tagged state.events, written into state.  Returns the out
+    collection."""
+    # the counter is unique per interaction within a state, so the id is
+    # reproducible run to run (a global counter would not be)
+    effect = interaction_effect(state.get_object(a_id), state.get_object(b_id), candidate, outcome_table, state.events)
     return apply(state, effect)
 
 
@@ -592,8 +565,8 @@ def claim(
 
     Runs prepare, the policy's candidates on the prepared objects,
     select_interaction, the policy's table_for, and the policy's effect
-    (tagged len(state.event_log), as perform_interaction tags it) written
-    into state by apply.  Returns the chosen candidate and the out
+    (tagged state.events, as perform_interaction tags it) written into
+    state by apply.  Returns the chosen candidate and the out
     collection, or the reason no interaction happened: "no live
     candidates" or "vetoed".
     """
@@ -605,7 +578,7 @@ def claim(
     table = policy.table_for(state, a_id, b_id, chosen)
     if table is None:
         return "vetoed"
-    effect = policy.effect(state.get_object(a_id), state.get_object(b_id), chosen, table, len(state.event_log))
+    effect = policy.effect(state.get_object(a_id), state.get_object(b_id), chosen, table, state.events)
     return chosen, apply(state, effect)
 
 

@@ -237,11 +237,6 @@ class SpaceMediator:
         self.board, self.published = board, published
         self._proposals = {}
 
-    @property
-    def board_by_object(self) -> dict[str, list[Advertisement]]:
-        """object id -> its advertisements on the board."""
-        return {object_id: publication.ads for object_id, publication in self.published.items()}
-
     def submit_proposal(self, proposer: str, other: str, cells: tuple):
         if proposer == other:
             raise ConfigError(f"object {proposer!r} proposed an event with itself")

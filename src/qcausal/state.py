@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import ConfigError, DegenerateObjectError, InvariantViolation, UnknownObjectError
+from .errors import ConfigError, DegenerateObjectError, UnknownObjectError
 
 NORM_TOL = 1e-9  # squared amplitude moduli must sum to 1 within this
 
@@ -77,8 +77,8 @@ def _evolve(record, **changes):
     would have coerced it to.  Input from outside goes through the
     constructor, which validates and coerces.
 
-    The records a run builds for every event come from here: the collapse,
-    drop and normalization rewrites below; the interaction object, its
+    The records a run builds for every event come from here: the collapse
+    and normalization rewrites below; the drop, the interaction object, its
     provenance, candidates and out collection (interaction.py); the Bell
     source table, drift and analyzer ports, and each trial's copies of the
     run's templates: the source effect's out collection with this trial's
@@ -172,13 +172,6 @@ class QuantumObject:
     def amplitude_norm(self) -> float:
         return sum(p.weight for p in self.paths)
 
-    def check_normalized(self, tol: float = NORM_TOL):
-        norm = self.amplitude_norm()
-        if abs(norm - 1.0) > tol:
-            raise InvariantViolation(
-                f"object {self.object_id!r}: squared amplitudes sum to {norm!r}, expected 1"
-            )
-
 
 def normalize_amplitudes(obj: QuantumObject) -> QuantumObject:
     """Rescale row amplitudes so squared moduli sum to one.
@@ -239,17 +232,19 @@ def path_support(path: Path) -> frozenset:
 
 @dataclass
 class SystemState:
-    """One trial's world: the lattice, the live objects by id, and the log of
-    pipeline events.
+    """One trial's world: the lattice, the live objects by id, and a count
+    of pipeline events.
 
-    The interaction pipeline and both runtimes read and rewrite objects in
-    place; object_problem is the check the decentralized runtime runs once
-    on each object it has not seen before.
+    The pipeline's steps are pure; interaction.apply is the one step that
+    writes an interaction into a state, and it advances events by 3 per
+    interaction, which tags the next one.  Both runtimes read and rewrite
+    objects in place; object_problem is the check the decentralized runtime
+    runs once on each object it has not seen before.
     """
 
     space: Space
     objects: dict = field(default_factory=dict)
-    event_log: list = field(default_factory=list)
+    events: int = 0
 
     def add_object(self, obj: QuantumObject):
         if obj.object_id in self.objects:
@@ -272,14 +267,6 @@ class SystemState:
         for pt in object_footprint(obj):
             if not self.space.contains(pt):
                 return f"object {obj.object_id!r} occupies {pt} outside the lattice"
-        return None
-
-    def invariant_problem(self):
-        """object_problem over every live object; the first description or None."""
-        for obj in self.objects.values():
-            problem = self.object_problem(obj)
-            if problem is not None:
-                return problem
         return None
 
 

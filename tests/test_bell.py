@@ -26,7 +26,6 @@ from qcausal.experiments.bell import (
     UnentangledConfig,
     apply_stern_gerlach,
     bell_scan,
-    bell_trial,
     bell_world,
     cos_deg,
     draw_emission_direction,
@@ -229,7 +228,7 @@ def test_cached_blocks_are_read_only():
             obj.conserved["energy"] = 99.0
         with pytest.raises(TypeError):
             obj.global_attrs["position"] = WING_A_CELL
-    assert bell_trial(0.0, 0.0, 30.0, RngState(0).substream(0)) in {(True, True), (False, False)}
+    assert _one_trial(0.0, 0.0, 30.0, RngState(0).substream(0)) in {(True, True), (False, False)}
     assert [obj.conserved["energy"] for obj in blocks] == [0.5, 1.0]
 
 
@@ -257,11 +256,18 @@ def test_trial_conserves_energy():
 
 # --- full trials ----------------------------------------------------------------------
 
+def _one_trial(angle_a, angle_b, theta, rng):
+    """One centralized trial at emission direction theta."""
+    policy = BellRoundPolicy(angle_a, angle_b, theta, rng)
+    policy.causal_order(rng)
+    return policy.outcome()
+
+
 def test_trial_forced_outcomes():
     # theta = 0, analyzer a = 0: case1 certain; analyzer b = 90 after the
     # collapse tags the partner spin 0: case1 impossible.
     for seed in range(6):
-        assert bell_trial(0.0, 90.0, 0.0, RngState(seed).substream("t")) == (True, False)
+        assert _one_trial(0.0, 90.0, 0.0, RngState(seed).substream("t")) == (True, False)
 
 
 @given(st.floats(min_value=0.0, max_value=360.0, allow_nan=False),
@@ -269,13 +275,13 @@ def test_trial_forced_outcomes():
 @settings(max_examples=120, deadline=None)
 def test_aligned_analyzers_always_agree(theta, seed):
     # Exact agreement, any emission direction, any draw sequence.
-    case_a, case_b = bell_trial(40.0, 40.0, theta, RngState(seed).substream("t"))
+    case_a, case_b = _one_trial(40.0, 40.0, theta, RngState(seed).substream("t"))
     assert case_a == case_b
 
 
 def test_trial_is_deterministic():
-    one = bell_trial(0.0, 30.0, 123.4, RngState(5).substream(7))
-    two = bell_trial(0.0, 30.0, 123.4, RngState(5).substream(7))
+    one = _one_trial(0.0, 30.0, 123.4, RngState(5).substream(7))
+    two = _one_trial(0.0, 30.0, 123.4, RngState(5).substream(7))
     assert one == two
 
 
@@ -759,7 +765,7 @@ def test_screen_memos_tell_apart_what_the_effect_reads(spindir):
         if trial % 7 == 3:
             moved = dataclasses.replace(moved, particles=light)
         state.objects[pair.object_id] = moved
-        state.event_log.extend({"event": "filler"} for _ in range(trial % 3))  # moves the screens' tags
+        state.events += trial % 3  # moves the screens' tags
         for screen_id in ("screen-a", "screen-b"):
             claim(state, policy, pair.object_id, screen_id, rng)
     assert policy.claims == 120 and policy.reused > 20
@@ -893,7 +899,7 @@ def test_only_the_drift_of_this_trials_emission_is_served_the_template():
         rng = RngState(1).substream(trial)
         policy.new_trial(rng)
         state = bell_world()
-        state.event_log.extend({"event": "filler"} for _ in range(trial // 3))
+        state.events += trial // 3
         _, pair = claim(state, policy, *PUMP_IDS, rng)
         if trial % 3 == 1:
             state.objects[pair.object_id] = dataclasses.replace(pair, particles=light)

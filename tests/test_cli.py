@@ -237,6 +237,8 @@ def test_analyze_malformed_model(tmp_path, capsys):
         ["wave", "--init", "sine", "--velocity", "traveling"],
         ["bell", "--angle-a", "0", "--angle-b", "30", "--angles", "0,30,60"],
         ["bell", "--angle-a", "0", "--angles", "0,30,60"],
+        ["pendulum", "--mode", "anti-phase", "--amplitude", "5e307"],  # overflows a sample
+        ["pendulum", "--mode", "in-phase", "--amplitude", "9e307"],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):

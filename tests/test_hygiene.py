@@ -35,10 +35,18 @@ every later trial, so no code under src/ assigns, deletes or augments
 into .conserved or .global_attrs, or calls a dict method that changes
 them.  The scan is syntactic: it sees the blocks only where they are
 named as attributes.
+
+Every function the benchmark hooks exists: perfbench/run.py wraps each
+target in its HOOKS, and a target that is gone turns its layer metric
+into null, which the benchmark refuses as malformed output.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+
+from qcausal import interaction
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "demos")
@@ -453,3 +461,30 @@ def test_no_code_writes_into_an_objects_blocks():
         for line, scope in block_writes(path.read_text()):
             offenders.append(f"{path.relative_to(ROOT)}:{line}: {scope or '<module>'}")
     assert offenders == []
+
+
+def _perfbench_run(monkeypatch):
+    """perfbench/run.py loaded as a module, without running it."""
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # for its `import calibrate`
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def unresolved_hooks(run) -> list[str]:
+    return [hook.target for hook in run.HOOKS if run._resolve(hook.target) is None]
+
+
+def test_hook_check_names_a_deleted_target(monkeypatch):
+    run = _perfbench_run(monkeypatch)
+    monkeypatch.delattr(interaction, "drop_particle")
+    assert unresolved_hooks(run) == ["qcausal.interaction:drop_particle"]
+
+
+def test_every_perfbench_hook_target_exists(monkeypatch):
+    run = _perfbench_run(monkeypatch)
+    assert len(run.HOOKS) == 30
+    assert unresolved_hooks(run) == []

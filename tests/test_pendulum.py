@@ -137,6 +137,12 @@ def test_run_pendulum_validation():
             run_pendulum("in-phase", periods=bad)
     with pytest.raises(ConfigError):
         run_pendulum("diagonal")
+    # finite inputs whose trajectory or deviation overflows; 3e307 and 8e307 fit
+    for mode, huge in (("anti-phase", 5e307), ("in-phase", 9e307)):
+        with pytest.raises(ConfigError, match="amplitude .* overflows"):
+            run_pendulum(mode, amplitude=huge)
+    for mode, large in (("anti-phase", 3e307), ("in-phase", 8e307)):
+        assert math.isfinite(run_pendulum(mode, amplitude=large).deviation_from_closed_form)
 
 
 def test_result_serialization(tmp_path):

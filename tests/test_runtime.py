@@ -125,10 +125,10 @@ def test_publication_is_invisible_until_flip():
     med = SpaceMediator(RngState(0))
     med.publish(_ad("a", (3,)))
     assert med.board == {}
-    assert med.board_by_object == {}
+    assert med.published == {}
     med.flip()
     assert med.board[(3,)] == [_ad("a", (3,))]
-    assert med.board_by_object["a"] == [_ad("a", (3,))]
+    assert med.published["a"].ads == [_ad("a", (3,))]
     med.flip()
     assert med.board == {}
 
@@ -140,7 +140,7 @@ def test_board_groups_by_cell_and_object():
     med.publish(_ad("b", (2,)))
     med.flip()
     assert {ad.object_id for ad in med.board[(2,)]} == {"a", "b"}
-    assert len(med.board_by_object["a"]) == 2
+    assert len(med.published["a"].ads) == 2
 
 
 def test_self_proposal_rejected():
@@ -273,11 +273,7 @@ def test_merge_world_runs_to_single_object():
     assert runtime.mediator.rejections == []
     assert set(state.objects) == {"out-0"}
     assert set(runtime.engines) == {"out-0"}
-    assert [e["event"] for e in state.event_log] == [
-        "drop_particle",
-        "drop_particle",
-        "interaction",
-    ]
+    assert state.events == 3
     (entry,) = runtime.ledger
     assert entry.balanced
     assert entry.round_index == 1
@@ -571,7 +567,8 @@ def test_board_equals_a_full_readvertisement_after_every_publish(monkeypatch, wo
         board, by_object = _readvertised(runtime.state)
         # items() lists compare content and iteration order both
         assert list(runtime.mediator.board.items()) == list(board.items())
-        assert list(runtime.mediator.board_by_object.items()) == list(by_object.items())
+        published = runtime.mediator.published
+        assert [(object_id, p.ads) for object_id, p in published.items()] == list(by_object.items())
         checked.append(runtime)
 
     monkeypatch.setattr(RefinedRuntime, "publish_phase", checked_publish)
@@ -715,8 +712,8 @@ def test_served_proposals_equal_a_fresh_detect(monkeypatch, world, scheduler):
     def checked_detect_and_grant(runtime):
         # a fresh detect by every engine against the board rebuilt from its ads
         probe = SpaceMediator(RngState(0))
-        for ads in runtime.mediator.board_by_object.values():
-            probe.publish(*ads)
+        for publication in runtime.mediator.published.values():
+            probe.publish(*publication.ads)
         probe.flip()
         for object_id in sorted(runtime.engines):
             detect(ObjectEngine(object_id), RoundView(probe, object_id))
