@@ -51,8 +51,10 @@ RoundPolicy.memoised serves from it, by the identity of their inputs, the
 claims' candidates with their probabilities' Cumulative form (so no
 weight is re-checked or re-summed per draw), their effects, and what the
 world itself builds from them (the two-slit fans, the Bell survivors'
-analyzed pair).  Only the Bell world's first screen trusts equality
-(experiments/bell.py).
+analyzed pair).  Of these memos, only the Bell world's first screen
+trusts equality (experiments/bell.py).  Beside it, the decentralized
+runtime shares an object's publication by equality of exactly what its
+advertisements and its check read (runtime.py).
 
 run_trials is the one trial loop, for every world under both schedulers.
 Trial i draws only from the substream (seed, i).  Three policy hooks give

@@ -14,21 +14,51 @@ lag is the price of symmetry.
 
 Objects are frozen records, and most of a round's objects are the very
 ones of the round before, or of the trial before (a screen, a pump, a
-memoised fan).  So each object is checked once, and its advertisements
-and the sorted cells they occupy are computed once, into a publication
-record keyed by the object's identity, and reused while the same object
-stays live, across the trials a runtime serves.
+memoised fan).  The rest mostly repeat what they advertise: Bell's
+emitted pair is a new object in every trial, but only its spins are new,
+and nothing on the board reads a spin.  So a runtime keeps, for the
+trials it serves, three bounded stores, each keyed by exactly what its
+value is a function of:
 
-The board is a function of the live objects and their ids, and what an
-engine proposes is a function of the board and its object's id.  So when
-the same objects are live again, the board is not laid out again: a
-snapshot keyed by the object ids and the objects' identities holds the
-board and each engine's proposals against it, and is installed whole.  A
-snapshot holds its objects' records, so no identity in its key can be
-reused while it exists.  The last round's board is kept this way, and a
-board is stored for later rounds only when none of its records was built
-in the current trial: an object new to a trial (Bell's emitted pair) is
-likely new to every trial, and so is a board that holds it.
+  - a publication (an object's advertisements and the sorted cells they
+    occupy) by what _advertise and object_problem read of the object:
+    its id, its particle count, and per path the weight and the path
+    states' cell sets.  Two objects that publish alike share one
+    publication, checked once;
+  - a laid-out board by the identities of its publications, in object
+    id order, together with each engine's proposals against it, filled
+    as engines detect;
+  - in front, the board by the live object ids and the objects'
+    identities, so objects that repeat by identity (two-slit) are served
+    with one lookup a round.
+
+Why serving is exact:
+
+  - _advertise is a function of the publication key.  Its ads are
+    (object id, path index, cell, weight) for each nonzero-weight path,
+    in path order and sorted cell order, and its cells the sorted union;
+    the check is a function of the key and the space (rectangularity,
+    lattice containment, and a message naming the id), and the stores
+    are dropped when the space changes.  A weight is abs(a) ** 2, never
+    -0.0, and equal floats other than signed zeros have the same repr; a
+    NaN weight is a new float in every key, so it never matches a stored
+    one.  An object with a problem raises before anything is stored.
+  - Cells are keyed only when every coordinate is an int.  PathState
+    does not coerce cells, and (1.0,) == (1,) hashes alike, so a float,
+    bool or numpy coordinate would otherwise be served an int cell's ads,
+    equal but with another repr.  Such an object gets a fresh,
+    unstored publication (the worlds here build int cells only).
+  - A board is a function of its publications in order, and what an
+    engine proposes is a function of the board and its object's id.
+  - No id can be reused while it is a key: a board holds its
+    publications, and an identity entry holds its objects.  Each store
+    is cleared when it reaches MAX_RECORDS.
+  - Every round still submits each engine's proposals to the mediator
+    and runs collect_events' symmetry check, so the events, the
+    rejections and the randomized scheduler's draws are unchanged.
+
+A trial starts on the runtime's one empty board: a new mediator's board
+is empty, and on an empty board every engine proposes nothing.
 
 A round has four phases:
 
@@ -48,14 +78,14 @@ A round has four phases:
      keep_ledger, each interaction also appends a ledger entry: the
      participants' conserved totals before and the survivors' plus the
      out collection's after.
-  3. propagate: engines that did not interact and have been alive for
-     PROPAGATION_DELAY rounds ask the policy to advance their object
-     (drift, a fan to the screen).  The delay guarantees an overlap
-     standing at spawn time is detected before anyone moves.
-  4. publish: the board is laid out from the live objects' records, or
-     the snapshot of the same live objects is installed again.  A record
-     is built when its object is first seen live, after checking the
-     object: a rectangular table inside the lattice.
+  3. propagate: engines that did not interact and whose proper time (the
+     rounds since the engine was spawned) has reached PROPAGATION_DELAY
+     ask the policy to advance their object (drift, a fan to the
+     screen).  The delay guarantees an overlap standing at spawn time is
+     detected before anyone moves.
+  4. publish: the live objects' board is served from the stores above,
+     or laid out from their publications.  An object whose publication
+     key is new is checked first: a rectangular table inside the lattice.
 
 Consumed objects retire their engines; interaction products get fresh
 ones.  All per-round iteration is in sorted order and every random draw
@@ -80,24 +110,19 @@ BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 # rounds an object must sit on the board before it may move; detection of
 # a standing overlap takes one round of lag plus one to act on it
 PROPAGATION_DELAY = 2
-# a runtime clears its publication records, and its board snapshots, when
-# either passes this many; a run keeps a handful live and adds a few per trial
+# a runtime clears each of its stores (publications, boards, and boards by
+# the live objects' identities) when it holds this many
 MAX_RECORDS = 256
 
 
 # one (path, cell) occupancy notice on the mediator board; a namedtuple,
-# like the records below, since a run builds one per path and cell
+# since a run builds one per path and cell
 Advertisement = namedtuple("Advertisement", "object_id path_index cell weight")
 
 # what a board holds of an object: its id, its advertisements and the
 # sorted cells they occupy; the list is shared by every board that holds
 # it, and never mutated
 _Publication = namedtuple("_Publication", "object_id ads cells")
-
-# one live object's publication record, which serves as its publication:
-# the object (its strong reference keeps the id() the record is keyed by
-# from being reused), the publication's fields and the trial it was built in
-_Record = namedtuple("_Record", "obj object_id ads cells trial")
 
 
 def _advertise(object_id: str, obj: QuantumObject) -> tuple[list[Advertisement], tuple]:
@@ -118,6 +143,22 @@ def _advertise(object_id: str, obj: QuantumObject) -> tuple[list[Advertisement],
     return ads, tuple(sorted(occupied))
 
 
+def _publication_key(object_id: str, obj: QuantumObject):
+    """What _advertise and object_problem read of obj: its id, its particle
+    count, and per path the weight and each path state's cell set; None
+    when a coordinate is not an int, since (1.0,) == (1,)."""
+    key = [object_id, len(obj.particles)]
+    for path in obj.paths:
+        cells = [ps.spacepoints for ps in path.pathstates]
+        for points in cells:
+            for point in points:
+                for c in point:
+                    if type(c) is not int:
+                        return None
+        key.append((path.weight, *cells))
+    return tuple(key)
+
+
 def _lay_out(publications) -> tuple[dict, dict]:
     """The board of publications, in order: cell -> ads, and object id ->
     publication for the objects with an advertisement."""
@@ -131,12 +172,22 @@ def _lay_out(publications) -> tuple[dict, dict]:
     return board, published
 
 
+def _store(store: dict, key, value):
+    """store[key] = value, after clearing store if it holds MAX_RECORDS."""
+    if len(store) >= MAX_RECORDS:
+        store.clear()
+    store[key] = value
+    return value
+
+
 @dataclass
 class ObjectEngine:
-    """Worker owning exactly one object; sees the world only via RoundView."""
+    """Worker owning exactly one object; sees the world only via RoundView.
+    Its proper time in a round is that round's index less born, the round
+    it was spawned in."""
 
     object_id: str
-    proper_time: int = 0
+    born: int = 0
 
     def detect(self, view: "RoundView") -> tuple:
         """Propose one event per object overlapping my advertised cells, and
@@ -210,7 +261,7 @@ class SpaceMediator:
         self.rng = rng
         self.scheduler = scheduler
         self.board: dict[tuple, list[Advertisement]] = {}
-        self.published: dict[str, _Publication] = {}  # or records, which have its fields
+        self.published: dict[str, _Publication] = {}
         self._next: list[Advertisement] = []
         self._proposals: dict[tuple[str, str], dict[str, tuple]] = {}
         self.rejections: list[dict] = []
@@ -278,7 +329,7 @@ class RefinedRuntime:
     """Round loop driver over a store, engines, mediator, and policy.
 
     The constructor starts the first trial; next_trial starts each later
-    one on the same runtime, which keeps its publication records.
+    one on the same runtime, which keeps its stores.
     """
 
     def __init__(
@@ -292,29 +343,30 @@ class RefinedRuntime:
         self.policy = policy
         self.scheduler = scheduler
         self.keep_ledger = keep_ledger
-        self._records: dict[int, _Record] = {}  # id(obj) -> obj's record
-        # a board snapshot is a tuple: the records it was laid out from (they
-        # hold the objects whose id()s key it, so no id can be reused),
-        # _lay_out's two dicts, and each engine's proposals against it by
-        # object id, filled as engines detect
-        self._snapshots: dict[tuple, tuple] = {}  # (*object ids, *id()s) -> snapshot
-        self._space = None  # the space the records' objects were checked in
-        self._trial = -1  # the current trial's index, counted by next_trial
+        # a board is a tuple: the publications it was laid out from (they
+        # key it by identity, so no id can be reused), _lay_out's two
+        # dicts, and each engine's proposals against it by object id
+        self._empty = ((), _lay_out(()), {})  # every trial's first board
+        self._space = None  # the space the stores' objects were checked in
         self.next_trial(state, rng)
 
     def next_trial(self, state: SystemState, rng: RngState):
         """Start a trial on state: fresh engines, ledger and counters, and a
-        mediator drawing from rng's "events" substream.  The records carry
+        mediator drawing from rng's "events" substream.  The stores carry
         over while the trial's space is the previous trial's."""
         if state.space is not self._space:
-            self._records.clear()
-            self._snapshots.clear()
+            self._publications: dict[tuple, _Publication] = {}  # publication key -> publication
+            self._boards: dict[tuple, tuple] = {}  # publication id()s -> board
+            # (*object ids, *id()s) -> (board, the objects, which hold the id()s)
+            self._by_identity: dict[tuple, tuple] = {}
             self._space = state.space
-        self._trial += 1
+        if len(self._empty[2]) >= MAX_RECORDS:  # it holds one () per starting id
+            self._empty[2].clear()
         self.state = state
         self.mediator = SpaceMediator(rng.substream("events"), self.scheduler)
-        # the board's key and snapshot; a trial starts on an empty board
-        self._key, self._snapshot = None, ((), None, {})
+        # the live objects' identity key and their board; a new mediator's
+        # board is empty, so a trial starts on the empty board
+        self._key, self._entry = None, (self._empty, ())
         self.ledger: list[LedgerEntry] = []
         self.interactions = 0  # granted events
         self.round_index = 0
@@ -326,7 +378,7 @@ class RefinedRuntime:
     def spawn_engine(self, object_id: str):
         if object_id in self.engines:
             raise ConfigError(f"engine for {object_id!r} already exists")
-        self.engines[object_id] = ObjectEngine(object_id)
+        self.engines[object_id] = ObjectEngine(object_id, self.round_index)
         self._views[object_id] = RoundView(self.mediator, object_id)
 
     def retire_missing_engines(self):
@@ -334,20 +386,18 @@ class RefinedRuntime:
             del self.engines[object_id]
             del self._views[object_id]
 
-    def _record(self, object_id: str, obj: QuantumObject) -> _Record:
-        """obj's publication record, built, and its invariants checked, the
-        first time obj is seen live."""
-        record = self._records.get(id(obj))
-        if record is None or record.object_id != object_id:
+    def _publication(self, object_id: str, obj: QuantumObject) -> _Publication:
+        """obj's publication, served by its key, or built after checking obj."""
+        key = _publication_key(object_id, obj)
+        publication = self._publications.get(key)
+        if publication is None:
             problem = self.state.object_problem(obj)
             if problem is not None:
                 raise InvariantViolation(f"after propagation: {problem}")
-            if len(self._records) >= MAX_RECORDS:
-                self._records.clear()
-                self._snapshots.clear()  # they could not hit again
-            record = _Record(obj, object_id, *_advertise(object_id, obj), self._trial)
-            self._records[id(obj)] = record
-        return record
+            publication = _Publication(object_id, *_advertise(object_id, obj))
+            if key is not None:
+                _store(self._publications, key, publication)
+        return publication
 
     # -- round phases ------------------------------------------------------
 
@@ -355,12 +405,10 @@ class RefinedRuntime:
         busy = self.detect_and_grant()
         self.propagate_phase(busy)
         self.publish_phase()
-        for engine in self.engines.values():
-            engine.proper_time += 1
         self.round_index += 1
 
     def detect_and_grant(self) -> set:
-        proposed = self._snapshot[2]
+        proposed = self._entry[0][2]
         for object_id in sorted(self.engines):
             proposals = proposed.get(object_id)
             if proposals is None:
@@ -405,7 +453,7 @@ class RefinedRuntime:
         for object_id in sorted(self.engines):
             if object_id in busy or object_id not in self.state.objects:
                 continue
-            if self.engines[object_id].proper_time < PROPAGATION_DELAY:
+            if self.round_index - self.engines[object_id].born < PROPAGATION_DELAY:
                 continue
             moved = self.policy.propagate(self.state, object_id)
             if moved is not None:
@@ -414,24 +462,21 @@ class RefinedRuntime:
                 self.state.objects[object_id] = moved
 
     def publish_phase(self):
-        """Lay out the live objects' board, or install it again: the stored
-        snapshot of the same objects, or the board of the last round."""
+        """Install the live objects' board: the last round's, the one stored
+        for the same objects or for the same publications, or a new one."""
         objects = self.state.objects
         key = (*objects, *map(id, objects.values()))
         if key != self._key:
-            # a stored key names only objects its snapshot holds, so no
-            # object new since it was stored can match it
-            snapshot = self._snapshots.get(key)
-            if snapshot is None:
-                records = [self._record(object_id, objects[object_id]) for object_id in sorted(objects)]
-                snapshot = (records, _lay_out(records), {})
-                trial = self._trial  # stored when no record is new to this trial
-                if all(record.trial < trial for record in records):
-                    if len(self._snapshots) >= MAX_RECORDS:
-                        self._snapshots.clear()
-                    self._snapshots[key] = snapshot
-            self._key, self._snapshot = key, snapshot
-        self.mediator.install(*self._snapshot[1])
+            entry = self._by_identity.get(key)
+            if entry is None:
+                publications = [self._publication(object_id, objects[object_id]) for object_id in sorted(objects)]
+                board_key = tuple(map(id, publications))
+                board = self._boards.get(board_key)
+                if board is None:
+                    board = _store(self._boards, board_key, (publications, _lay_out(publications), {}))
+                entry = _store(self._by_identity, key, (board, tuple(objects.values())))
+            self._key, self._entry = key, entry
+        self.mediator.install(*self._entry[0][1])
 
     def run(self, max_rounds: int = 64) -> int:
         """Rounds until the policy reports completion; returns the count."""

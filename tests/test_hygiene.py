@@ -297,7 +297,10 @@ def test_only_the_driver_runs_trials():
     assert offenders == []
 
 
-ENGINE_FORBIDDEN = {"_mediator", "mediator", "board", "board_by_object", "published", "state", "_records", "_snapshots"}
+ENGINE_FORBIDDEN = {
+    "_mediator", "mediator", "board", "board_by_object", "published", "state", "_records", "_snapshots",
+    "_publications", "_boards", "_by_identity", "_empty", "_entry",
+}
 
 
 def engine_reach(source: str) -> list[tuple[int, str]]:
