@@ -12,6 +12,12 @@ and prints a short text summary.  JSON is sorted and timestamp-free, so a
 repeated invocation with the same seed is byte-identical.  Exit codes:
 0 success, 1 configuration or usage error or out of memory, 2 internal
 invariant failure.
+
+bell, lhv and analyze use no array, and loading numpy is most of the
+time it takes to import this module.  So numpy, wave, experiments.doubleslit
+and experiments.pendulum are imported inside cmd_doubleslit, cmd_wave and
+cmd_pendulum, and the parser reads its choices from numpy-free modules:
+the other subcommands, and --help, never load numpy.
 """
 
 from __future__ import annotations
@@ -24,21 +30,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from .choices import BOUNDARIES, PENDULUM_MODES
 from .errors import ConfigError, InvariantViolation, check_array_length
-from .experiments import bell, doubleslit, pendulum
+from .experiments import bell
+from .interaction import RUNTIMES, SCHEDULERS
 from .locality import classify_model, load_model_spec, ref_to_text
-from .wave import (
-    BOUNDARIES,
-    compare_analytic,
-    make_grid,
-    gaussian_profile,
-    run_wave,
-    standing_wave_grid,
-    traveling_pulse_grid,
-    write_snapshots_csv,
-)
 
 OUTPUT_DIR_ENV = "QCAUSAL_OUTPUT_DIR"
 
@@ -83,23 +79,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_angles_triple, default=None, help="a,b,c for the three-pair scan")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runtime", choices=("centralized", "refined"), default="centralized")
+    p.add_argument("--runtime", choices=RUNTIMES, default="centralized")
     p.add_argument("--form", choices=bell.FORMS, default="identical")
     p.add_argument(
         "--spindir", type=_finite_float, default=None, help="fix the emission direction (default: uniform)"
     )
-    p.add_argument("--scheduler", choices=("round-robin", "randomized"), default="round-robin")
+    p.add_argument("--scheduler", choices=SCHEDULERS, default="round-robin")
     add_common(p)
 
     p = sub.add_parser("doubleslit", help="two-slit screen histogram")
     p.add_argument("--marker", choices=("on", "off"), required=True)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runtime", choices=("centralized", "refined"), default="centralized")
+    p.add_argument("--runtime", choices=RUNTIMES, default="centralized")
     p.add_argument("--geometry", choices=("default", "small"), default="default")
     p.add_argument(
         "--scheduler",
-        choices=("round-robin", "randomized"),
+        choices=SCHEDULERS,
         default="round-robin",
         help="refined runtime only; the two-slit world proposes at most one event per round, "
         "so randomized gives the same output as round-robin",
@@ -124,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("pendulum", help="coupled pendulums vs closed forms")
-    p.add_argument("--mode", choices=pendulum.MODES, required=True)
+    p.add_argument("--mode", choices=PENDULUM_MODES, required=True)
     p.add_argument("--k", type=_finite_float, default=0.5, help="coupling spring constant")
     p.add_argument("--m", type=_finite_float, default=1.0)
     p.add_argument("--omega", type=_finite_float, default=1.0, help="uncoupled frequency omega_0")
@@ -240,6 +236,8 @@ def cmd_bell(args) -> int:
 
 
 def cmd_doubleslit(args) -> int:
+    from .experiments import doubleslit
+
     _check_scheduler(args)
     outdir = _output_dir(args)
     geometry = doubleslit.DEFAULT_GEOMETRY if args.geometry == "default" else doubleslit.SMALL_GEOMETRY
@@ -281,6 +279,18 @@ def _wave_defaults(args):
 
 
 def cmd_wave(args) -> int:
+    import numpy as np
+
+    from .wave import (
+        compare_analytic,
+        gaussian_profile,
+        make_grid,
+        run_wave,
+        standing_wave_grid,
+        traveling_pulse_grid,
+        write_snapshots_csv,
+    )
+
     _wave_defaults(args)
     outdir = _output_dir(args)
     if args.stride < 1:
@@ -351,6 +361,8 @@ def cmd_wave(args) -> int:
 
 
 def cmd_pendulum(args) -> int:
+    from .experiments import pendulum
+
     outdir = _output_dir(args)
     result = pendulum.run_pendulum(
         mode=args.mode,

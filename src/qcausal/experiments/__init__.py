@@ -3,6 +3,7 @@
 bell: entangled-pair correlations, Bell functional, LHV bound oracle.
 doubleslit: two-branch interference with an optional which-path marker.
 pendulum: coupled pendulums, closed-form laws vs local integration.
-"""
 
-from . import bell, doubleslit, pendulum  # noqa: F401
+Each loads when it is imported (from qcausal.experiments import bell), so
+a Bell run never loads the two numpy experiments.
+"""

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..choices import PENDULUM_MODES as MODES
 from ..errors import ConfigError, check_array_length
-
-MODES = ("in-phase", "anti-phase")
 
 
 @dataclass(frozen=True)

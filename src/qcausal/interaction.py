@@ -35,8 +35,10 @@ row only for all but one to be thrown away, which on a wide table (the
 
 Conserved quantities flow additively: the out collection carries exactly
 the sums recorded on the interaction object.  interaction_effect checks
-each effect it builds: the participants' conserved totals must equal the
-survivors' and the out collection's, exactly, under either scheduler.
+each effect it builds, exactly, under either scheduler: the participants'
+conserved totals must equal the survivors' and the out collection's, and
+the out collection's conserved block must equal the interaction object's
+quantity by quantity, which catches an error that rounds away in a total.
 
 A world says what its interactions mean through a RoundPolicy, and claim
 runs one event of it, both in the world's centralized causal order and
@@ -403,7 +405,8 @@ def interaction_effect(
     tag names the interaction object and the out collection ("ia-<tag>", "out-<tag>").
 
     The conserved totals of a and b must equal those of the survivors, in
-    participant order, and out, exactly, or InvariantViolation is raised.
+    participant order, and out, and out's conserved block must equal the
+    interaction object's, each exactly, or InvariantViolation is raised.
     A memo hit serves an effect checked here, with its inputs' totals: an
     identity key holds its inputs; the Bell source's copy changes only its
     path states' spins and shares the template's conserved block; the
@@ -421,6 +424,11 @@ def interaction_effect(
     after = total_conserved([survivor for _, survivor in owners if survivor is not None] + [out])
     if _conserved_signature(before) != _conserved_signature(after):
         raise InvariantViolation(f"conservation ledger unbalanced at {(a.object_id, b.object_id)}: {before} -> {after}")
+    if _conserved_signature(out.conserved) != _conserved_signature(ia.core.conserved):
+        raise InvariantViolation(
+            f"conservation ledger unbalanced at {(a.object_id, b.object_id)}: "
+            f"the out collection carries {out.conserved}, the interaction {ia.core.conserved}"
+        )
     return owners, out
 
 

@@ -101,7 +101,6 @@ from dataclasses import dataclass
 from .engine import RngState, random_draw
 from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
-from .experiments.doubleslit import ScreenHistogram, SlitGeometry, run_double_slit
 from .interaction import SCHEDULERS, RoundPolicy, claim
 from .state import QuantumObject, SystemState, _conserved_signature, total_conserved
 
@@ -492,10 +491,16 @@ class RefinedRuntime:
 def run_doubleslit_refined(
     marker: bool,
     trials: int,
-    geometry: SlitGeometry,
+    geometry,
     seed: int = 0,
     scheduler: str = "round-robin",
-) -> ScreenHistogram:
+):
     """Screen histogram under the decentralized runtime: run_double_slit
-    with runtime="refined", under the name the acceptance gates import."""
+    with runtime="refined", under the name the acceptance gates import.
+    geometry is a SlitGeometry, and a ScreenHistogram is returned.
+
+    The two-slit world loads numpy, so it is imported here, when a two-slit
+    run starts: loading the runtime for a Bell run loads no numpy."""
+    from .experiments.doubleslit import run_double_slit
+
     return run_double_slit(marker, trials, geometry, seed, runtime="refined", scheduler=scheduler)

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import BOUNDARIES
 from .errors import ConfigError
-
-BOUNDARIES = ("periodic", "fixed")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, output files, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -292,3 +293,69 @@ def test_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "lhv.json").exists()
+
+
+# --- each subcommand loads only what it runs ----------------------------------------
+
+LEAN_COMMANDS = [
+    ["bell", "--angle-a", "0", "--angle-b", "30", "--trials", "50"],
+    ["bell", "--angles", "0,30,60", "--trials", "20"],
+    ["bell", "--angle-a", "0", "--angle-b", "30", "--trials", "20", "--runtime", "refined"],
+    ["lhv", "--angles", "0,30,60"],
+    ["analyze", str(SPECS / "centralized_qt.model")],
+    ["--help"],
+]
+NUMPY_COMMANDS = [
+    ["doubleslit", "--marker", "on", "--trials", "50", "--geometry", "small"],
+    ["wave", "--cells", "32", "--steps", "8"],
+    ["pendulum", "--mode", "anti-phase", "--steps", "64", "--periods", "2"],
+]
+# runs each argv through cli.main in order and prints, per command, its exit
+# code and whether numpy has been loaded by then
+PROBE = """
+import contextlib, io, json, sys
+from qcausal import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_the_array_subcommands_load_numpy(tmp_path):
+    src = str(Path(qcausal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env[cli.OUTPUT_DIR_ENV] = str(tmp_path)
+    commands = LEAN_COMMANDS + NUMPY_COMMANDS
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report[: len(LEAN_COMMANDS)] == [[0, False]] * len(LEAN_COMMANDS)
+    assert report[len(LEAN_COMMANDS) :] == [[0, True]] * len(NUMPY_COMMANDS)
+    for stem in ("bell", "bell-scan", "lhv", "analyze", "doubleslit", "wave", "pendulum"):
+        assert (tmp_path / f"{stem}.json").exists(), stem
+
+
+def test_parser_choices_are_the_modules_own():
+    # the parser reads these from numpy-free modules; they are the very
+    # tuples the numpy modules check their arguments against
+    from qcausal import interaction, wave
+    from qcausal.experiments import pendulum
+
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    choices = {
+        (name, action.dest): action.choices
+        for name, sub in subparsers.items()
+        for action in sub._actions
+        if action.choices is not None
+    }
+    assert choices[("wave", "boundary")] is wave.BOUNDARIES
+    assert choices[("pendulum", "mode")] is pendulum.MODES
+    for name in ("bell", "doubleslit"):
+        assert choices[(name, "runtime")] is interaction.RUNTIMES
+        assert choices[(name, "scheduler")] is interaction.SCHEDULERS

@@ -36,6 +36,10 @@ into .conserved or .global_attrs, or calls a dict method that changes
 them.  The scan is syntactic: it sees the blocks only where they are
 named as attributes.
 
+bell, lhv, analyze and --help load no numpy: no module they load imports
+numpy, wave or a numpy experiment when it is loaded.  The subcommands
+that use arrays import them inside their functions.
+
 Every function the benchmark hooks exists: perfbench/run.py wraps each
 target in its HOOKS, and a target that is gone turns its layer metric
 into null, which the benchmark refuses as malformed output.
@@ -101,24 +105,32 @@ def _load_time_nodes(tree: ast.Module):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def runtime_imports(source: str, package: str) -> list[int]:
-    """Lines where a module of `package` imports qcausal.runtime at load time."""
-    lines = []
+def load_time_imports(source: str, package: str):
+    """(line, targets) for each import a module of `package` runs when it is
+    loaded.  targets are absolute: the module named and, for a from-import,
+    each name under it, which may be a submodule."""
     for node in _load_time_nodes(ast.parse(source)):
         if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
+            yield node.lineno, [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
                 parts = package.split(".")
                 parts = parts[: len(parts) - node.level + 1] + ([node.module] if node.module else [])
                 base = ".".join(parts)
-            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        if any(t == "qcausal.runtime" or t.startswith("qcausal.runtime.") for t in targets):
-            lines.append(node.lineno)
-    return sorted(lines)
+            yield node.lineno, [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def _within(target: str, module: str) -> bool:
+    return target == module or target.startswith(module + ".")
+
+
+def runtime_imports(source: str, package: str) -> list[int]:
+    """Lines where a module of `package` imports qcausal.runtime at load time."""
+    return sorted(
+        line for line, targets in load_time_imports(source, package)
+        if any(_within(t, "qcausal.runtime") for t in targets)
+    )
 
 
 def test_layering_scanner_flags_load_time_runtime_imports():
@@ -144,6 +156,63 @@ def test_worlds_do_not_import_the_runtime_at_load_time():
             package = ".".join(path.parent.relative_to(PACKAGE.parent).parts)
             for line in runtime_imports(path.read_text(), package):
                 offenders.append(f"{path.relative_to(ROOT)}:{line}")
+    assert offenders == []
+
+
+# what bell, lhv, analyze and --help load; none of them uses an array
+LEAN_MODULES = (
+    "cli.py", "choices.py", "runtime.py", "experiments/__init__.py", "experiments/bell.py",
+    "interaction.py", "state.py", "engine.py", "locality.py", "errors.py",
+)
+NUMPY_MODULES = ("numpy", "qcausal.wave", "qcausal.experiments.doubleslit", "qcausal.experiments.pendulum")
+
+
+def numpy_imports(source: str, package: str) -> list[tuple[int, str]]:
+    """(line, module) where a module of `package` imports, at load time,
+    numpy or a module that loads it."""
+    found = []
+    for line, targets in load_time_imports(source, package):
+        hit = next((t for t in targets if any(_within(t, m) for m in NUMPY_MODULES)), None)
+        if hit is not None:
+            found.append((line, hit))
+    return sorted(found)
+
+
+def test_numpy_scanner_flags_load_time_imports_of_array_modules():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "from .wave import BOUNDARIES\n"
+        "from .experiments import bell, doubleslit\n"
+        "from .experiments.pendulum import MODES\n"
+        "from .choices import BOUNDARIES\n"
+        "import numbers\n"
+        "from .experiments import bell\n"
+        "def cmd_wave(args):\n"
+        "    import numpy as np\n"
+        "    from .wave import run_wave\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+    )
+    assert numpy_imports(source, "qcausal") == [
+        (1, "numpy"),
+        (2, "numpy.random"),
+        (3, "qcausal.wave"),
+        (4, "qcausal.experiments.doubleslit"),
+        (5, "qcausal.experiments.pendulum"),
+        (13, "numpy"),
+    ]
+
+
+def test_lean_subcommands_import_no_numpy_at_load_time():
+    offenders = []
+    for name in LEAN_MODULES:
+        path = PACKAGE / name
+        package = ".".join(path.parent.relative_to(PACKAGE.parent).parts)
+        for line, module in numpy_imports(path.read_text(), package):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {module}")
     assert offenders == []
 
 

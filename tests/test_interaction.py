@@ -713,9 +713,7 @@ def test_memo_traffic_stays_inside_its_bound():
 def test_an_unbalanced_effect_stops_the_run(nth, world, marker, runtime, scheduler, monkeypatch):
     # the nth out collection a fresh memo builds (a Bell source, first and
     # second screen; a two-slit marking or screen claim) carries momentum one
-    # ulp off, and the claim that built it stops the run, under any scheduler.
-    # (An ulp of the first screen's energy, 1.5, would round away in the
-    # total with the survivor's 0.5: the check compares totals.)
+    # ulp off, and the claim that built it stops the run, under any scheduler
     process, built = interaction.process_interaction_object, []
 
     def corrupted(ia):
@@ -733,6 +731,31 @@ def test_an_unbalanced_effect_stops_the_run(nth, world, marker, runtime, schedul
     assert len(built) == nth + 1
     monkeypatch.undo()
     _memo_run(world, marker, runtime, scheduler, 20)
+
+
+@pytest.mark.parametrize(
+    "runtime, scheduler", [("centralized", "round-robin"), ("refined", "round-robin"), ("refined", "randomized")]
+)
+def test_an_error_that_rounds_away_in_the_total_stops_the_run(runtime, scheduler, monkeypatch):
+    # the Bell first screen's out collection (the second one a fresh memo
+    # builds) carries energy 1.5 one ulp high; beside the survivor's 0.5 the
+    # total is still 2.0, so only the check quantity by quantity catches it
+    process, built = interaction.process_interaction_object, []
+
+    def corrupted(ia):
+        out = process(ia)
+        built.append(out)
+        if len(built) != 2:
+            return out
+        assert out.conserved["energy"] == 1.5
+        energy = math.nextafter(1.5, math.inf)
+        assert energy + 0.5 == 2.0
+        return _evolve(out, conserved={**out.conserved, "energy": energy})
+
+    monkeypatch.setattr(interaction, "process_interaction_object", corrupted)
+    with pytest.raises(InvariantViolation, match=r"^conservation ledger unbalanced at \('[\w-]+', '[\w-]+'\): the out"):
+        _memo_run("bell", None, runtime, scheduler, 20)
+    assert len(built) == 2
 
 
 def test_a_warm_memo_serves_checked_effects_without_summing_again(monkeypatch):
