@@ -35,14 +35,6 @@ from .interaction import (
     process_interaction_object,
     select_interaction,
 )
-from .locality import (
-    LocalityClass,
-    LocalityReport,
-    classify_law,
-    classify_model,
-    load_model_spec,
-    parse_model_spec,
-)
 from .state import (
     ObjectKind,
     ParticleInfo,
@@ -57,6 +49,22 @@ from .state import (
 )
 
 __version__ = "0.1.0"
+
+# the locality names load qcausal.locality when one is first read: only the
+# analyze subcommand and library callers classify models, so no other
+# subcommand pays for importing it
+_LOCALITY_NAMES = frozenset(
+    {"LocalityClass", "LocalityReport", "classify_law", "classify_model", "load_model_spec", "parse_model_spec"}
+)
+
+
+def __getattr__(name: str):
+    if name in _LOCALITY_NAMES:
+        from . import locality
+
+        value = globals()[name] = getattr(locality, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ConfigError",

@@ -17,7 +17,9 @@ bell, lhv and analyze use no array, and loading numpy is most of the
 time it takes to import this module.  So numpy, wave, experiments.doubleslit
 and experiments.pendulum are imported inside cmd_doubleslit, cmd_wave and
 cmd_pendulum, and the parser reads its choices from numpy-free modules:
-the other subcommands, and --help, never load numpy.
+the other subcommands, and --help, never load numpy.  Likewise only
+analyze classifies models, so cmd_analyze imports locality, and no other
+subcommand loads it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .choices import BOUNDARIES, PENDULUM_MODES
 from .errors import ConfigError, InvariantViolation, check_array_length
 from .experiments import bell
 from .interaction import RUNTIMES, SCHEDULERS
-from .locality import classify_model, load_model_spec, ref_to_text
 
 OUTPUT_DIR_ENV = "QCAUSAL_OUTPUT_DIR"
 
@@ -387,6 +388,8 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .locality import classify_model, load_model_spec, ref_to_text
+
     outdir = _output_dir(args)
     spec = load_model_spec(args.specpath)
     report = classify_model(spec)

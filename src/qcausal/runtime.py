@@ -17,8 +17,8 @@ ones of the round before, or of the trial before (a screen, a pump, a
 memoised fan).  The rest mostly repeat what they advertise: Bell's
 emitted pair is a new object in every trial, but only its spins are new,
 and nothing on the board reads a spin.  So a runtime keeps, for the
-trials it serves, three bounded stores, each keyed by exactly what its
-value is a function of:
+trials it serves, bounded stores, each keyed by exactly what its value
+is a function of:
 
   - a publication (an object's advertisements and the sorted cells they
     occupy) by what _advertise and object_problem read of the object:
@@ -30,7 +30,21 @@ value is a function of:
     as engines detect;
   - in front, the board by the live object ids and the objects'
     identities, so objects that repeat by identity (two-slit) are served
-    with one lookup a round.
+    with one lookup a round.  An entry is stored the second time its
+    objects are live together; the first time leaves a mark, weak
+    references to the objects and their board.  A set holding a copy
+    the world builds anew (each Bell trial's pair) dies with its trial,
+    so it is never stored, and the index keeps only entries that hit
+    again.
+
+When the live objects are not in the identity index, an object the
+installed board holds is served its publication by identity, and only
+the others are keyed: in a warm Bell run, the pair at the source and
+once drifted.  Each store is cleared when it reaches MAX_RECORDS, or
+the policy's memo_bound if that is larger: past round 0 the live
+objects are what the memo served, so a world whose memo needs more
+room (two-slit at 128 cells lays out about 261 boards) sizes the stores
+too.
 
 Why serving is exact:
 
@@ -50,15 +64,25 @@ Why serving is exact:
     unstored publication (the worlds here build int cells only).
   - A board is a function of its publications in order, and what an
     engine proposes is a function of the board and its object's id.
+    An object the installed board holds, under the same id, is served
+    the publication the board was laid out from, and the same objects
+    under the same ids are served the board their mark holds.
   - No id can be reused while it is a key: a board holds its
-    publications, and an identity entry holds its objects.  Each store
-    is cleared when it reaches MAX_RECORDS.
+    publications, and an identity entry, like the installed one, holds
+    its objects.  A mark holds weak references, which are cleared when
+    their objects die, so a new object at a dead one's id() is not
+    taken for a second sighting.
   - Every round still submits each engine's proposals to the mediator
     and runs collect_events' symmetry check, so the events, the
     rejections and the randomized scheduler's draws are unchanged.
 
-A trial starts on the runtime's one empty board: a new mediator's board
-is empty, and on an empty board every engine proposes nothing.
+A runtime has one mediator and keeps one view of it per object id,
+made on the id's first detect.  next_trial resets the mediator: it
+draws from the trial's "events" substream, has no pending publications
+or proposals and a new rejections list, and holds the runtime's one
+empty board, on which every engine proposes nothing.  The engines' ids
+are sorted once per change of the engine set, and detect and propagate
+share that order.
 
 A round has four phases:
 
@@ -95,6 +119,7 @@ under both schedulers.
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -109,8 +134,9 @@ BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 # rounds an object must sit on the board before it may move; detection of
 # a standing overlap takes one round of lag plus one to act on it
 PROPAGATION_DELAY = 2
-# a runtime clears each of its stores (publications, boards, and boards by
-# the live objects' identities) when it holds this many
+# a runtime clears each of its stores (publications, boards, the identity
+# index and its marks) when it holds this many, or its policy's memo_bound
+# if that is larger; its view table is then cut to the live engines' views
 MAX_RECORDS = 256
 
 
@@ -171,19 +197,19 @@ def _lay_out(publications) -> tuple[dict, dict]:
     return board, published
 
 
-def _store(store: dict, key, value):
-    """store[key] = value, after clearing store if it holds MAX_RECORDS."""
-    if len(store) >= MAX_RECORDS:
+def _store(store: dict, key, value, bound: int):
+    """store[key] = value, after clearing store if it holds bound entries."""
+    if len(store) >= bound:
         store.clear()
     store[key] = value
     return value
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectEngine:
     """Worker owning exactly one object; sees the world only via RoundView.
     Its proper time in a round is that round's index less born, the round
-    it was spawned in."""
+    it was spawned in.  Slotted, since every spawn builds one."""
 
     object_id: str
     born: int = 0
@@ -221,10 +247,13 @@ class RoundView:
         self._mediator.submit_proposal(self._object_id, other_id, cells)
 
 
-@dataclass
-class ProposedEvent:
-    pair: tuple[str, str]
-    cells: tuple
+# a paired proposal: the sorted participant ids and their shared cells; a
+# namedtuple, since a run builds one per proposed pair and round
+ProposedEvent = namedtuple("ProposedEvent", "pair cells")
+
+
+def _grant_order(event: ProposedEvent):
+    return event.cells[0], event.pair
 
 
 @dataclass
@@ -265,6 +294,14 @@ class SpaceMediator:
         self._proposals: dict[tuple[str, str], dict[str, tuple]] = {}
         self.rejections: list[dict] = []
 
+    def reset(self, rng: RngState, board: dict, published: dict):
+        """Start a trial drawing from rng on a laid-out board, with no
+        pending publications or proposals and a new rejections list."""
+        self.rng = rng
+        self._next = []
+        self.rejections = []
+        self.install(board, published)
+
     def publish(self, *ads: Advertisement):
         self._next.extend(ads)
 
@@ -295,9 +332,11 @@ class SpaceMediator:
 
     def collect_events(self) -> list[ProposedEvent]:
         """Paired, symmetry-checked proposals in grant order."""
+        if not self._proposals:
+            return []
         events = []
         for pair, sides in sorted(self._proposals.items()):
-            if set(sides) != set(pair):
+            if len(sides) != 2:  # every proposer is one of its pair
                 missing = [p for p in pair if p not in sides]
                 raise InvariantViolation(
                     f"asymmetric proposal for {pair}: no submission from {missing}"
@@ -307,8 +346,9 @@ class SpaceMediator:
                 raise InvariantViolation(
                     f"proposal mismatch for {pair}: {ca} vs {cb}"
                 )
-            events.append(ProposedEvent(pair=pair, cells=ca))
-        events.sort(key=lambda e: (e.cells[0], e.pair))
+            events.append(ProposedEvent(pair, ca))
+        if len(events) > 1:
+            events.sort(key=_grant_order)
         if self.scheduler == "randomized":
             self._shuffle(events)
         return events
@@ -328,7 +368,8 @@ class RefinedRuntime:
     """Round loop driver over a store, engines, mediator, and policy.
 
     The constructor starts the first trial; next_trial starts each later
-    one on the same runtime, which keeps its stores.
+    one on the same runtime, which keeps its stores, its mediator and its
+    engines' views.
     """
 
     def __init__(
@@ -342,48 +383,69 @@ class RefinedRuntime:
         self.policy = policy
         self.scheduler = scheduler
         self.keep_ledger = keep_ledger
+        # the stores hold an entry per distinct set of live objects, and past
+        # round 0 the policy's memo serves those objects: a world that sizes
+        # its memo (memo_bound) sizes the stores too
+        self._bound = max(MAX_RECORDS, policy.memo_bound)
         # a board is a tuple: the publications it was laid out from (they
         # key it by identity, so no id can be reused), _lay_out's two
         # dicts, and each engine's proposals against it by object id
         self._empty = ((), _lay_out(()), {})  # every trial's first board
         self._space = None  # the space the stores' objects were checked in
+        self.mediator = SpaceMediator(rng, scheduler)  # next_trial resets it for each trial
+        self._views: dict[str, RoundView] = {}  # object id -> its engines' view of the mediator
         self.next_trial(state, rng)
 
     def next_trial(self, state: SystemState, rng: RngState):
-        """Start a trial on state: fresh engines, ledger and counters, and a
-        mediator drawing from rng's "events" substream.  The stores carry
-        over while the trial's space is the previous trial's."""
+        """Start a trial on state: fresh engines, ledger and counters, and the
+        mediator reset to draw from rng's "events" substream on the empty
+        board.  The stores carry over while the trial's space is the
+        previous trial's."""
         if state.space is not self._space:
             self._publications: dict[tuple, _Publication] = {}  # publication key -> publication
             self._boards: dict[tuple, tuple] = {}  # publication id()s -> board
-            # (*object ids, *id()s) -> (board, the objects, which hold the id()s)
+            # (*object ids, *id()s) -> (board, the objects in id order, which hold the id()s)
             self._by_identity: dict[tuple, tuple] = {}
+            # the same keys, seen once: (weak references to the objects, board)
+            self._seen: dict[tuple, tuple] = {}
             self._space = state.space
-        if len(self._empty[2]) >= MAX_RECORDS:  # it holds one () per starting id
+        if len(self._empty[2]) >= self._bound:  # it holds one () per starting id
             self._empty[2].clear()
         self.state = state
-        self.mediator = SpaceMediator(rng.substream("events"), self.scheduler)
-        # the live objects' identity key and their board; a new mediator's
-        # board is empty, so a trial starts on the empty board
+        self.mediator.reset(rng.substream("events"), *self._empty[1])
+        # the live objects' identity key and their board entry
         self._key, self._entry = None, (self._empty, ())
         self.ledger: list[LedgerEntry] = []
         self.interactions = 0  # granted events
         self.round_index = 0
         self.engines: dict[str, ObjectEngine] = {}
-        self._views: dict[str, RoundView] = {}
-        for object_id in sorted(state.objects):
+        order = sorted(state.objects)
+        for object_id in order:
             self.spawn_engine(object_id)
+        self._order: list[str] | None = order  # the engines' ids, sorted; None after a change
 
     def spawn_engine(self, object_id: str):
         if object_id in self.engines:
             raise ConfigError(f"engine for {object_id!r} already exists")
         self.engines[object_id] = ObjectEngine(object_id, self.round_index)
-        self._views[object_id] = RoundView(self.mediator, object_id)
+        self._order = None
 
     def retire_missing_engines(self):
-        for object_id in [oid for oid in self.engines if oid not in self.state.objects]:
-            del self.engines[object_id]
-            del self._views[object_id]
+        gone = self.engines.keys() - self.state.objects.keys()
+        if gone:
+            for object_id in gone:
+                del self.engines[object_id]
+            self._order = None
+
+    def _detect(self, object_id: str) -> tuple:
+        """The engine's proposals against the installed board, through its
+        view, which is made on its first detect and kept across trials."""
+        view = self._views.get(object_id)
+        if view is None:
+            if len(self._views) >= self._bound:  # keep the live engines' views
+                self._views = {oid: view for oid, view in self._views.items() if oid in self.engines}
+            view = self._views[object_id] = RoundView(self.mediator, object_id)
+        return self.engines[object_id].detect(view)
 
     def _publication(self, object_id: str, obj: QuantumObject) -> _Publication:
         """obj's publication, served by its key, or built after checking obj."""
@@ -395,7 +457,7 @@ class RefinedRuntime:
                 raise InvariantViolation(f"after propagation: {problem}")
             publication = _Publication(object_id, *_advertise(object_id, obj))
             if key is not None:
-                _store(self._publications, key, publication)
+                _store(self._publications, key, publication, self._bound)
         return publication
 
     # -- round phases ------------------------------------------------------
@@ -407,22 +469,29 @@ class RefinedRuntime:
         self.round_index += 1
 
     def detect_and_grant(self) -> set:
+        # the engines' ids are sorted once per change of the engine set, and
+        # propagate_phase shares the order
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self.engines)
         proposed = self._entry[0][2]
-        for object_id in sorted(self.engines):
+        mediator = self.mediator
+        submit = mediator.submit_proposal
+        for object_id in order:
             proposals = proposed.get(object_id)
             if proposals is None:
-                proposed[object_id] = self.engines[object_id].detect(self._views[object_id])
+                proposed[object_id] = self._detect(object_id)
             else:
                 for other_id, cells in proposals:
-                    self.mediator.submit_proposal(object_id, other_id, cells)
+                    submit(object_id, other_id, cells)
         busy: set[str] = set()
-        for event in self.mediator.collect_events():
+        for event in mediator.collect_events():
             a_id, b_id = event.pair
             if a_id in busy or b_id in busy:
-                self.mediator.reject(event, self.round_index, "participant busy")
+                mediator.reject(event, self.round_index, "participant busy")
                 continue
             if a_id not in self.state.objects or b_id not in self.state.objects:
-                self.mediator.reject(event, self.round_index, "participant gone")
+                mediator.reject(event, self.round_index, "participant gone")
                 continue
             if self.claim_and_interact(event):
                 busy.update(event.pair)
@@ -449,16 +518,19 @@ class RefinedRuntime:
         return True
 
     def propagate_phase(self, busy: set):
-        for object_id in sorted(self.engines):
-            if object_id in busy or object_id not in self.state.objects:
+        engines, state = self.engines, self.state
+        order = self._order
+        if order is None:
+            order = self._order = sorted(engines)
+        ready = self.round_index - PROPAGATION_DELAY  # the last birth round that may move
+        for object_id in order:
+            if object_id in busy or object_id not in state.objects or engines[object_id].born > ready:
                 continue
-            if self.round_index - self.engines[object_id].born < PROPAGATION_DELAY:
-                continue
-            moved = self.policy.propagate(self.state, object_id)
+            moved = self.policy.propagate(state, object_id)
             if moved is not None:
                 if moved.object_id != object_id:
                     raise ConfigError("propagation must keep the object id")
-                self.state.objects[object_id] = moved
+                state.objects[object_id] = moved
 
     def publish_phase(self):
         """Install the live objects' board: the last round's, the one stored
@@ -468,18 +540,44 @@ class RefinedRuntime:
         if key != self._key:
             entry = self._by_identity.get(key)
             if entry is None:
-                publications = [self._publication(object_id, objects[object_id]) for object_id in sorted(objects)]
-                board_key = tuple(map(id, publications))
-                board = self._boards.get(board_key)
-                if board is None:
-                    board = _store(self._boards, board_key, (publications, _lay_out(publications), {}))
-                entry = _store(self._by_identity, key, (board, tuple(objects.values())))
+                entry = self._new_entry(key, objects)
             self._key, self._entry = key, entry
         self.mediator.install(*self._entry[0][1])
 
+    def _new_entry(self, key: tuple, objects: dict) -> tuple:
+        """The live objects' board entry, stored by key the second time the
+        same objects are live together.  An object the installed board
+        holds is served its publication by identity; only the others are
+        keyed."""
+        order = sorted(objects)
+        live = tuple([objects[object_id] for object_id in order])
+        # a weak reference is cleared when its object dies, so a later object
+        # that takes the same id() is not taken for a second sighting
+        mark = self._seen.pop(key, None)
+        if mark is not None and all(ref() is obj for ref, obj in zip(mark[0], live)):
+            return _store(self._by_identity, key, (mark[1], live), self._bound)
+        board, held = self._entry
+        served = {id(obj): publication for obj, publication in zip(held, board[0])}
+        publications = []
+        for object_id, obj in zip(order, live):
+            publication = served.get(id(obj))
+            if publication is None or publication.object_id != object_id:
+                publication = self._publication(object_id, obj)
+            publications.append(publication)
+        board_key = tuple(map(id, publications))
+        board = self._boards.get(board_key)
+        if board is None:
+            board = _store(self._boards, board_key, (publications, _lay_out(publications), {}), self._bound)
+        marks = self._seen
+        if len(marks) >= self._bound:  # drop the marks of sets that can never be live again
+            self._seen = marks = {k: mark for k, mark in marks.items() if all(ref() is not None for ref in mark[0])}
+        _store(marks, key, (tuple(map(weakref.ref, live)), board), self._bound)
+        return board, live
+
     def run(self, max_rounds: int = 64) -> int:
         """Rounds until the policy reports completion; returns the count."""
-        while not self.policy.done(self.state):
+        done, state = self.policy.done, self.state
+        while not done(state):
             if self.round_index >= max_rounds:
                 raise InvariantViolation(
                     f"run did not complete within {max_rounds} rounds"

@@ -311,7 +311,7 @@ NUMPY_COMMANDS = [
     ["pendulum", "--mode", "anti-phase", "--steps", "64", "--periods", "2"],
 ]
 # runs each argv through cli.main in order and prints, per command, its exit
-# code and whether numpy has been loaded by then
+# code and whether the module named by the second argument has been loaded
 PROBE = """
 import contextlib, io, json, sys
 from qcausal import cli
@@ -319,26 +319,37 @@ report = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    report.append([code, "numpy" in sys.modules])
+    report.append([code, sys.argv[2] in sys.modules])
 print(json.dumps(report))
 """
 
 
-def test_only_the_array_subcommands_load_numpy(tmp_path):
+def _probe(tmp_path, commands, module):
+    """PROBE's report for commands, run in order in one fresh process."""
     src = str(Path(qcausal.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env[cli.OUTPUT_DIR_ENV] = str(tmp_path)
-    commands = LEAN_COMMANDS + NUMPY_COMMANDS
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", PROBE, json.dumps(commands), module],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_only_the_array_subcommands_load_numpy(tmp_path):
+    report = _probe(tmp_path, LEAN_COMMANDS + NUMPY_COMMANDS, "numpy")
     assert report[: len(LEAN_COMMANDS)] == [[0, False]] * len(LEAN_COMMANDS)
     assert report[len(LEAN_COMMANDS) :] == [[0, True]] * len(NUMPY_COMMANDS)
     for stem in ("bell", "bell-scan", "lhv", "analyze", "doubleslit", "wave", "pendulum"):
         assert (tmp_path / f"{stem}.json").exists(), stem
+
+
+def test_only_analyze_loads_the_locality_module(tmp_path):
+    analyze = [argv for argv in LEAN_COMMANDS if argv[0] == "analyze"]
+    others = [argv for argv in LEAN_COMMANDS + NUMPY_COMMANDS if argv[0] != "analyze"]
+    report = _probe(tmp_path, others + analyze, "qcausal.locality")
+    assert report == [[0, False]] * len(others) + [[0, True]]
 
 
 def test_parser_choices_are_the_modules_own():

@@ -167,15 +167,21 @@ LEAN_MODULES = (
 NUMPY_MODULES = ("numpy", "qcausal.wave", "qcausal.experiments.doubleslit", "qcausal.experiments.pendulum")
 
 
-def numpy_imports(source: str, package: str) -> list[tuple[int, str]]:
-    """(line, module) where a module of `package` imports, at load time,
-    numpy or a module that loads it."""
+def imports_of(source: str, package: str, modules) -> list[tuple[int, str]]:
+    """(line, module) where a module of `package` imports, at load time, one
+    of modules or a module under one."""
     found = []
     for line, targets in load_time_imports(source, package):
-        hit = next((t for t in targets if any(_within(t, m) for m in NUMPY_MODULES)), None)
+        hit = next((t for t in targets if any(_within(t, m) for m in modules)), None)
         if hit is not None:
             found.append((line, hit))
     return sorted(found)
+
+
+def numpy_imports(source: str, package: str) -> list[tuple[int, str]]:
+    """(line, module) where a module of `package` imports, at load time,
+    numpy or a module that loads it."""
+    return imports_of(source, package, NUMPY_MODULES)
 
 
 def test_numpy_scanner_flags_load_time_imports_of_array_modules():
@@ -212,6 +218,21 @@ def test_lean_subcommands_import_no_numpy_at_load_time():
         path = PACKAGE / name
         package = ".".join(path.parent.relative_to(PACKAGE.parent).parts)
         for line, module in numpy_imports(path.read_text(), package):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {module}")
+    assert offenders == []
+
+
+def test_only_analyze_imports_the_locality_module():
+    # the package serves the locality names lazily and cmd_analyze imports
+    # them, so no other subcommand loads qcausal.locality
+    snippet = "from .locality import classify_model\nfrom . import locality\ndef f():\n    from .locality import x\n"
+    assert imports_of(snippet, "qcausal", ("qcausal.locality",)) == [(1, "qcausal.locality"), (2, "qcausal.locality")]
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "locality.py":
+            continue
+        package = ".".join(path.parent.relative_to(PACKAGE.parent).parts)
+        for line, module in imports_of(path.read_text(), package, ("qcausal.locality",)):
             offenders.append(f"{path.relative_to(ROOT)}:{line}: {module}")
     assert offenders == []
 
@@ -368,7 +389,7 @@ def test_only_the_driver_runs_trials():
 
 ENGINE_FORBIDDEN = {
     "_mediator", "mediator", "board", "board_by_object", "published", "state", "_records", "_snapshots",
-    "_publications", "_boards", "_by_identity", "_empty", "_entry",
+    "_publications", "_boards", "_by_identity", "_empty", "_entry", "_seen", "_views",
 }
 
 

@@ -15,6 +15,7 @@ from qcausal import runtime as runtime_module
 from qcausal.experiments import bell
 from qcausal.experiments.bell import BellConfig, run_bell_experiment
 from qcausal.experiments.doubleslit import (
+    DEFAULT_GEOMETRY,
     SMALL_GEOMETRY,
     DoubleSlitRoundPolicy,
     coherent_pdf,
@@ -650,11 +651,14 @@ def _trials_of(world):
     return DoubleSlitRoundPolicy(SMALL_GEOMETRY, world == "doubleslit-on")
 
 
-def _per_trial(world, scheduler, reuse, trials, size=lambda runtime: len(runtime._publications)):
+def _per_trial(world, scheduler, reuse, trials, size=lambda runtime: len(runtime._publications), memo_bound=None):
     """Each trial's rounds, interactions, rejections, ledger and outcome, from
     one runtime reset per trial (reuse) or a fresh runtime per trial, and
-    the size of the publication store (or what size gives) after each trial."""
+    the size of the publication store (or what size gives) after each trial.
+    memo_bound, when given, replaces the world's."""
     policy = _trials_of(world)
+    if memo_bound is not None:
+        policy.memo_bound = memo_bound
     root = RngState(5)
     runtime, results, sizes = None, [], []
     for trial in range(trials):
@@ -772,16 +776,25 @@ def test_a_tampered_stored_proposal_fails_the_symmetry_check():
 
 
 def _store_sizes(runtime):
-    return len(runtime._publications), len(runtime._boards), len(runtime._by_identity), len(runtime._empty[2])
+    return (
+        len(runtime._publications),
+        len(runtime._boards),
+        len(runtime._by_identity),
+        len(runtime._seen),
+        len(runtime._empty[2]),
+        len(runtime._views),
+    )
 
 
 @pytest.mark.parametrize("world", ["bell", "doubleslit-on"])
 def test_snapshot_store_stays_within_its_bound(monkeypatch, world):
     full, sizes = _per_trial(world, "round-robin", reuse=True, trials=2000, size=_store_sizes)
     assert all(0 < size <= MAX_RECORDS for size in map(max, zip(*sizes)))
-    # a bound small enough to clear every store often changes no trial
+    # a bound small enough to clear every store, and prune the view table,
+    # often changes no trial; the two-slit world's memo_bound would raise
+    # the bound, so it is zeroed (its memo stays far under MAX_MEMO here)
     monkeypatch.setattr(runtime_module, "MAX_RECORDS", 4)
-    bounded, small = _per_trial(world, "round-robin", reuse=True, trials=300, size=_store_sizes)
+    bounded, small = _per_trial(world, "round-robin", reuse=True, trials=300, size=_store_sizes, memo_bound=0)
     assert bounded == full[:300]
     assert max(map(max, small)) <= 4
 
@@ -793,10 +806,12 @@ def test_snapshots_are_dropped_when_the_space_changes():
     runtime.run_round()
     runtime.next_trial(SystemState(space=first.space, objects={"a": atom}), RngState(1))
     runtime.run_round()
-    assert _store_sizes(runtime) == (1, 1, 1, 1)
+    # the second sighting of the atom stored its identity entry, and its
+    # engine's one detect (on the first trial's empty board) made its view
+    assert _store_sizes(runtime) == (1, 1, 1, 0, 1, 1)
     small = SystemState(space=Space(dims=1, extent=(4,), delta_x=1.0), objects={"a": atom})
     runtime.next_trial(small, RngState(2))
-    assert runtime._publications == runtime._boards == runtime._by_identity == {}
+    assert runtime._publications == runtime._boards == runtime._by_identity == runtime._seen == {}
 
 
 # -- publications keyed by what they advertise ---------------------------------------
@@ -980,3 +995,171 @@ def test_a_warm_bell_run_lays_out_advertises_and_detects_nothing(monkeypatch, sc
     run_bell_experiment(BellConfig(0.0, 30.0, trials=2000, seed=1, runtime="refined", scheduler=scheduler))
     assert trials[0] == 2000
     assert calls == {"_lay_out": 0, "_advertise": 0, "detect": 0}
+
+
+# -- one mediator per run, and stores that hold what can be served again -------------
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_next_trial_resets_the_one_mediator(scheduler):
+    policy = _trials_of("bell")
+    root = RngState(5)
+    runtime = RefinedRuntime(policy.start(root.substream(0)), policy, root.substream(0), scheduler)
+    mediator = runtime.mediator
+    assert mediator.rng.key == (0, "events")
+    for trial in range(1, 6):
+        runtime.run(max_rounds=16)
+        rejections = mediator.rejections
+        assert rejections  # the pair meets both screens in one round, one waits
+        kept = list(rejections)
+        # leave a publication and a proposal pending
+        mediator.publish(_ad("stray", (0,)))
+        mediator.submit_proposal("stray", "other", ((0,),))
+        rng = root.substream(trial)
+        runtime.next_trial(policy.start(rng), rng)
+        assert runtime.mediator is mediator
+        assert mediator.board is runtime._empty[1][0] and mediator.published is runtime._empty[1][1]
+        assert mediator._proposals == {} and mediator._next == [] and mediator.rejections == []
+        assert rejections == kept  # the last trial's list is left as it was
+        assert mediator.rng.key == rng.substream("events").key == (trial, "events")
+        assert mediator.rng.draws == 0
+        assert mediator.scheduler == scheduler
+
+
+def _counting_trials(monkeypatch):
+    """[trials started so far, the runtimes that started them]."""
+    started = [0, set()]
+    next_trial = RefinedRuntime.next_trial
+
+    def counted_trial(runtime, state, rng):
+        started[0] += 1
+        started[1].add(runtime)
+        next_trial(runtime, state, rng)
+
+    monkeypatch.setattr(RefinedRuntime, "next_trial", counted_trial)
+    return started
+
+
+def _counting_clears(monkeypatch, started, after):
+    """The stores _store cleared once more than `after` trials had started."""
+    cleared = []
+    store = runtime_module._store
+
+    def counted_store(target, key, value, bound):
+        if started[0] > after and len(target) >= bound:
+            cleared.append(target)
+        return store(target, key, value, bound)
+
+    monkeypatch.setattr(runtime_module, "_store", counted_store)
+    return cleared
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_a_warm_bell_run_keys_only_the_copies_it_makes(monkeypatch, scheduler):
+    # each trial's pair is a copy the world builds anew, at the source and
+    # once drifted; every other object is served by identity.  Before, a warm
+    # trial keyed 6.1 publications, and the identity index stored the pair's
+    # entries and was cleared about every 120 trials
+    started = _counting_trials(monkeypatch)
+    cleared = _counting_clears(monkeypatch, started, 1000)
+    keyed = [0]
+    publication_key = runtime_module._publication_key
+
+    def counted_key(object_id, obj):
+        keyed[0] += started[0] > 1000
+        return publication_key(object_id, obj)
+
+    monkeypatch.setattr(runtime_module, "_publication_key", counted_key)
+    run_bell_experiment(BellConfig(0.0, 30.0, trials=3000, seed=1, runtime="refined", scheduler=scheduler))
+    (runtime,) = started[1]
+    assert started[0] == 3000
+    assert keyed[0] <= 2 * 2000
+    assert not any(store is runtime._by_identity or store is runtime._boards for store in cleared)
+    assert len(runtime._by_identity) < 32
+
+
+def test_a_marked_two_slit_run_at_128_cells_keeps_its_boards(monkeypatch):
+    # such a run lays out about 261 boards, more than MAX_RECORDS; the stores
+    # are sized by the world's memo_bound, so none is cleared and no board is
+    # laid out twice.  Before, two stores were cleared about once per 1000
+    # trials and a warm trial made 0.26 layouts.  The few late layouts left
+    # are first sightings of rarely hit cells.
+    started = _counting_trials(monkeypatch)
+    cleared = _counting_clears(monkeypatch, started, 1000)
+    laid_out, late = [], [0]
+    lay_out = runtime_module._lay_out
+
+    def recorded_lay_out(publications):
+        laid_out.append(tuple((p.object_id, tuple(p.ads)) for p in publications))
+        late[0] += started[0] > 1000
+        return lay_out(publications)
+
+    monkeypatch.setattr(runtime_module, "_lay_out", recorded_lay_out)
+    run_double_slit(True, 3000, DEFAULT_GEOMETRY, seed=1, runtime="refined")
+    (runtime,) = started[1]
+    assert runtime._bound == DoubleSlitRoundPolicy(DEFAULT_GEOMETRY, True).memo_bound > MAX_RECORDS
+    assert cleared == []
+    assert len(runtime._boards) > MAX_RECORDS
+    assert len(set(laid_out)) == len(laid_out)
+    assert late[0] < 0.005 * 2000
+
+
+def test_a_new_object_at_a_dead_objects_id_is_not_served_its_board(monkeypatch):
+    # every object reads as the same id(), as when a new object takes the
+    # memory of one that died: the identity key repeats, but the first
+    # sighting's mark holds only a weak reference, so it is not taken for a
+    # second sighting of the dead object
+    real_id = id
+    monkeypatch.setattr(runtime_module, "id", lambda obj: 1 if isinstance(obj, QuantumObject) else real_id(obj), raising=False)
+    runtime = RefinedRuntime(_world(_atom("a", (1,))), VetoPolicy(), RngState(0))
+    runtime.run_round()
+    assert list(runtime.mediator.board) == [(1,)]
+    (mark,) = runtime._seen.values()
+    runtime.next_trial(_world(_atom("a", (4,))), RngState(1))
+    gc.collect()
+    assert mark[0][0]() is None  # the first atom died, and its mark did not keep it
+    runtime.run_round()
+    assert list(runtime.mediator.board) == [(4,)]
+    assert runtime._by_identity == {}
+
+
+def test_an_object_held_under_another_id_gets_that_ids_publication():
+    state = _world(_atom("a", (1,)))
+    runtime = RefinedRuntime(state, VetoPolicy(), RngState(0))
+    runtime.run_round()
+    state.objects["b"] = state.objects["a"]  # the installed board holds it, as "a"
+    runtime.run_round()
+    board, by_object = _readvertised(state)
+    assert list(runtime.mediator.board.items()) == list(board.items())
+    assert [(object_id, p.ads) for object_id, p in runtime.mediator.published.items()] == list(by_object.items())
+
+
+class _StandStillPolicy(VetoPolicy):
+    """Vetoes every event and records which objects were asked to move."""
+
+    def __init__(self):
+        self.asked = []
+
+    def propagate(self, state, object_id):
+        self.asked.append(object_id)
+        return None
+
+
+def test_the_engine_order_follows_every_spawn_and_retirement():
+    state = _world(_atom("b", (1,)), _atom("d", (5,)))
+    policy = _StandStillPolicy()
+    runtime = RefinedRuntime(state, policy, RngState(0))
+    asked = []
+    for round_index in range(7):
+        if round_index == 2:  # a spawn that retires nothing
+            state.add_object(_atom("a", (3,)))
+            runtime.spawn_engine("a")
+        if round_index == 5:  # a retirement that spawns nothing
+            del state.objects["b"]
+            runtime.retire_missing_engines()
+        policy.asked.clear()
+        runtime.run_round()
+        asked.append(list(policy.asked))
+        assert runtime._order in (None, sorted(runtime.engines))
+    # an engine may move PROPAGATION_DELAY rounds after its spawn
+    assert asked == [[], [], ["b", "d"], ["b", "d"], ["a", "b", "d"], ["a", "d"], ["a", "d"]]
