@@ -34,14 +34,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from ..engine import RngState, random_draw
+from ..engine import Cumulative, RngState, random_draw
 from ..errors import ConfigError
 from ..interaction import (
-    MAX_MEMO,
     OutcomeRow,
     OutcomeTable,
     RoundPolicy,
     _candidates,
+    _selection_probabilities,
     check_run,
     check_trials,
     claim,
@@ -58,7 +58,6 @@ from ..state import (
     SystemState,
     _evolve,
     _norm_angle,
-    reduce_to_path,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -306,6 +305,18 @@ def _analyzed_from(template: QuantumObject, pair: QuantumObject, angle: float) -
     return _evolve(template, paths=(_evolve(first, amplitude=up), _evolve(second, amplitude=down)))
 
 
+def _holding(template: QuantumObject, build, *args):
+    """build(*args), for a memo key that names template by id(): the
+    entry's arguments then hold the template while the entry lives."""
+    return build(*args)
+
+
+def _unweighted(a: QuantumObject, b: QuantumObject) -> list:
+    """a and b's candidates at joint weight 1.0: what detection finds on a
+    pair analyzed from a template, except the weights of its rows."""
+    return [_evolve(c, joint_weight=1.0) for c in _candidates(a, b)[0]]
+
+
 class BellRoundPolicy(RoundPolicy):
     """Source, drift, and two analyzer screens: what every Bell event means.
 
@@ -336,30 +347,22 @@ class BellRoundPolicy(RoundPolicy):
       the screen's angle, and each trial copies its two paths with the
       amplitudes apply_stern_gerlach computes (_port_amplitudes).  Any
       other pair is analyzed afresh.
-    - The first screen's claim.  The analyzed pair is new in every trial,
-      so its candidates are found afresh.  interaction_effect reads the
-      pair only through the chosen row collapsed by reduce_to_path: the
-      id, the particles, the conserved and global blocks and that row's
-      path states and amplitude.  The effect is served from the memo by
-      the screen object, the table, the tag, the pair's side, the chosen
-      candidate's position and indices, and that collapsed row, compared
-      by equality.
+    - The first screen's claim on a pair analyzed from the template, which
+      its keys name.  Detection reads the pair only through its id, its
+      rows' weights and its path states, the template's: the candidates
+      are served by the screen, the pair's side and the rows of non-zero
+      weight, and copied with this trial's weights as detection computes
+      them.  interaction_effect reads only the template's fields and the
+      unit amplitude reduce_to_path gives the chosen row: the effect is
+      served by the screen, the table, the tag, the pair's side, the chosen
+      candidate, and that unit amplitude with the signs of its two parts,
+      which == does not compare.  Any other pair is computed afresh, unstored.
     - A survivor's claim.  What meets the second screen is the pair
       collapsed by the first one, an owner of the first screen's effect,
       so it is the same object on every hit of that effect.  prepare
       serves the analyzed survivor by the survivor's identity and the
       screen's angle; its candidates and effect are then served by
       identity too.
-
-    Equality is exact here.  Floats that compare equal have the same bits
-    except for signed zeros, and no zero's sign varies within a run in
-    these records.  Every float of a collapsed row is either the same in
-    every trial (computed from the templates' momenta and masses and this
-    policy's analyzer axes) or the row's amplitude, which is +1 or -1 with
-    imaginary part +0.0: the pair's phase (1+0j) times a real projection,
-    over its modulus.  An equal row therefore yields the objects a fresh
-    computation would build, bit for bit, and the tests compare them by
-    repr as well.
 
     The templates make no float of their own: a copy keeps the template's
     fields, which a fresh build computes from the same template records,
@@ -412,6 +415,7 @@ class BellRoundPolicy(RoundPolicy):
         # meets a screen is the pair
         self._source = a_id in PUMP_IDS and b_id in PUMP_IDS
         self._first_screen = False
+        self._template = None  # the analyzed template this claim's pair is served from
         if self._source:  # the emission direction is the source claim's first draw
             self.theta = draw_emission_direction(self.spindir_policy, self.rng)
         if b_id in self.angles:
@@ -426,8 +430,8 @@ class BellRoundPolicy(RoundPolicy):
         if self._first_screen:
             source_out, drifted = self._drifted
             if pair is drifted:
-                template = self.memoised(("ports", id(source_out), angle), _analyzed_template, source_out, angle)
-                analyzed = _analyzed_from(template, pair, angle)
+                self._template = self.memoised(("ports", id(source_out), angle), _analyzed_template, source_out, angle)
+                analyzed = _analyzed_from(self._template, pair, angle)
             else:
                 analyzed = apply_stern_gerlach(pair, 0, angle)
         else:
@@ -435,9 +439,21 @@ class BellRoundPolicy(RoundPolicy):
         state.objects[self._pair_id] = analyzed
 
     def candidates(self, state: SystemState, a_id: str, b_id: str):
-        if self._first_screen:
-            return _candidates(state.objects[a_id], state.objects[b_id])
-        return super().candidates(state, a_id, b_id)
+        a, b = state.objects[a_id], state.objects[b_id]
+        if self._template is None:  # a first screen's pair of its own is detected afresh
+            return _candidates(a, b) if self._first_screen else super().candidates(state, a_id, b_id)
+        weights = {  # the row pairs detection weighs, at the weights it computes
+            (i, j): w for i, pa in enumerate(a.paths) if (wa := pa.weight) != 0.0
+            for j, pb in enumerate(b.paths) if (w := wa * pb.weight) != 0.0
+        }
+        pair_first = a_id == self._pair_id
+        unweighted = self.memoised(
+            ("first-candidates", id(self._template), id(b if pair_first else a), pair_first, tuple(weights)),
+            _holding, self._template, _unweighted, a, b,
+        )
+        found = [_evolve(c, joint_weight=weights[c.path_index_1, c.path_index_2]) for c in unweighted]
+        probabilities = _selection_probabilities(found)
+        return found, Cumulative(probabilities) if found else probabilities
 
     def table_for(self, state: SystemState, a_id: str, b_id: str, candidate):
         if self._source:  # the spins are set in effect
@@ -456,26 +472,17 @@ class BellRoundPolicy(RoundPolicy):
             owners, source_out = super().effect(a, b, chosen, table, tag)
             self._emitted = (source_out, _evolve(source_out, paths=_spun(source_out.paths, self.theta)))
             return owners, self._emitted[1]
-        if not self._first_screen:
-            return super().effect(a, b, chosen, table, tag)
-        # the first screen's, served by the equality of its collapsed row
+        if self._template is None:  # a first screen's pair of its own is collapsed afresh
+            return (interaction_effect if self._first_screen else super().effect)(a, b, chosen, table, tag)
         pair_first = a.object_id == self._pair_id
-        pair, screen = (a, b) if pair_first else (b, a)
-        row, screen_row = (
-            (chosen.path_index_1, chosen.path_index_2) if pair_first else (chosen.path_index_2, chosen.path_index_1)
+        amplitude = a.paths[chosen.path_index_1].amplitude if pair_first else b.paths[chosen.path_index_2].amplitude
+        unit = amplitude / abs(amplitude)  # the collapsed row's, as reduce_to_path computes it
+        return self.memoised(
+            ("first-effect", id(self._template), id(b if pair_first else a), id(table), tag, pair_first,
+             chosen.path_index_1, chosen.path_index_2, chosen.position, chosen.particle_index_1,
+             chosen.particle_index_2, unit, math.copysign(1.0, unit.real), math.copysign(1.0, unit.imag)),
+            _holding, self._template, interaction_effect, a, b, chosen, table, tag,
         )
-        collapsed = reduce_to_path(pair, row)
-        key = (
-            "collapsed", id(screen), id(table), tag, pair_first, screen_row, row, chosen.position,
-            chosen.particle_index_1, chosen.particle_index_2, collapsed.paths[0].amplitude,
-        )
-        memo = self.memo
-        entry = memo.get(key)
-        if entry is None or entry[0][0] != collapsed:
-            if len(memo) >= MAX_MEMO:
-                memo.clear()
-            entry = memo[key] = ((collapsed, screen, table), interaction_effect(a, b, chosen, table, tag))
-        return entry[1]
 
     def propagate(self, state: SystemState, object_id: str):
         # only the pair moves, and only off the source

@@ -53,10 +53,10 @@ RoundPolicy.memoised serves from it, by the identity of their inputs, the
 claims' candidates with their probabilities' Cumulative form (so no
 weight is re-checked or re-summed per draw), their effects, and what the
 world itself builds from them (the two-slit fans, the Bell survivors'
-analyzed pair).  Of these memos, only the Bell world's first screen
-trusts equality (experiments/bell.py).  Beside it, the decentralized
-runtime shares an object's publication by equality of exactly what its
-advertisements and its check read (runtime.py).
+analyzed pair).  None of these memos trusts equality: the one place that
+does is the decentralized runtime, which shares an object's publication
+by equality of exactly what its advertisements and its check read
+(runtime.py).
 
 run_trials is the one trial loop, for every world under both schedulers.
 Trial i draws only from the substream (seed, i).  Three policy hooks give
@@ -410,9 +410,9 @@ def interaction_effect(
     A memo hit serves an effect checked here, with its inputs' totals: an
     identity key holds its inputs; the Bell source's copy changes only its
     path states' spins and shares the template's conserved block; the
-    Bell first screen matches by == of the collapsed row, which compares
-    its conserved block; and no code writes into a .conserved block
-    (tests/test_hygiene.py).
+    Bell first screen's key names its pair's analyzed template, whose
+    conserved block the pair shares; and no code writes into a .conserved
+    block (tests/test_hygiene.py).
     """
     ia = create_interaction_object(a, b, candidate, outcome_table, tag=tag)
     owners = (

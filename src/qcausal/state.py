@@ -82,7 +82,8 @@ def _evolve(record, **changes):
     provenance, candidates and out collection (interaction.py); the Bell
     source table, drift and analyzer ports, and each trial's copies of the
     run's templates: the source effect's out collection with this trial's
-    spins and the analyzed pair with this trial's port amplitudes
+    spins, the analyzed pair with this trial's port amplitudes, and the
+    first screen's candidates with this trial's joint weights
     (experiments/bell.py).  Each starts from a constructor-built record
     (the record being rewritten, or a module or run template) and replaces
     only fields whose values already pass its checks, so the copy equals,

@@ -573,27 +573,53 @@ def _counting_detect(monkeypatch):
     return calls
 
 
+class _DetectionRecord(BellRoundPolicy):
+    """A Bell policy that records, for each first-screen claim, its screen
+    and its pair's zero-weight pattern, and whether the claim ran candidate
+    detection (calls is the list _counting_detect fills)."""
+
+    def __init__(self, calls, *args):
+        super().__init__(*args)
+        self.calls, self.met = calls, []
+
+    def candidates(self, state, a_id, b_id):
+        before = len(self.calls)
+        found = super().candidates(state, a_id, b_id)
+        if self._first_screen:
+            zeros = tuple(path.weight == 0.0 for path in state.objects[self._pair_id].paths)
+            self.met.append(((self._screen_id, zeros), len(self.calls) > before))
+        return found
+
+
 @pytest.mark.parametrize("runtime", ["centralized", "refined"])
 def test_source_candidates_are_detected_once_per_run(monkeypatch, runtime):
-    calls = _counting_detect(monkeypatch)
-    cfg = BellConfig(0.0, 30.0, trials=60, seed=1, runtime=runtime)
-    counts = run_bell_experiment(cfg).stats.counts()
-    assert [pair for pair in calls if pair[0] in PUMP_IDS] == [PUMP_IDS]
-    if runtime == "centralized":
-        # the source once, the first screen every trial, the second once per survivor
-        assert len(calls) == 1 + 60 + 4
-    monkeypatch.undo()
-    # the memo moves no draw: a fresh policy per trial gives the same tallies
-    root, stats = RngState(1), bell.JointStats()
-    for trial in range(60):
-        rng = root.substream(trial)
-        policy = BellRoundPolicy(0.0, 30.0, "uniform", rng)
-        if runtime == "centralized":
-            policy.causal_order(rng)
-        else:
-            RefinedRuntime(policy.start(rng), policy, rng).run(max_rounds=16)
-        stats.record(*policy.outcome())
-    assert stats.counts() == counts
+    # THETAS in turn give the analyzed pair at (30, 75) every zero-weight pattern
+    for scheduler in ["round-robin"] + (["randomized"] if runtime == "refined" else []):
+        calls = _counting_detect(monkeypatch)
+        thetas = itertools.cycle(THETAS)
+        monkeypatch.setattr(bell, "draw_emission_direction", lambda spindir, rng: next(thetas))
+        policy = _DetectionRecord(calls, 30.0, 75.0, "uniform", RngState(1))
+        outcomes = list(run_trials(policy, 60, 1, runtime, scheduler))
+        assert [pair for pair in calls if pair[0] in PUMP_IDS] == [PUMP_IDS]
+        # a first-screen claim detects on the first trial that meets its
+        # screen and zero-weight pattern, and on no later one
+        seen = set()
+        for key, detected in policy.met:
+            assert detected == (key not in seen)
+            seen.add(key)
+        assert len(policy.met) == 60 and len(seen) >= 3
+        # the memo moves no draw: a fresh policy per trial gives the same outcomes
+        thetas = itertools.cycle(THETAS)
+        root = RngState(1)
+        for trial, outcome in enumerate(outcomes):
+            rng = root.substream(trial)
+            fresh = BellRoundPolicy(30.0, 75.0, "uniform", rng)
+            if runtime == "centralized":
+                fresh.causal_order(rng)
+            else:
+                RefinedRuntime(fresh.start(rng), fresh, rng, scheduler).run(max_rounds=16)
+            assert fresh.outcome() == outcome
+        monkeypatch.undo()
 
 
 def test_other_pumps_are_never_served_the_memo(monkeypatch):
@@ -656,14 +682,15 @@ class _CheckedPolicy(BellRoundPolicy):
     conserved totals before and after prepare, the analyzed pair against
     apply_stern_gerlach, its candidates and selection probabilities
     against detection on that fresh object, and the effect against
-    interaction_effect on the fresh inputs.  other_table swaps the
+    interaction_effect on the fresh inputs.  served counts the first-screen
+    claims served from the analyzed template.  other_table swaps the
     screens' outcome table for an uncached one with other products."""
 
     other_table = False
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.claims = self.reused = self.sources = self.templated = 0
+        self.claims = self.reused = self.sources = self.templated = self.served = 0
         self._returned = []  # every effect returned, so a repeat is seen by identity
         self._fresh = None
 
@@ -712,6 +739,7 @@ class _CheckedPolicy(BellRoundPolicy):
             fresh = interaction_effect(self._fresh[a.object_id], self._fresh[b.object_id], chosen, table, str(tag))
             _same(got, fresh)
             self.claims += 1
+            self.served += self._template is not None
             if any(got is seen for seen in self._returned):
                 self.reused += 1
             else:
@@ -787,8 +815,7 @@ def test_screen_memos_plateau(runtime, scheduler):
 
 
 def test_screen_memos_stay_bounded(monkeypatch):
-    for module in (interaction, bell):
-        monkeypatch.setattr(module, "MAX_MEMO", 10)
+    monkeypatch.setattr(interaction, "MAX_MEMO", 10)
     rng = RngState(4).substream("bounded")
     state, _, pair_id = _drifted_pair(0.0, 30.0, 10.0, rng)
     policy = _CheckedPolicy(0.0, 30.0, 10.0, rng)
@@ -820,7 +847,7 @@ def test_screen_memos_are_per_run():
         return {id(part) for values in parts for part in values}
 
     assert first.memo is not second.memo and len(first.memo) == len(second.memo)
-    assert {key[0] for key in first.memo} == {"candidates", "collapsed", "analyzed", "effect", "ports"}
+    assert {key[0] for key in first.memo} == {"candidates", "first-candidates", "first-effect", "analyzed", "effect", "ports"}
     assert built(first) and not built(first) & built(second)
 
 
@@ -843,7 +870,7 @@ def test_templates_serve_exactly_what_a_trial_builds(monkeypatch, angles, spindi
         monkeypatch.setattr(bell, "draw_emission_direction", lambda policy, rng: next(thetas))
     policy = _CheckedPolicy(*angles, spindir, RngState(7))
     outcomes = list(run_trials(policy, trials, 7, runtime, scheduler))
-    assert policy.sources == policy.templated == trials and policy.claims == 2 * trials
+    assert policy.sources == policy.templated == policy.served == trials and policy.claims == 2 * trials
     # one analyzed template per angle a first screen was met at
     templates = [key for key in policy.memo if key[0] == "ports"]
     assert len(templates) == (2 if scheduler == "randomized" and angles[0] != angles[1] else 1)
@@ -881,7 +908,7 @@ def test_a_template_built_at_a_zero_weight_theta_serves_the_next(monkeypatch):
         state.objects[pair.object_id] = drifted  # the claim analyzes the drifted pair again
         claim(state, policy, pair.object_id, "screen-a", rng)
     assert found == [1, 2, 1, 2]
-    assert policy.sources == 4 and policy.templated == 8  # the test's prepare and the claim's
+    assert policy.sources == policy.served == 4 and policy.templated == 8  # the test's prepare and the claim's
     # the templates of the first trial served every later one
     for key, value in built.items():
         assert policy.memo[key][1] is value
@@ -909,16 +936,77 @@ def test_only_the_drift_of_this_trials_emission_is_served_the_template():
         state.objects[pair.object_id] = policy.propagate(state, pair.object_id)
         for screen_id in ("screen-a", "screen-b"):
             claim(state, policy, pair.object_id, screen_id, rng)
-    assert policy.sources == 6 and policy.templated == 2 and policy.claims == 12
+    assert policy.sources == 6 and policy.templated == policy.served == 2 and policy.claims == 12
 
 
-def test_a_centralized_trial_copies_at_most_24_records(monkeypatch):
+def _first_screen_entries(policy) -> set:
+    return {key for key in policy.memo if key[0] in ("first-candidates", "first-effect")}
+
+
+def test_a_pair_placed_by_hand_gets_fresh_candidates_and_a_fresh_effect(monkeypatch):
+    # an equal copy of this trial's drifted pair is another object, so its
+    # first screen detects and collapses afresh and stores neither; even
+    # trials place the drift itself, which the template serves.
+    # _CheckedPolicy compares both screens with fresh computations
+    built, served = Counter(), Counter()
+    for name in ("_candidates", "interaction_effect"):
+        step = getattr(bell, name)
+        monkeypatch.setattr(bell, name, lambda *args, _step=step, _name=name: built.update([_name]) or _step(*args))
+    policy = _CheckedPolicy(0.0, 30.0, 10.0, RngState(2))
+    for trial in range(8):
+        rng = RngState(2).substream(trial)
+        policy.new_trial(rng)
+        state = bell_world()
+        _, pair = claim(state, policy, *PUMP_IDS, rng)
+        drifted = policy.propagate(state, pair.object_id)
+        placed = dataclasses.replace(drifted)
+        assert placed == drifted and placed is not drifted
+        state.objects[pair.object_id] = placed if trial % 2 else drifted
+        before, entries = built.copy(), _first_screen_entries(policy)
+        for screen_id in ("screen-a", "screen-b"):
+            claim(state, policy, pair.object_id, screen_id, rng)
+        if trial % 2:
+            assert built - before == Counter(["_candidates", "interaction_effect"])
+            assert _first_screen_entries(policy) == entries
+        else:
+            served.update(built - before)
+    assert policy.claims == 16 and policy.templated == policy.served == 4
+    # the served claims built only what they stored: one candidate list and
+    # one effect per collapsed row met
+    entries = Counter(key[0] for key in _first_screen_entries(policy))
+    assert served == Counter({"_candidates": entries["first-candidates"], "interaction_effect": entries["first-effect"]})
+    assert entries["first-candidates"] == 1 and 1 <= entries["first-effect"] <= 2
+
+
+def test_unit_amplitudes_that_differ_in_a_zeros_sign_get_their_own_entries(monkeypatch):
+    # ports whose imaginary zeros differ in sign collapse to unit amplitudes
+    # such as (1+0j) and (1-0j): equal by ==, told apart by repr, so each
+    # needs its own effect; _CheckedPolicy compares every claim with a
+    # fresh one by repr.  Odd trials flip the zeros' sign
+    original, flip = bell._port_amplitudes, [False]
+
+    def ports(pair, particle_index, up_axis):
+        amplitudes = original(pair, particle_index, up_axis)
+        return tuple(complex(z.real, -z.imag) for z in amplitudes) if flip[0] else amplitudes
+
+    monkeypatch.setattr(bell, "_port_amplitudes", ports)
+    policy = _CheckedPolicy(0.0, 30.0, 10.0, RngState(3))
+    for trial, _ in enumerate(run_trials(policy, 40, 3, "centralized", "round-robin")):
+        flip[0] = trial % 2 == 0
+    assert policy.served == 40
+    effects = [key for key in policy.memo if key[0] == "first-effect"]
+    # each collapsed row at both signs of its unit amplitude's imaginary zero
+    assert sorted((key[6], key[-1]) for key in effects) == [(0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0)]
+    assert len({key[:-1] for key in effects}) == 2
+
+
+def test_a_centralized_trial_copies_at_most_19_records(monkeypatch):
     # 33 before the templates, when the source effect (15 copies with the
     # table) and the analyzed pair (7) were built afresh every trial; now
     # 7 (the template's out collection with its 4 path states' spins set)
-    # and 3, with the drift's 7, the first screen's 2 candidates and its
-    # collapsed row's 2: 21, within the 24 the name gives
-    copies = [0]
+    # and 3, with the drift's 7 and the first screen's 2 candidates: 19.
+    # A warm trial detects no candidates and collapses no row
+    copies, calls = [0], Counter()
     original = state_module._evolve
 
     def counted(record, **changes):
@@ -927,12 +1015,18 @@ def test_a_centralized_trial_copies_at_most_24_records(monkeypatch):
 
     for module in (state_module, interaction, bell):
         monkeypatch.setattr(module, "_evolve", counted)
+    for module, name in ((interaction, "determine_potential_interactions"), (interaction, "reduce_to_path")):
+        step = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _step=step, _name=name: calls.update([_name]) or _step(*args))
     policy = BellRoundPolicy(0.0, 30.0, "uniform", RngState(3))
     per_trial = []
     for _ in run_trials(policy, 300, 3, "centralized", "round-robin"):
-        per_trial.append(copies[0])
+        per_trial.append((copies[0], sum(calls.values())))
         copies[0] = 0
-    assert max(per_trial[100:]) <= 21 < max(per_trial[:1])
+        calls.clear()
+    (cold_copies, cold_calls), warm = per_trial[0], per_trial[100:]
+    assert max(n for n, _ in warm) <= 19 < cold_copies
+    assert cold_calls > 0 and all(n == 0 for _, n in warm)
 
 
 def _drawn_rows(candidates, probabilities) -> dict:

@@ -441,12 +441,9 @@ def test_engines_reach_the_world_only_through_their_view():
     assert engine_reach(path.read_text()) == []
 
 
-MEMO_KEY_SCOPE = "BellRoundPolicy.effect"
-
-
 def stray_ids(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing function) of each id(...) call that is neither inside
-    the arguments of a self.memoised(...) call nor in MEMO_KEY_SCOPE."""
+    """(line, enclosing function) of each id(...) call that is not inside the
+    arguments of a self.memoised(...) call."""
     found = []
 
     def visit(node, scope, in_memoised):
@@ -456,7 +453,7 @@ def stray_ids(source: str) -> list[tuple[int, str]]:
                 inner = f"{scope}.{child.name}" if scope else child.name
             elif isinstance(child, ast.Call):
                 func = child.func
-                if isinstance(func, ast.Name) and func.id == "id" and not in_memoised and scope != MEMO_KEY_SCOPE:
+                if isinstance(func, ast.Name) and func.id == "id" and not in_memoised:
                     found.append((child.lineno, scope))
                 memoised = in_memoised or (
                     isinstance(func, ast.Attribute)
@@ -485,7 +482,8 @@ def test_memo_key_scanner_flags_ids_outside_the_memo():
         "    def propagate(self, obj):\n"
         "        return self.memoised(('fan', id(obj)), build, obj) if id(obj) else None\n"
     )
-    assert stray_ids(source) == [(1, ""), (6, "BellRoundPolicy.prepare"), (10, "DoubleSlitRoundPolicy.effect"),
+    assert stray_ids(source) == [(1, ""), (4, "BellRoundPolicy.effect"), (4, "BellRoundPolicy.effect"),
+                                 (6, "BellRoundPolicy.prepare"), (10, "DoubleSlitRoundPolicy.effect"),
                                  (12, "DoubleSlitRoundPolicy.propagate")]
 
 

@@ -682,7 +682,8 @@ def test_every_memo_hit_equals_a_fresh_build(world, marker, runtime, scheduler, 
     monkeypatch.setattr(RoundPolicy, "memoised", checked)
     policy, outcomes = _memo_run(world, marker, runtime, scheduler, 80)
     # every kind a world memoises was served from the memo, and often
-    kinds = {"candidates", "effect", "analyzed", "ports"} if world == "bell" else {"candidates", "effect", "fan"}
+    bell_kinds = {"candidates", "effect", "analyzed", "ports", "first-candidates", "first-effect"}
+    kinds = bell_kinds if world == "bell" else {"candidates", "effect", "fan"}
     assert set(served) == kinds and min(served.values()) >= 10
     monkeypatch.undo()
     assert _memo_run(world, marker, runtime, scheduler, 80)[1] == outcomes
