@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -42,7 +43,13 @@ OUTPUT_DIR_ENV = "QCAUSAL_OUTPUT_DIR"
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; here 2 is reserved for
-    invariant failures, so usage problems exit 1."""
+    invariant failures, so usage problems exit 1.  No option looks like a
+    number, so an argument that starts like a negative one (-30,20,75,
+    -1e2, -inf) is a value, as in the --option=value form."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         print(f"{self.prog}: error: {message} (see {self.prog} --help)", file=sys.stderr)

@@ -26,8 +26,9 @@ is a function of:
     states' cell sets.  Two objects that publish alike share one
     publication, checked once;
   - a laid-out board by the identities of its publications, in object
-    id order, together with each engine's proposals against it, filled
-    as engines detect;
+    id order, together with its plans: per engine order, the paired,
+    symmetry-checked events in grant order that the engines' proposals
+    against it made, filled the first time the order meets the board;
   - in front, the board by the live object ids and the objects'
     identities, so objects that repeat by identity (two-slit) are served
     with one lookup a round.  An entry is stored the second time its
@@ -63,7 +64,8 @@ Why serving is exact:
     equal but with another repr.  Such an object gets a fresh,
     unstored publication (the worlds here build int cells only).
   - A board is a function of its publications in order, and what an
-    engine proposes is a function of the board and its object's id.
+    engine proposes is a function of the board and its object's id, so
+    a plan is a function of the board and the engine order.
     An object the installed board holds, under the same id, is served
     the publication the board was laid out from, and the same objects
     under the same ids are served the board their mark holds.
@@ -72,9 +74,10 @@ Why serving is exact:
     its objects.  A mark holds weak references, which are cleared when
     their objects die, so a new object at a dead one's id() is not
     taken for a second sighting.
-  - Every round still submits each engine's proposals to the mediator
-    and runs collect_events' symmetry check, so the events, the
-    rejections and the randomized scheduler's draws are unchanged.
+  - A plan is stored only once the symmetry check has passed on it, and
+    every round still calls collect_events, which copies the plan and,
+    under the randomized scheduler, shuffles the copy with the same
+    draws, so the events, the rejections and the draws are unchanged.
 
 A runtime has one mediator and keeps one view of it per object id,
 made on the id's first detect.  next_trial resets the mediator: it
@@ -86,11 +89,13 @@ share that order.
 
 A round has four phases:
 
-  1. detect: every engine looks up its own cells on the board and
-     proposes an event per overlapping object; on a board installed again,
-     the runtime submits the proposals the engine made against it before.
-     Proposals are keyed by the (sorted) participant pair; the mediator
-     checks the two sides submitted identical shared-cell lists.
+  1. detect: on a board or engine order it has not seen, every engine
+     looks up its own cells on the board and proposes an event per
+     overlapping object.  Proposals are keyed by the (sorted) participant
+     pair; the mediator checks the two sides submitted identical
+     shared-cell lists, and the sorted events are stored as the board's
+     plan for that order.  A board seen under the same order is served
+     its plan: no engine detects and nothing is submitted.
   2. grant: events are ordered by (position, participant ids), or
      shuffled under the randomized scheduler, and granted greedily; an
      object joins at most one interaction per round, later events with a
@@ -134,9 +139,10 @@ BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 # rounds an object must sit on the board before it may move; detection of
 # a standing overlap takes one round of lag plus one to act on it
 PROPAGATION_DELAY = 2
-# a runtime clears each of its stores (publications, boards, the identity
-# index and its marks) when it holds this many, or its policy's memo_bound
-# if that is larger; its view table is then cut to the live engines' views
+# a runtime clears each of its stores (publications, boards, a board's
+# plans, the identity index and its marks) when it holds this many, or its
+# policy's memo_bound if that is larger; its view table is then cut to the
+# live engines' views
 MAX_RECORDS = 256
 
 
@@ -214,18 +220,15 @@ class ObjectEngine:
     object_id: str
     born: int = 0
 
-    def detect(self, view: "RoundView") -> tuple:
-        """Propose one event per object overlapping my advertised cells, and
-        return the proposals as (other id, shared cells) pairs."""
+    def detect(self, view: "RoundView"):
+        """Propose one event per object overlapping my advertised cells."""
         partners: dict[str, set] = {}
         for cell in view.own_cells():
             for ad in view.ads_at(cell):
                 if ad.object_id != self.object_id:
                     partners.setdefault(ad.object_id, set()).add(cell)
-        proposals = tuple([(other_id, tuple(sorted(partners[other_id]))) for other_id in sorted(partners)])
-        for other_id, cells in proposals:
-            view.propose(other_id, cells)
-        return proposals
+        for other_id in sorted(partners):
+            view.propose(other_id, tuple(sorted(partners[other_id])))
 
 
 class RoundView:
@@ -280,7 +283,10 @@ class SpaceMediator:
     publications collected during a round become the board at the flip.  A
     board's dicts are never mutated, so a runtime may install one again.
     Proposals are checked pairwise for symmetry: both parties must name the
-    same shared cells, anything else is a protocol bug.
+    same shared cells, anything else is a protocol bug.  plan pairs and
+    sorts them; collect_events copies a plan, the submitted proposals' or
+    one a runtime kept for the installed board, and shuffles the copy under
+    the randomized scheduler.
     """
 
     def __init__(self, rng: RngState, scheduler: str = "round-robin"):
@@ -330,10 +336,11 @@ class SpaceMediator:
         pair = (proposer, other) if proposer < other else (other, proposer)
         self._proposals.setdefault(pair, {})[proposer] = cells
 
-    def collect_events(self) -> list[ProposedEvent]:
-        """Paired, symmetry-checked proposals in grant order."""
+    def plan(self) -> tuple:
+        """The submitted proposals, paired and symmetry-checked, in grant
+        order: the round's events before any shuffle."""
         if not self._proposals:
-            return []
+            return ()
         events = []
         for pair, sides in sorted(self._proposals.items()):
             if len(sides) != 2:  # every proposer is one of its pair
@@ -349,6 +356,12 @@ class SpaceMediator:
             events.append(ProposedEvent(pair, ca))
         if len(events) > 1:
             events.sort(key=_grant_order)
+        return tuple(events)
+
+    def collect_events(self, plan: tuple | None = None) -> list[ProposedEvent]:
+        """The round's events: a copy of plan (by default the submitted
+        proposals' plan), shuffled under the randomized scheduler."""
+        events = list(self.plan() if plan is None else plan)
         if self.scheduler == "randomized":
             self._shuffle(events)
         return events
@@ -389,7 +402,7 @@ class RefinedRuntime:
         self._bound = max(MAX_RECORDS, policy.memo_bound)
         # a board is a tuple: the publications it was laid out from (they
         # key it by identity, so no id can be reused), _lay_out's two
-        # dicts, and each engine's proposals against it by object id
+        # dicts, and its plans (mediator.plan) by engine order, a tuple of ids
         self._empty = ((), _lay_out(()), {})  # every trial's first board
         self._space = None  # the space the stores' objects were checked in
         self.mediator = SpaceMediator(rng, scheduler)  # next_trial resets it for each trial
@@ -409,8 +422,6 @@ class RefinedRuntime:
             # the same keys, seen once: (weak references to the objects, board)
             self._seen: dict[tuple, tuple] = {}
             self._space = state.space
-        if len(self._empty[2]) >= self._bound:  # it holds one () per starting id
-            self._empty[2].clear()
         self.state = state
         self.mediator.reset(rng.substream("events"), *self._empty[1])
         # the live objects' identity key and their board entry
@@ -419,10 +430,10 @@ class RefinedRuntime:
         self.interactions = 0  # granted events
         self.round_index = 0
         self.engines: dict[str, ObjectEngine] = {}
-        order = sorted(state.objects)
+        order = tuple(sorted(state.objects))
         for object_id in order:
             self.spawn_engine(object_id)
-        self._order: list[str] | None = order  # the engines' ids, sorted; None after a change
+        self._order: tuple[str, ...] | None = order  # the engines' ids, sorted; None after a change
 
     def spawn_engine(self, object_id: str):
         if object_id in self.engines:
@@ -437,15 +448,15 @@ class RefinedRuntime:
                 del self.engines[object_id]
             self._order = None
 
-    def _detect(self, object_id: str) -> tuple:
-        """The engine's proposals against the installed board, through its
-        view, which is made on its first detect and kept across trials."""
+    def _detect(self, object_id: str):
+        """The engine proposes against the installed board through its view,
+        which is made on its first detect and kept across trials."""
         view = self._views.get(object_id)
         if view is None:
             if len(self._views) >= self._bound:  # keep the live engines' views
                 self._views = {oid: view for oid, view in self._views.items() if oid in self.engines}
             view = self._views[object_id] = RoundView(self.mediator, object_id)
-        return self.engines[object_id].detect(view)
+        self.engines[object_id].detect(view)
 
     def _publication(self, object_id: str, obj: QuantumObject) -> _Publication:
         """obj's publication, served by its key, or built after checking obj."""
@@ -470,22 +481,20 @@ class RefinedRuntime:
 
     def detect_and_grant(self) -> set:
         # the engines' ids are sorted once per change of the engine set, and
-        # propagate_phase shares the order
+        # propagate_phase shares the order; the installed board keeps its plan
+        # per order, and only a new board or order has every engine detect
         order = self._order
         if order is None:
-            order = self._order = sorted(self.engines)
-        proposed = self._entry[0][2]
+            order = self._order = tuple(sorted(self.engines))
         mediator = self.mediator
-        submit = mediator.submit_proposal
-        for object_id in order:
-            proposals = proposed.get(object_id)
-            if proposals is None:
-                proposed[object_id] = self._detect(object_id)
-            else:
-                for other_id, cells in proposals:
-                    submit(object_id, other_id, cells)
+        plans = self._entry[0][2]
+        plan = plans.get(order)
+        if plan is None:
+            for object_id in order:
+                self._detect(object_id)
+            plan = _store(plans, order, mediator.plan(), self._bound)
         busy: set[str] = set()
-        for event in mediator.collect_events():
+        for event in mediator.collect_events(plan):
             a_id, b_id = event.pair
             if a_id in busy or b_id in busy:
                 mediator.reject(event, self.round_index, "participant busy")
@@ -521,7 +530,7 @@ class RefinedRuntime:
         engines, state = self.engines, self.state
         order = self._order
         if order is None:
-            order = self._order = sorted(engines)
+            order = self._order = tuple(sorted(engines))
         ready = self.round_index - PROPAGATION_DELAY  # the last birth round that may move
         for object_id in order:
             if object_id in busy or object_id not in state.objects or engines[object_id].born > ready:

@@ -254,6 +254,44 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
     assert not out.exists() or not list(out.glob("*.json"))
 
 
+def _joined(argv):
+    """argv with each negative value joined to its option by '='."""
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bell", "--angles", "-30,20,75", "--trials", "50"],
+        ["lhv", "--angles", "-30,20,75.5"],
+        ["bell", "--angle-a", "-1e2", "--angle-b", "30", "--trials", "50"],
+        ["bell", "--angle-a", "0", "--angle-b", "30", "--spindir", "-1e1", "--trials", "50"],
+    ],
+)
+def test_a_negative_value_reads_as_in_the_equals_form(argv, tmp_path, capsys):
+    runs = []
+    for form, out in ((argv, tmp_path / "spaced"), (_joined(argv), tmp_path / "joined")):
+        assert run_cli(*form, "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs.append((captured.out.replace(str(out), "OUT"), files))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
+
+
+
+def test_a_negative_infinity_is_refused_as_a_value(tmp_path, capsys):
+    assert run_cli("bell", "--angle-a", "-inf", "--angle-b", "0", "--out", str(tmp_path)) == 1
+    assert "--angle-a: not a finite number: '-inf'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "exc, line",
     [
@@ -293,6 +331,21 @@ def test_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "lhv.json").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-320"])
+def test_a_narrow_pulse_writes_nothing_to_stderr(sigma, tmp_path):
+    # far from the pulse the profile's exponent overflows to -inf, and
+    # exp(-inf) = 0.0 is exact: no numpy warning reaches the user
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcausal", "wave", "--cells", "8", "--steps", "4", "--sigma", sigma,
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "wave.json").exists()
 
 
 # --- each subcommand loads only what it runs ----------------------------------------

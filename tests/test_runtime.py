@@ -707,12 +707,21 @@ def test_record_cache_stays_within_its_bound(world):
 @pytest.mark.parametrize("world", ["bell", "doubleslit-off", "doubleslit-on"])
 def test_served_proposals_equal_a_fresh_detect(monkeypatch, world, scheduler):
     detect_and_grant, detect = RefinedRuntime.detect_and_grant, ObjectEngine.detect
+    submit, collect_events = SpaceMediator.submit_proposal, SpaceMediator.collect_events
     propagate = BellRoundPolicy.propagate
-    detected, served, runtimes, pairs = [], [], set(), set()
+    detected, submitted, plans, served, runtimes, pairs = [], [], [], [], set(), set()
 
     def counted_detect(engine, view):
         detected.append(engine.object_id)
         return detect(engine, view)
+
+    def counted_submit(mediator, *proposal):
+        submitted.append(proposal)
+        return submit(mediator, *proposal)
+
+    def recorded_collect_events(mediator, plan=None):
+        plans.append(plan)
+        return collect_events(mediator, plan)
 
     def tracked_propagate(policy, state, object_id):
         moved = propagate(policy, state, object_id)
@@ -730,49 +739,78 @@ def test_served_proposals_equal_a_fresh_detect(monkeypatch, world, scheduler):
             detect(ObjectEngine(object_id), RoundView(probe, object_id))
         engines = len(runtime.engines)
         pair_live = bool(pairs & set(map(id, runtime.state.objects.values())))
-        detected.clear()
+        for calls in (detected, submitted, plans):
+            calls.clear()
         busy = detect_and_grant(runtime)
-        assert runtime.mediator._proposals == probe._proposals
-        served.append((engines - len(detected), engines, pair_live))
+        # one collect a round, handed the events of a fresh detect in grant order
+        assert plans == [probe.plan()]
+        # every engine detects, or none does and nothing is submitted
+        assert len(detected) in (0, engines)
+        assert detected or not submitted
+        served.append((not detected, pair_live))
         runtimes.add(id(runtime))
         return busy
 
     monkeypatch.setattr(ObjectEngine, "detect", counted_detect)
+    monkeypatch.setattr(SpaceMediator, "submit_proposal", counted_submit)
+    monkeypatch.setattr(SpaceMediator, "collect_events", recorded_collect_events)
     monkeypatch.setattr(BellRoundPolicy, "propagate", tracked_propagate)
     monkeypatch.setattr(RefinedRuntime, "detect_and_grant", checked_detect_and_grant)
     if world == "bell":
         run_bell_experiment(BellConfig(0.0, 30.0, trials=40, seed=2, runtime="refined", scheduler=scheduler))
         # each trial's pair is a new object, yet after the first trials
-        # every board that holds it is served whole
-        late = [(n, engines) for n, engines, pair_live in served[len(served) // 2:] if pair_live]
-        assert late and all(n == engines for n, engines in late)
+        # every board that holds it is served its plan
+        late = [was_served for was_served, pair_live in served[len(served) // 2:] if pair_live]
+        assert late and all(late)
     else:
         run_double_slit(world == "doubleslit-on", 40, SMALL_GEOMETRY, seed=2, runtime="refined", scheduler=scheduler)
     assert len(served) >= 40 * 4
     assert len(runtimes) == 1  # one runtime per run
-    assert sum(n for n, _, _ in served) > 0  # boards repeat: engines were served their earlier proposals
+    assert any(was_served for was_served, _ in served)  # boards repeat: rounds were served their plans
 
 
-def test_a_tampered_stored_proposal_fails_the_symmetry_check():
+def test_a_tampered_proposal_fails_the_symmetry_check_and_stores_no_plan(monkeypatch):
+    propose = RoundView.propose
+
+    def tampered(view, other_id, cells):
+        # one side of each pair names a cell the other side does not
+        propose(view, other_id, cells + ((99,),) if view._object_id < other_id else cells)
+
+    monkeypatch.setattr(RoundView, "propose", tampered)
     policy = _trials_of("doubleslit-on")
     root = RngState(5)
     runtime = RefinedRuntime(policy.start(root.substream(0)), policy, root.substream(0))
-    runtime.run(max_rounds=16)
-    for trial in range(1, 10):
-        runtime.next_trial(policy.start(root.substream(trial)), root.substream(trial))
-        runtime.run(max_rounds=16)
-    tampered = 0
-    for _, _, proposals in runtime._boards.values():
-        for object_id, submitted in list(proposals.items()):
-            # one side of each pair names a cell the other side does not
-            changed = tuple((other, cells + ((99,),)) if object_id < other else (other, cells) for other, cells in submitted)
-            tampered += changed != submitted
-            proposals[object_id] = changed
-    assert tampered
     with pytest.raises(InvariantViolation, match="proposal mismatch"):
-        for trial in range(10, 20):
-            runtime.next_trial(policy.start(root.substream(trial)), root.substream(trial))
-            runtime.run(max_rounds=16)
+        runtime.run(max_rounds=16)
+    assert runtime._order not in runtime._entry[0][2]  # the board it failed on has no plan for the order
+    stored = [plan for board in (runtime._empty, *runtime._boards.values()) for plan in board[2].values()]
+    assert stored and not any(event for plan in stored for event in plan)
+
+
+def test_a_spawn_on_an_installed_board_makes_that_round_detect_afresh(monkeypatch):
+    detect = ObjectEngine.detect
+    detected = []
+
+    def counted_detect(engine, view):
+        detected.append(engine.object_id)
+        return detect(engine, view)
+
+    monkeypatch.setattr(ObjectEngine, "detect", counted_detect)
+    state = _world(_atom("b", (1,)), _atom("d", (1,)))
+    runtime = RefinedRuntime(state, _StandStillPolicy(), RngState(0))
+    per_round = []
+    for round_index in range(5):
+        if round_index == 3:  # a spawn between rounds, on the installed board
+            state.add_object(_atom("a", (1,)))
+            runtime.spawn_engine("a")
+        detected.clear()
+        runtime.run_round()
+        per_round.append(sorted(detected))
+    # the empty board, the pair's board laid out, served; then the spawn's
+    # new order on that board, and the board the spawn publishes
+    assert per_round == [["b", "d"], ["b", "d"], [], ["a", "b", "d"], ["a", "b", "d"]]
+    vetoed = [(r["round"], *r["pair"]) for r in runtime.mediator.rejections]
+    assert vetoed == [(1, "b", "d"), (2, "b", "d"), (3, "b", "d"), (4, "a", "b"), (4, "a", "d"), (4, "b", "d")]
 
 
 def _store_sizes(runtime):
@@ -1160,6 +1198,6 @@ def test_the_engine_order_follows_every_spawn_and_retirement():
         policy.asked.clear()
         runtime.run_round()
         asked.append(list(policy.asked))
-        assert runtime._order in (None, sorted(runtime.engines))
+        assert runtime._order in (None, tuple(sorted(runtime.engines)))
     # an engine may move PROPAGATION_DELAY rounds after its spawn
     assert asked == [[], [], ["b", "d"], ["b", "d"], ["a", "b", "d"], ["a", "d"], ["a", "d"]]
