@@ -275,12 +275,18 @@ def cmd_doubleslit(args) -> int:
 
 def _wave_defaults(args):
     """Reject a flag the chosen init ignores (its default is None, so a flag
-    left out is told apart from one given), then fill in the defaults."""
+    left out is told apart from one given) and a boundary its grid does not
+    run, then fill in the defaults."""
     for name in ("sigma", "velocity") if args.init == "sine" else ("mode",):
         if getattr(args, name) is not None:
             raise ConfigError(f"--{name} does not apply to --init {args.init}")
-    if args.init == "sine" and args.boundary not in (None, "periodic"):
-        raise ConfigError(f"--init sine runs a periodic grid, not --boundary {args.boundary}")
+    if args.boundary not in (None, "periodic"):
+        if args.init == "sine":
+            raise ConfigError(f"--init sine runs a periodic grid, not --boundary {args.boundary}")
+        if args.velocity in (None, "traveling"):
+            raise ConfigError(
+                f"--velocity traveling (the gaussian default) runs a periodic grid, not --boundary {args.boundary}"
+            )
     args.mode = 1 if args.mode is None else args.mode
     args.velocity = args.velocity or "traveling"
     args.boundary = args.boundary or "periodic"
@@ -290,6 +296,7 @@ def cmd_wave(args) -> int:
     import numpy as np
 
     from .wave import (
+        MAX_COURANT,
         compare_analytic,
         gaussian_profile,
         make_grid,
@@ -307,8 +314,14 @@ def cmd_wave(args) -> int:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     if args.sigma is not None and not args.sigma > 0:
         raise ConfigError(f"--sigma must be > 0, got {args.sigma}")
+    if not 0 < args.courant <= MAX_COURANT:
+        raise ConfigError(f"--courant must be > 0 and at most 1 (stable), got {args.courant}")
+    if args.cells < 3:
+        raise ConfigError(f"--cells must be >= 3, got {args.cells}")
     check_array_length(args.cells, "--cells")
     n = args.cells
+    if args.init == "sine" and not 1 <= 2 * args.mode <= n:
+        raise ConfigError(f"--mode must be between 1 and --cells / 2 = {n // 2}, got {args.mode}")
     v = args.courant  # dx = dt = 1
     oracle = None
     if args.init == "sine":
@@ -323,8 +336,6 @@ def cmd_wave(args) -> int:
         sigma = args.sigma if args.sigma is not None else n / 16.0
         if args.velocity == "traveling":
             grid = traveling_pulse_grid(n, sigma, v, 1.0, 1.0)
-            if args.boundary != "periodic":
-                raise ConfigError("traveling pulse oracle needs periodic boundary")
             profile0 = grid.psi_now.copy()
             if v == 1.0:
                 def oracle(t):
@@ -368,9 +379,41 @@ def cmd_wave(args) -> int:
     return 0
 
 
+def _check_pendulum(args):
+    """Refuse what run_pendulum refuses, naming the flags rather than its
+    parameters, and a coupled frequency sqrt(omega^2 + 2k/m) that is not a
+    positive float, which it has no period for."""
+    for flag, value in (("--m", args.m), ("--omega", args.omega)):
+        if not value > 0:
+            raise ConfigError(f"{flag} must be > 0, got {value}")
+    if args.k < 0:
+        raise ConfigError(f"--k must be >= 0, got {args.k}")
+    if args.amplitude == 0:
+        raise ConfigError("--amplitude must be non-zero")
+    if args.steps < 8:
+        raise ConfigError(f"--steps must be >= 8, got {args.steps}")
+    if not args.periods > 0:
+        raise ConfigError(f"--periods must be > 0, got {args.periods}")
+    check_array_length(args.steps, "--steps")
+    samples = args.periods * args.steps
+    check_array_length(samples, "--periods * --steps")
+    if round(samples) < 1:
+        raise ConfigError(f"--periods * --steps = {samples:g} rounds to zero integration steps")
+    try:
+        coupled = math.sqrt(args.omega**2 + 2.0 * args.k / args.m)
+    except OverflowError:
+        coupled = math.inf
+    if not 0 < coupled < math.inf:
+        raise ConfigError(
+            f"--omega {args.omega} and --k {args.k} (with --m {args.m}) give a coupled frequency "
+            f"sqrt(omega^2 + 2k/m) = {coupled}, not a positive finite number"
+        )
+
+
 def cmd_pendulum(args) -> int:
     from .experiments import pendulum
 
+    _check_pendulum(args)
     outdir = _output_dir(args)
     result = pendulum.run_pendulum(
         mode=args.mode,

@@ -32,11 +32,10 @@ is a function of:
   - in front, the board by the live object ids and the objects'
     identities, so objects that repeat by identity (two-slit) are served
     with one lookup a round.  An entry is stored the second time its
-    objects are live together; the first time leaves a mark, weak
-    references to the objects and their board.  A set holding a copy
-    the world builds anew (each Bell trial's pair) dies with its trial,
-    so it is never stored, and the index keeps only entries that hit
-    again.
+    objects are live together; the first time leaves a mark, the
+    objects and their board.  A copy the world builds anew (each Bell
+    trial's pair) is never live again, so its set is never stored, and
+    the index keeps only entries that hit again.
 
 When the live objects are not in the identity index, an object the
 installed board holds is served its publication by identity, and only
@@ -70,31 +69,26 @@ Why serving is exact:
     the publication the board was laid out from, and the same objects
     under the same ids are served the board their mark holds.
   - No id can be reused while it is a key: a board holds its
-    publications, and an identity entry, like the installed one, holds
-    its objects.  A mark holds weak references, which are cleared when
-    their objects die, so a new object at a dead one's id() is not
-    taken for a second sighting.
+    publications, and an identity entry or a mark, like the installed
+    entry, holds its objects.
   - A plan is stored only once the symmetry check has passed on it, and
     every round still calls collect_events, which copies the plan and,
     under the randomized scheduler, shuffles the copy with the same
     draws, so the events, the rejections and the draws are unchanged.
 
-A runtime has one mediator and keeps one view of it per object id,
-made on the id's first detect.  next_trial resets the mediator: it
-draws from the trial's "events" substream, has no pending publications
-or proposals and a new rejections list, and holds the runtime's one
-empty board, on which every engine proposes nothing.  The engines' ids
-are sorted once per change of the engine set, and detect and propagate
-share that order.
+Each trial has its own mediator, which draws from the trial's "events"
+substream and starts on an empty board, on which every engine proposes
+nothing.  The engines' ids are sorted once per change of the engine
+set, and detect and propagate share that order.
 
 A round has four phases:
 
   1. detect: on a board or engine order it has not seen, every engine
-     looks up its own cells on the board and proposes an event per
-     overlapping object.  Proposals are keyed by the (sorted) participant
-     pair; the mediator checks the two sides submitted identical
-     shared-cell lists, and the sorted events are stored as the board's
-     plan for that order.  A board seen under the same order is served
+     looks up its own cells on the board, through a RoundView of the
+     mediator, and proposes an event per overlapping object.  Proposals
+     are keyed by the (sorted) participant pair; the mediator checks the
+     two sides submitted identical shared-cell lists, and the sorted
+     events are stored as the board's plan for that order.  A board seen under the same order is served
      its plan: no engine detects and nothing is submitted.
   2. grant: events are ordered by (position, participant ids), or
      shuffled under the randomized scheduler, and granted greedily; an
@@ -124,7 +118,6 @@ under both schedulers.
 
 from __future__ import annotations
 
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -141,8 +134,7 @@ BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 PROPAGATION_DELAY = 2
 # a runtime clears each of its stores (publications, boards, a board's
 # plans, the identity index and its marks) when it holds this many, or its
-# policy's memo_bound if that is larger; its view table is then cut to the
-# live engines' views
+# policy's memo_bound if that is larger
 MAX_RECORDS = 256
 
 
@@ -279,9 +271,9 @@ class SpaceMediator:
     """Advertisement board plus event bookkeeping.
 
     board holds last round's advertisements by cell, and published each
-    advertising object's publication (its ads and sorted cells) by id; the
-    publications collected during a round become the board at the flip.  A
-    board's dicts are never mutated, so a runtime may install one again.
+    advertising object's publication (its ads and sorted cells) by id, as
+    _lay_out made them; a mediator starts on the empty board.  A board's
+    dicts are never mutated, so a runtime may install one again.
     Proposals are checked pairwise for symmetry: both parties must name the
     same shared cells, anything else is a protocol bug.  plan pairs and
     sorts them; collect_events copies a plan, the submitted proposals' or
@@ -296,34 +288,8 @@ class SpaceMediator:
         self.scheduler = scheduler
         self.board: dict[tuple, list[Advertisement]] = {}
         self.published: dict[str, _Publication] = {}
-        self._next: list[Advertisement] = []
         self._proposals: dict[tuple[str, str], dict[str, tuple]] = {}
         self.rejections: list[dict] = []
-
-    def reset(self, rng: RngState, board: dict, published: dict):
-        """Start a trial drawing from rng on a laid-out board, with no
-        pending publications or proposals and a new rejections list."""
-        self.rng = rng
-        self._next = []
-        self.rejections = []
-        self.install(board, published)
-
-    def publish(self, *ads: Advertisement):
-        self._next.extend(ads)
-
-    def flip(self):
-        """Make the publications the board, each object's in publication
-        order, the objects in the order of their first publication."""
-        by_object: dict[str, list[Advertisement]] = {}
-        for ad in self._next:
-            by_object.setdefault(ad.object_id, []).append(ad)
-        self._next = []
-        self.install(
-            *_lay_out(
-                _Publication(object_id, ads, tuple(sorted({ad.cell for ad in ads})))
-                for object_id, ads in by_object.items()
-            )
-        )
 
     def install(self, board: dict, published: dict):
         """Make a laid-out board (_lay_out's two dicts) the board."""
@@ -358,10 +324,10 @@ class SpaceMediator:
             events.sort(key=_grant_order)
         return tuple(events)
 
-    def collect_events(self, plan: tuple | None = None) -> list[ProposedEvent]:
-        """The round's events: a copy of plan (by default the submitted
-        proposals' plan), shuffled under the randomized scheduler."""
-        events = list(self.plan() if plan is None else plan)
+    def collect_events(self, plan: tuple) -> list[ProposedEvent]:
+        """The round's events: a copy of plan, shuffled under the randomized
+        scheduler."""
+        events = list(plan)
         if self.scheduler == "randomized":
             self._shuffle(events)
         return events
@@ -381,8 +347,7 @@ class RefinedRuntime:
     """Round loop driver over a store, engines, mediator, and policy.
 
     The constructor starts the first trial; next_trial starts each later
-    one on the same runtime, which keeps its stores, its mediator and its
-    engines' views.
+    one on the same runtime, which keeps its stores.
     """
 
     def __init__(
@@ -405,25 +370,22 @@ class RefinedRuntime:
         # dicts, and its plans (mediator.plan) by engine order, a tuple of ids
         self._empty = ((), _lay_out(()), {})  # every trial's first board
         self._space = None  # the space the stores' objects were checked in
-        self.mediator = SpaceMediator(rng, scheduler)  # next_trial resets it for each trial
-        self._views: dict[str, RoundView] = {}  # object id -> its engines' view of the mediator
         self.next_trial(state, rng)
 
     def next_trial(self, state: SystemState, rng: RngState):
-        """Start a trial on state: fresh engines, ledger and counters, and the
-        mediator reset to draw from rng's "events" substream on the empty
-        board.  The stores carry over while the trial's space is the
-        previous trial's."""
+        """Start a trial on state: fresh engines, ledger and counters, and a
+        mediator that draws from rng's "events" substream.  The stores carry
+        over while the trial's space is the previous trial's."""
         if state.space is not self._space:
             self._publications: dict[tuple, _Publication] = {}  # publication key -> publication
             self._boards: dict[tuple, tuple] = {}  # publication id()s -> board
             # (*object ids, *id()s) -> (board, the objects in id order, which hold the id()s)
             self._by_identity: dict[tuple, tuple] = {}
-            # the same keys, seen once: (weak references to the objects, board)
+            # the same keys, seen once: the entry their second sighting stores
             self._seen: dict[tuple, tuple] = {}
             self._space = state.space
         self.state = state
-        self.mediator.reset(rng.substream("events"), *self._empty[1])
+        self.mediator = SpaceMediator(rng.substream("events"), self.scheduler)
         # the live objects' identity key and their board entry
         self._key, self._entry = None, (self._empty, ())
         self.ledger: list[LedgerEntry] = []
@@ -447,16 +409,6 @@ class RefinedRuntime:
             for object_id in gone:
                 del self.engines[object_id]
             self._order = None
-
-    def _detect(self, object_id: str):
-        """The engine proposes against the installed board through its view,
-        which is made on its first detect and kept across trials."""
-        view = self._views.get(object_id)
-        if view is None:
-            if len(self._views) >= self._bound:  # keep the live engines' views
-                self._views = {oid: view for oid, view in self._views.items() if oid in self.engines}
-            view = self._views[object_id] = RoundView(self.mediator, object_id)
-        self.engines[object_id].detect(view)
 
     def _publication(self, object_id: str, obj: QuantumObject) -> _Publication:
         """obj's publication, served by its key, or built after checking obj."""
@@ -490,8 +442,9 @@ class RefinedRuntime:
         plans = self._entry[0][2]
         plan = plans.get(order)
         if plan is None:
+            engines = self.engines
             for object_id in order:
-                self._detect(object_id)
+                engines[object_id].detect(RoundView(mediator, object_id))
             plan = _store(plans, order, mediator.plan(), self._bound)
         busy: set[str] = set()
         for event in mediator.collect_events(plan):
@@ -558,13 +511,11 @@ class RefinedRuntime:
         same objects are live together.  An object the installed board
         holds is served its publication by identity; only the others are
         keyed."""
+        mark = self._seen.pop(key, None)
+        if mark is not None:  # it holds the same objects, so no id() was reused
+            return _store(self._by_identity, key, mark, self._bound)
         order = sorted(objects)
         live = tuple([objects[object_id] for object_id in order])
-        # a weak reference is cleared when its object dies, so a later object
-        # that takes the same id() is not taken for a second sighting
-        mark = self._seen.pop(key, None)
-        if mark is not None and all(ref() is obj for ref, obj in zip(mark[0], live)):
-            return _store(self._by_identity, key, (mark[1], live), self._bound)
         board, held = self._entry
         served = {id(obj): publication for obj, publication in zip(held, board[0])}
         publications = []
@@ -577,11 +528,7 @@ class RefinedRuntime:
         board = self._boards.get(board_key)
         if board is None:
             board = _store(self._boards, board_key, (publications, _lay_out(publications), {}), self._bound)
-        marks = self._seen
-        if len(marks) >= self._bound:  # drop the marks of sets that can never be live again
-            self._seen = marks = {k: mark for k, mark in marks.items() if all(ref() is not None for ref in mark[0])}
-        _store(marks, key, (tuple(map(weakref.ref, live)), board), self._bound)
-        return board, live
+        return _store(self._seen, key, (board, live), self._bound)
 
     def run(self, max_rounds: int = 64) -> int:
         """Rounds until the policy reports completion; returns the count."""

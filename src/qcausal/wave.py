@@ -29,6 +29,10 @@ import numpy as np
 from .choices import BOUNDARIES
 from .errors import ConfigError
 
+# the largest Courant number v*dt/dx a grid takes: the stability limit 1,
+# plus a roundoff allowance
+MAX_COURANT = 1.0 + 1e-12
+
 
 @dataclass
 class WaveGrid:
@@ -54,7 +58,7 @@ class WaveGrid:
             raise ConfigError("wave v, delta_x, delta_t must all be > 0")
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"wave boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if self.courant > 1.0 + 1e-12:
+        if self.courant > MAX_COURANT:
             raise ConfigError(
                 f"Courant number v*dt/dx = {self.courant} exceeds 1 (unstable)"
             )
@@ -267,7 +271,8 @@ def traveling_pulse_grid(
         prev = np.roll(profile, -int(round(shift)))
     else:
         x = np.arange(n_cells, dtype=float)
-        prev = np.exp(-0.5 * ((x + shift - center) / sigma) ** 2)
+        with np.errstate(over="ignore"):  # as in gaussian_profile
+            prev = np.exp(-0.5 * ((x + shift - center) / sigma) ** 2)
     return make_grid(profile, v, delta_x, delta_t, boundary="periodic", psi_prev=prev)
 
 

@@ -1,12 +1,18 @@
 """Command-line driver: exit codes, output files, reproducibility."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcausal
 from qcausal import cli
@@ -254,6 +260,38 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
     assert not out.exists() or not list(out.glob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["pendulum", "--mode", "anti-phase", "--omega", "1e308"], ["--omega", "--k"]),
+        (["pendulum", "--mode", "in-phase", "--omega", "1e308"], ["--omega", "--k"]),
+        (["pendulum", "--mode", "anti-phase", "--k", "1e308"], ["--omega", "--k"]),
+        (["pendulum", "--mode", "in-phase", "--omega", "1e-320", "--k", "0"], ["--omega", "--k"]),
+        (["pendulum", "--mode", "in-phase", "--omega", "0"], ["--omega"]),
+        (["pendulum", "--mode", "in-phase", "--k", "-1"], ["--k"]),
+        (["pendulum", "--mode", "in-phase", "--m", "0"], ["--m"]),
+        (["pendulum", "--mode", "in-phase", "--amplitude", "0"], ["--amplitude"]),
+        (["pendulum", "--mode", "in-phase", "--steps", "7"], ["--steps"]),
+        (["pendulum", "--mode", "in-phase", "--periods", "-1"], ["--periods"]),
+        (["pendulum", "--mode", "in-phase", "--periods", "1e-9"], ["--periods", "--steps"]),
+        (["pendulum", "--mode", "in-phase", "--periods", "1e300"], ["--periods", "--steps"]),
+        (["wave", "--courant", "0"], ["--courant"]),
+        (["wave", "--courant", "1.5"], ["--courant"]),
+        (["wave", "--init", "sine", "--cells", "3", "--courant", "1e308"], ["--courant"]),
+        (["wave", "--cells", "2"], ["--cells"]),
+        (["wave", "--init", "sine", "--mode", "0"], ["--mode"]),
+        (["wave", "--init", "sine", "--cells", "8", "--mode", "5"], ["--mode", "--cells"]),
+        (["wave", "--steps", "20", "--courant", "0.5", "--sigma", "1e-320", "--boundary", "fixed"], ["--boundary"]),
+    ],
+)
+def test_an_error_names_the_flags_given(argv, flags, tmp_path, capsys):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert all(flag in err for flag in flags), err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def _joined(argv):
     """argv with each negative value joined to its option by '='."""
     joined = []
@@ -423,3 +461,109 @@ def test_parser_choices_are_the_modules_own():
     for name in ("bell", "doubleslit"):
         assert choices[(name, "runtime")] is interaction.RUNTIMES
         assert choices[(name, "scheduler")] is interaction.SCHEDULERS
+
+
+# --- any argv: strict JSON and exit 0, or one line and exit 1 ------------------------
+
+# what a user may type for a number: finite, non-finite, negative, empty,
+# huge and subnormal; an odd float is one of these two times in three
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "", "1e308", "-1e308", "1e-320", "-1e-320", "0", "-0", "-1"])
+_ODD = st.one_of(_SPECIAL, _SPECIAL, st.floats().map(repr))
+
+
+def _floats(low, high):
+    """A float flag: a value in [low, high], or any odd one."""
+    return st.floats(low, high).map(repr), _ODD
+
+
+def _ints(low, high):
+    """An int flag: a value in [low, high], or an odd one at most high, since
+    a size flag runs as long as it asks."""
+    return st.integers(low, high).map(str), _SPECIAL | st.integers(-3, high).map(str)
+
+
+def _one_of(*choices):
+    return st.sampled_from(choices), st.sampled_from(choices)
+
+
+def _angles():
+    plain = st.lists(st.floats(-720, 720).map(repr), min_size=3, max_size=3)
+    return plain.map(",".join), st.lists(_ODD, min_size=1, max_size=4).map(",".join)
+
+
+_SCHEDULERS = st.just("round-robin"), st.just("randomized")  # randomized needs --runtime refined
+_RUNTIMES = _one_of("centralized", "refined")
+_FORMS = _one_of("identical", "anticorrelated")
+_WAVE = {"--courant": _floats(0.01, 1.0), "--stride": _ints(1, 70)}
+_BELL = {"--trials": _ints(1, 20), "--seed": _ints(0, 2**40), "--runtime": _RUNTIMES, "--scheduler": _SCHEDULERS}
+# per subcommand (bell as one pair and as the scan): the flags always
+# given, and those given or left out
+_COMMAND_FLAGS = {
+    "bell": (
+        {"--angle-a": _floats(-720, 720), "--angle-b": _floats(-720, 720), "--trials": _ints(1, 20)},
+        {**_BELL, "--spindir": _floats(-720, 720)},
+    ),
+    "bell-scan": ({"--angles": _angles(), "--trials": _ints(1, 20)}, {**_BELL, "--form": _FORMS}),
+    "lhv": ({"--angles": _angles()}, {"--form": _FORMS}),
+    "pendulum": (
+        {"--mode": _one_of("in-phase", "anti-phase"), "--steps": _ints(8, 64),
+         "--periods": (st.floats(0.5, 2.0).map(repr), _SPECIAL | st.floats(max_value=2.0).map(repr))},
+        {"--k": _floats(0, 100), "--m": _floats(0.01, 100), "--omega": _floats(0.01, 100),
+         "--amplitude": _floats(-100, 100)},
+    ),
+    "wave": (
+        {"--cells": _ints(3, 32), "--steps": _ints(0, 64)},
+        {**_WAVE, "--sigma": _floats(0.1, 10), "--velocity": _one_of("traveling", "zero"),
+         "--boundary": (st.just("periodic"), st.sampled_from(["fixed", "open"]))},
+    ),
+    "wave-sine": ({"--init": _one_of("sine"), "--cells": _ints(3, 32), "--steps": _ints(0, 64)},
+                  {**_WAVE, "--mode": (st.just("1"), _SPECIAL | st.integers(-3, 40).map(str))}),
+    "doubleslit": (
+        {"--geometry": _one_of("small"), "--trials": _ints(1, 20), "--marker": _one_of("on", "off")},
+        {"--seed": _ints(0, 2**40), "--runtime": _RUNTIMES, "--scheduler": _SCHEDULERS},
+    ),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and its flags, all values plain but at most one, which
+    is odd, so that the odd value meets an argv that runs."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    required, optional = _COMMAND_FLAGS[command]
+    flags = {**required, **{flag: values for flag, values in optional.items() if draw(st.booleans())}}
+    odd = draw(st.sampled_from([None, *flags]))
+    argv = [command.split("-")[0]]
+    for flag, (plain, odd_values) in flags.items():
+        argv.append(f"{flag}={draw(odd_values if flag == odd else plain)}")
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs())
+@example(["pendulum", "--mode=anti-phase", "--omega=1e308"])
+@example(["pendulum", "--mode=in-phase", "--omega=1e308"])
+@example(["pendulum", "--mode=anti-phase", "--k=1e308"])
+@example(["pendulum", "--mode=in-phase", "--omega=1e-320", "--k=0", "--steps=8", "--periods=1"])
+@example(["wave", "--steps=20", "--courant=0.5", "--sigma=1e-320", "--boundary=fixed"])
+@example(["wave", "--cells=32", "--steps=20", "--courant=0.5", "--sigma=1e-320"])
+def test_any_argv_is_strict_json_or_a_one_line_error(argv):
+    with tempfile.TemporaryDirectory() as out:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--out", out])
+        err = stderr.getvalue()
+        assert not caught and "Traceback" not in err and "Warning" not in err
+        assert code in (0, 1), err
+        if code:
+            assert len(err.splitlines()) == 1, err
+        else:
+            written = sorted(Path(out).glob("*.json"))
+            assert written and err == ""
+            for path in written:
+                json.loads(path.read_text(), parse_constant=_refuse_constant)

@@ -23,7 +23,8 @@ second draw path past its checks.
 
 Engines never read another object's state: ObjectEngine reaches the world
 only through the public methods of the RoundView it is handed, and names
-no mediator, board, state or record store.
+no mediator, board, state or record store: nothing RefinedRuntime or
+SpaceMediator assigns on self.
 
 Memo keys live in one place: under experiments/, every id(...) call is an
 argument of a self.memoised(...) call, whose entry holds what the id names,
@@ -387,7 +388,22 @@ def test_only_the_driver_runs_trials():
     assert offenders == []
 
 
-ENGINE_FORBIDDEN = {
+def stores_of(source: str, *classes: str) -> set[str]:
+    """Every attribute the named classes assign on self."""
+    return {
+        node.attr
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef) and cls.name in classes
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+# what an engine may not name: the runtime's and the mediator's own state,
+# read from their source so that a store added later is out of reach too,
+# and the names of stores that are gone
+ENGINE_FORBIDDEN = stores_of((PACKAGE / "runtime.py").read_text(), "RefinedRuntime", "SpaceMediator") | {
     "_mediator", "mediator", "board", "board_by_object", "published", "state", "_records", "_snapshots",
     "_publications", "_boards", "_by_identity", "_empty", "_entry", "_seen", "_views",
 }
@@ -434,6 +450,25 @@ def test_engine_scanner_flags_reaches_past_the_view():
         "        return view.state, self.object_id, mine\n"
     )
     assert engine_reach(source) == [(9, "_mediator"), (9, "board"), (9, "board"), (10, "_peek"), (11, "state")]
+
+
+def test_the_store_reader_finds_every_assignment_on_self():
+    source = (
+        "class RefinedRuntime:\n"
+        "    def f(self, other):\n"
+        "        self.a = 1\n"
+        "        self._b, self.c = 2, 3\n"
+        "        x = self._d = 4\n"
+        "        self.e += 1\n"
+        "        self.f: int = 5\n"
+        "        other.g = self.h\n"
+        "class ObjectEngine:\n"
+        "    def f(self):\n"
+        "        self.i = 1\n"
+    )
+    assert stores_of(source, "RefinedRuntime") == {"a", "_b", "c", "_d", "e", "f"}
+    # the runtime's own stores are among what an engine may not name
+    assert {"_publications", "_order", "engines", "_proposals", "rejections", "rng"} <= ENGINE_FORBIDDEN
 
 
 def test_engines_reach_the_world_only_through_their_view():

@@ -125,24 +125,34 @@ class VetoPolicy(RoundPolicy):
 # -- mediator board ------------------------------------------------------------------
 
 
-def test_publication_is_invisible_until_flip():
+def _publication(object_id, ads):
+    return runtime_module._Publication(object_id, ads, tuple(sorted({ad.cell for ad in ads})))
+
+
+def _laid_out(*ads):
+    """The board of ads: one publication per object, its ads in the order
+    given, the objects in the order of their first ad."""
+    by_object = {}
+    for ad in ads:
+        by_object.setdefault(ad.object_id, []).append(ad)
+    return runtime_module._lay_out(_publication(object_id, ads) for object_id, ads in by_object.items())
+
+
+def test_a_laid_out_board_is_invisible_until_installed():
     med = SpaceMediator(RngState(0))
-    med.publish(_ad("a", (3,)))
+    board = _laid_out(_ad("a", (3,)))
     assert med.board == {}
     assert med.published == {}
-    med.flip()
+    med.install(*board)
     assert med.board[(3,)] == [_ad("a", (3,))]
     assert med.published["a"].ads == [_ad("a", (3,))]
-    med.flip()
+    med.install(*_laid_out())
     assert med.board == {}
 
 
 def test_board_groups_by_cell_and_object():
     med = SpaceMediator(RngState(0))
-    med.publish(_ad("a", (1,)))
-    med.publish(_ad("a", (2,), path_index=1, weight=0.5))
-    med.publish(_ad("b", (2,)))
-    med.flip()
+    med.install(*_laid_out(_ad("a", (1,)), _ad("a", (2,), path_index=1, weight=0.5), _ad("b", (2,))))
     assert {ad.object_id for ad in med.board[(2,)]} == {"a", "b"}
     assert len(med.published["a"].ads) == 2
 
@@ -157,7 +167,7 @@ def test_proposal_pair_is_stored_sorted():
     med = SpaceMediator(RngState(0))
     med.submit_proposal("b", "a", ((1,),))
     med.submit_proposal("a", "b", ((1,),))
-    events = med.collect_events()
+    events = med.collect_events(med.plan())
     assert events == [ProposedEvent(pair=("a", "b"), cells=((1,),))]
 
 
@@ -165,7 +175,7 @@ def test_one_sided_proposal_is_a_protocol_violation():
     med = SpaceMediator(RngState(0))
     med.submit_proposal("a", "b", ((1,),))
     with pytest.raises(InvariantViolation, match="asymmetric"):
-        med.collect_events()
+        med.plan()
 
 
 def test_disagreeing_cells_are_a_protocol_violation():
@@ -173,7 +183,7 @@ def test_disagreeing_cells_are_a_protocol_violation():
     med.submit_proposal("a", "b", ((1,),))
     med.submit_proposal("b", "a", ((2,),))
     with pytest.raises(InvariantViolation, match="mismatch"):
-        med.collect_events()
+        med.plan()
 
 
 def test_events_ordered_by_cell_then_pair():
@@ -185,7 +195,7 @@ def test_events_ordered_by_cell_then_pair():
     ]:
         med.submit_proposal(pair[0], pair[1], cells)
         med.submit_proposal(pair[1], pair[0], cells)
-    assert [e.pair for e in med.collect_events()] == [("a", "c"), ("x", "y"), ("a", "b")]
+    assert [e.pair for e in med.collect_events(med.plan())] == [("a", "c"), ("x", "y"), ("a", "b")]
 
 
 def _six_pair_mediator(seed, scheduler):
@@ -196,13 +206,17 @@ def _six_pair_mediator(seed, scheduler):
     return med
 
 
+def _collected(med):
+    return [e.pair for e in med.collect_events(med.plan())]
+
+
 def test_randomized_scheduler_permutes_deterministically():
-    sorted_order = [e.pair for e in _six_pair_mediator(0, "round-robin").collect_events()]
+    sorted_order = _collected(_six_pair_mediator(0, "round-robin"))
     shuffled = None
     for seed in range(10):
-        order = [e.pair for e in _six_pair_mediator(seed, "randomized").collect_events()]
+        order = _collected(_six_pair_mediator(seed, "randomized"))
         assert sorted(order) == sorted(sorted_order)
-        again = [e.pair for e in _six_pair_mediator(seed, "randomized").collect_events()]
+        again = _collected(_six_pair_mediator(seed, "randomized"))
         assert again == order
         if order != sorted_order:
             shuffled = order
@@ -226,24 +240,19 @@ def test_rejection_record_shape():
 
 def test_detect_proposes_per_overlapping_object():
     med = SpaceMediator(RngState(0))
-    for ad in [_ad("a", (1,)), _ad("a", (2,)), _ad("b", (2,)), _ad("c", (5,))]:
-        med.publish(ad)
-    med.flip()
+    med.install(*_laid_out(_ad("a", (1,)), _ad("a", (2,)), _ad("b", (2,)), _ad("c", (5,))))
     for oid in ("a", "b", "c"):
         ObjectEngine(oid).detect(RoundView(med, oid))
-    events = med.collect_events()
+    events = med.collect_events(med.plan())
     assert events == [ProposedEvent(pair=("a", "b"), cells=((2,),))]
 
 
 def test_detect_collects_all_shared_cells():
     med = SpaceMediator(RngState(0))
-    for cell in [(1,), (2,), (4,)]:
-        med.publish(_ad("a", cell))
-        med.publish(_ad("b", cell))
-    med.flip()
+    med.install(*_laid_out(*(_ad(oid, cell) for cell in [(1,), (2,), (4,)] for oid in ("a", "b"))))
     for oid in ("a", "b"):
         ObjectEngine(oid).detect(RoundView(med, oid))
-    (event,) = med.collect_events()
+    (event,) = med.collect_events(med.plan())
     assert event.cells == ((1,), (2,), (4,))
 
 
@@ -719,7 +728,7 @@ def test_served_proposals_equal_a_fresh_detect(monkeypatch, world, scheduler):
         submitted.append(proposal)
         return submit(mediator, *proposal)
 
-    def recorded_collect_events(mediator, plan=None):
+    def recorded_collect_events(mediator, plan):
         plans.append(plan)
         return collect_events(mediator, plan)
 
@@ -730,11 +739,12 @@ def test_served_proposals_equal_a_fresh_detect(monkeypatch, world, scheduler):
         return moved
 
     def checked_detect_and_grant(runtime):
-        # a fresh detect by every engine against the board rebuilt from its ads
+        # a fresh detect by every engine against the board readvertised from
+        # the live objects, which the last publish installed; a trial's
+        # first round detects on the empty board
+        board, by_object = _readvertised(runtime.state) if runtime.round_index else ({}, {})
         probe = SpaceMediator(RngState(0))
-        for publication in runtime.mediator.published.values():
-            probe.publish(*publication.ads)
-        probe.flip()
+        probe.install(board, {object_id: _publication(object_id, ads) for object_id, ads in by_object.items()})
         for object_id in sorted(runtime.engines):
             detect(ObjectEngine(object_id), RoundView(probe, object_id))
         engines = len(runtime.engines)
@@ -820,7 +830,6 @@ def _store_sizes(runtime):
         len(runtime._by_identity),
         len(runtime._seen),
         len(runtime._empty[2]),
-        len(runtime._views),
     )
 
 
@@ -828,8 +837,7 @@ def _store_sizes(runtime):
 def test_snapshot_store_stays_within_its_bound(monkeypatch, world):
     full, sizes = _per_trial(world, "round-robin", reuse=True, trials=2000, size=_store_sizes)
     assert all(0 < size <= MAX_RECORDS for size in map(max, zip(*sizes)))
-    # a bound small enough to clear every store, and prune the view table,
-    # often changes no trial; the two-slit world's memo_bound would raise
+    # a bound small enough to clear every store often changes no trial; the two-slit world's memo_bound would raise
     # the bound, so it is zeroed (its memo stays far under MAX_MEMO here)
     monkeypatch.setattr(runtime_module, "MAX_RECORDS", 4)
     bounded, small = _per_trial(world, "round-robin", reuse=True, trials=300, size=_store_sizes, memo_bound=0)
@@ -845,8 +853,8 @@ def test_snapshots_are_dropped_when_the_space_changes():
     runtime.next_trial(SystemState(space=first.space, objects={"a": atom}), RngState(1))
     runtime.run_round()
     # the second sighting of the atom stored its identity entry, and its
-    # engine's one detect (on the first trial's empty board) made its view
-    assert _store_sizes(runtime) == (1, 1, 1, 0, 1, 1)
+    # engine's one detect (on the first trial's empty board) its plan
+    assert _store_sizes(runtime) == (1, 1, 1, 0, 1)
     small = SystemState(space=Space(dims=1, extent=(4,), delta_x=1.0), objects={"a": atom})
     runtime.next_trial(small, RngState(2))
     assert runtime._publications == runtime._boards == runtime._by_identity == runtime._seen == {}
@@ -1035,30 +1043,29 @@ def test_a_warm_bell_run_lays_out_advertises_and_detects_nothing(monkeypatch, sc
     assert calls == {"_lay_out": 0, "_advertise": 0, "detect": 0}
 
 
-# -- one mediator per run, and stores that hold what can be served again -------------
+# -- one mediator per trial, and stores that hold what can be served again -----------
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_next_trial_resets_the_one_mediator(scheduler):
+def test_next_trial_starts_a_new_mediator_on_an_empty_board(scheduler):
     policy = _trials_of("bell")
     root = RngState(5)
     runtime = RefinedRuntime(policy.start(root.substream(0)), policy, root.substream(0), scheduler)
-    mediator = runtime.mediator
-    assert mediator.rng.key == (0, "events")
+    assert runtime.mediator.rng.key == (0, "events")
     for trial in range(1, 6):
         runtime.run(max_rounds=16)
-        rejections = mediator.rejections
+        last = runtime.mediator
+        rejections = last.rejections
         assert rejections  # the pair meets both screens in one round, one waits
         kept = list(rejections)
-        # leave a publication and a proposal pending
-        mediator.publish(_ad("stray", (0,)))
-        mediator.submit_proposal("stray", "other", ((0,),))
+        last.submit_proposal("stray", "other", ((0,),))  # leave a proposal pending
         rng = root.substream(trial)
         runtime.next_trial(policy.start(rng), rng)
-        assert runtime.mediator is mediator
-        assert mediator.board is runtime._empty[1][0] and mediator.published is runtime._empty[1][1]
-        assert mediator._proposals == {} and mediator._next == [] and mediator.rejections == []
-        assert rejections == kept  # the last trial's list is left as it was
+        mediator = runtime.mediator
+        assert mediator is not last
+        assert mediator.board == {} and mediator.published == {}
+        assert mediator._proposals == {} and mediator.rejections == [] and mediator.rejections is not rejections
+        assert last.rejections is rejections == kept  # the last trial's list is left as it was
         assert mediator.rng.key == rng.substream("events").key == (trial, "events")
         assert mediator.rng.draws == 0
         assert mediator.scheduler == scheduler
@@ -1142,22 +1149,20 @@ def test_a_marked_two_slit_run_at_128_cells_keeps_its_boards(monkeypatch):
     assert late[0] < 0.005 * 2000
 
 
-def test_a_new_object_at_a_dead_objects_id_is_not_served_its_board(monkeypatch):
-    # every object reads as the same id(), as when a new object takes the
-    # memory of one that died: the identity key repeats, but the first
-    # sighting's mark holds only a weak reference, so it is not taken for a
-    # second sighting of the dead object
-    real_id = id
-    monkeypatch.setattr(runtime_module, "id", lambda obj: 1 if isinstance(obj, QuantumObject) else real_id(obj), raising=False)
+def test_a_marked_object_stays_alive_and_a_new_object_gets_its_own_board():
+    # a first sighting's mark holds its objects, so while the mark is a key
+    # no new object can take their id()s and be served their board
     runtime = RefinedRuntime(_world(_atom("a", (1,))), VetoPolicy(), RngState(0))
     runtime.run_round()
     assert list(runtime.mediator.board) == [(1,)]
-    (mark,) = runtime._seen.values()
+    ref = weakref.ref(runtime.state.objects["a"])
+    ((board, live),) = runtime._seen.values()
     runtime.next_trial(_world(_atom("a", (4,))), RngState(1))
     gc.collect()
-    assert mark[0][0]() is None  # the first atom died, and its mark did not keep it
+    assert ref() is not None and live[0] is ref()  # the trial is over, and its mark keeps the atom
     runtime.run_round()
     assert list(runtime.mediator.board) == [(4,)]
+    assert runtime._entry[0] is not board
     assert runtime._by_identity == {}
 
 
