@@ -121,7 +121,7 @@ def bell_world() -> SystemState:
 
 # make_pump and make_screen are cached, so every trial shares their objects;
 # their attribute blocks are read-only views, so no trial can write into another
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def make_pump(object_id: str, cell=SOURCE_CELL, mass: float = 0.5) -> QuantumObject:
     return QuantumObject(
         object_id=object_id,
@@ -140,7 +140,7 @@ def make_pump(object_id: str, cell=SOURCE_CELL, mass: float = 0.5) -> QuantumObj
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def make_screen(object_id: str, cell, mass: float = 1.0) -> QuantumObject:
     return QuantumObject(
         object_id=object_id,
@@ -185,7 +185,7 @@ def _spun(rows: tuple, theta: float) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _pair_template(cell) -> OutcomeTable:
     """pair_table at theta 0, built and checked by the constructors."""
 
@@ -204,7 +204,7 @@ def _pair_template(cell) -> OutcomeTable:
     return OutcomeTable(name="pair-source", rows=(row(0.0), row(90.0)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a run uses a few (hit cell, axis) pairs; a sweep, many
 def absorb_table(cell, axis: float) -> OutcomeTable:
     """Screen absorption: one detection row at the hit cell."""
     return OutcomeTable(

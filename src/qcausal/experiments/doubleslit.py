@@ -217,7 +217,7 @@ def screen_object(geometry: SlitGeometry, object_id: str = "screen") -> QuantumO
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def continue_table(geometry: SlitGeometry, slit_index: int) -> OutcomeTable:
     """Marker interaction product: the particle continues from one slit,
     now sharing a table with the marker atom that registered it."""
@@ -234,7 +234,7 @@ def continue_table(geometry: SlitGeometry, slit_index: int) -> OutcomeTable:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # one table per screen cell a run hits
 def absorb_table(cell: tuple) -> OutcomeTable:
     """Screen absorption: one detection row at the hit cell."""
     return OutcomeTable(
@@ -366,35 +366,43 @@ class ScreenHistogram:
 # -- the world and its policy -----------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _world(geometry: SlitGeometry) -> tuple:
+    """The geometry's photon, marker and screen, and the memo that every
+    run of it shares, marker off or on, under either scheduler."""
+    return photon_at_slits(geometry), marker_object(geometry), screen_object(geometry), {}
+
+
 class DoubleSlitRoundPolicy(RoundPolicy):
     """Slit-plane marking (optional), fan to the screen, absorption.
 
     Roles are named by object id: the photon meets the marker, and
     whatever meets the screen carries the photon, alone or as the marker's
-    product.  One policy serves a whole run under either scheduler, and
-    its memo serves every claim by identity (RoundPolicy.memoised).  The
-    photon, the marker, the screen and the outcome tables (cached) are the
-    same objects in every trial, so the marking claim's candidates and
-    effects are too; the marker's product is an effect's out collection,
-    the same object on every hit.  So every trial fans one of at most
-    three inputs (the unmarked photon, or the product from either slit),
-    and each fan with its screen candidates and their effects is built
-    once per run.
+    product.  Every policy of one geometry takes the same cast and memo
+    from _world, and the memo serves every claim by identity
+    (RoundPolicy.memoised).  The photon, the marker, the screen and the
+    outcome tables (cached) are the same objects in every trial and run,
+    so the marking claim's candidates and effects are too; the marker's
+    product is an effect's out collection, the same object on every hit.
+    So every trial fans one of at most three inputs (the unmarked photon,
+    or the product from either slit), and each fan with its screen
+    candidates and their effects is built once per process and geometry:
+    every run after a geometry's first in one process (a sweep over
+    seeds, a benchmark's timed runs, the tests) builds none of them.
     """
 
     def __init__(self, geometry: SlitGeometry, marker: bool):
         self.geometry = geometry
-        self.photon = photon_at_slits(geometry)
-        self.marker = marker_object(geometry)
-        self.screen = screen_object(geometry)
+        self.photon, self.marker, self.screen, self.memo = _world(geometry)
         self.space = geometry.space()
         cast = (self.photon, self.marker, self.screen) if marker else (self.photon, self.screen)
         self.objects = {obj.object_id: obj for obj in cast}
-        self.memo = {}
-        # room for every entry a run can make, in either claim order: a screen
-        # effect per cell of each fan, the marking effects, the candidate
-        # lists and the fans
-        self.memo_bound = 4 * geometry.n_cells + 16
+        # room for every entry a geometry's runs make, marker off and on under
+        # both runtimes: each runtime claims the marking in its own order, so
+        # makes its own two products.  That is 5 fans (the photon's and four
+        # products') with a screen effect per cell each, 4 marking effects and
+        # 7 candidate lists
+        self.memo_bound = 5 * geometry.n_cells + 16
         self.hit_cell: int | None = None
 
     def start(self, rng: RngState) -> SystemState:

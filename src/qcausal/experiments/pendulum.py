@@ -53,6 +53,16 @@ class PendulumParams:
             raise ConfigError(f"pendulum.k must be >= 0, got {self.k}")
         if self.amplitude == 0:
             raise ConfigError("pendulum.amplitude must be non-zero")
+        # run_pendulum divides a period by it, so it must be a positive float
+        try:
+            coupled = coupled_frequency(self)
+        except OverflowError:
+            coupled = math.inf
+        if not 0 < coupled < math.inf:
+            raise ConfigError(
+                f"pendulum.omega0 {self.omega0!r} and k {self.k!r} (with m {self.m!r}) give a coupled "
+                f"frequency sqrt(omega0^2 + 2k/m) = {coupled}, not a positive finite number"
+            )
 
 
 def coupled_frequency(params: PendulumParams) -> float:

@@ -48,7 +48,8 @@ An interaction's effect (the participants' survivors and the out
 collection) depends only on the two objects, the chosen candidate, the
 outcome table and the tag, so perform_interaction is interaction_effect
 written into the state by apply.  A world whose claims
-see the same objects trial after trial keeps one per-run memo, and
+see the same objects trial after trial keeps one memo (Bell's per run,
+the two-slit world's per geometry for the life of the process), and
 RoundPolicy.memoised serves from it, by the identity of their inputs, the
 claims' candidates with their probabilities' Cumulative form (so no
 weight is re-checked or re-summed per draw), their effects, and what the
@@ -479,8 +480,8 @@ def perform_interaction(
 
 
 # a policy's memo is cleared when it reaches this many entries, or its
-# memo_bound if that is larger; a two-slit run at 128 cells keeps at most
-# 263 (258 effects, 3 candidate lists, 2 fans)
+# memo_bound if that is larger; a two-slit geometry's runs at 128 cells, marker
+# off and on under both runtimes, keep up to 656 (5 * 128 + 16, its memo_bound)
 MAX_MEMO = 512
 RUNTIMES = ("centralized", "refined")
 SCHEDULERS = ("round-robin", "randomized")
@@ -507,7 +508,8 @@ class RoundPolicy:
     effect returns what a claim's interaction does.  start, causal_order
     and outcome are the trial hooks run_trials calls.
 
-    A world whose claims repeat sets memo to a dict of its own, and
+    A world whose claims repeat sets memo to a dict of its own (or of its
+    world's, shared by the runs that use the same objects), and
     memoised then serves the default candidates and effect, and whatever
     the world builds through it, once per distinct input; without a memo
     each is built every time.

@@ -281,10 +281,13 @@ def standing_wave_grid(
 ) -> WaveGrid:
     """Standing sine sin(kx) cos(wt) with the matching psi_prev at t = -dt."""
     profile = sine_profile(n_cells, mode)
+    grid = make_grid(profile, v, delta_x, delta_t, boundary="periodic")  # refuses v, dx, dt and Courant first
     k = 2.0 * math.pi * mode / (n_cells * delta_x)
     omega = k * v
-    prev = profile * math.cos(omega * delta_t)
-    return make_grid(profile, v, delta_x, delta_t, boundary="periodic", psi_prev=prev)
+    if not math.isfinite(omega * delta_t):
+        raise ConfigError(f"wave mode {mode} on {n_cells} cells of dx {delta_x!r}: phase omega*dt is not finite")
+    grid.psi_prev = profile * math.cos(omega * delta_t)
+    return grid
 
 
 def write_snapshots_csv(trajectory, path):

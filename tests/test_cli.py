@@ -129,6 +129,33 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (first / "bell.csv").read_bytes() == (second / "bell.csv").read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+# the benchmark's two-slit workloads: each unit runs these steps in order
+TWO_SLIT_UNITS = {
+    "doubleslit-centralized": [["--marker", "off"], ["--marker", "on"]],
+    "doubleslit-refined": [["--marker", "on", "--geometry", "small", "--runtime", "refined"]],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TWO_SLIT_UNITS))
+def test_a_warm_two_slit_unit_writes_the_golden_files(workload, tmp_path):
+    # the first unit builds the geometry's world; the second is served it
+    # warm, and must write what a cold process writes (compared as the
+    # benchmark compares them: as text, so the CSV's row ends read as \n)
+    steps = TWO_SLIT_UNITS[workload]
+    trials = "400" if workload == "doubleslit-refined" else "1000"
+    for unit in ("cold", "warm"):
+        for i, step in enumerate(steps):
+            out = tmp_path / unit / str(i)
+            argv = ["doubleslit", *step, "--trials", trials, "--seed", "0", "--out", str(out)]
+            with redirect_stdout(io.StringIO()):
+                assert run_cli(*argv) == 0
+    for i in range(len(steps)):
+        for suffix in ("json", "csv"):
+            golden = (GOLDEN / workload / f"{i}-doubleslit.{suffix}").read_text()
+            assert (tmp_path / "warm" / str(i) / f"doubleslit.{suffix}").read_text() == golden
+
+
 def test_wave_traveling_pulse(tmp_path, capsys):
     code = run_cli("wave", "--cells", "64", "--steps", "32", "--out", str(tmp_path))
     assert code == 0

@@ -295,6 +295,22 @@ def test_wide_screen_memo_is_never_cleared(runtime):
     assert DoubleSlitRoundPolicy(SMALL_GEOMETRY, True).memo_bound < interaction.MAX_MEMO
 
 
+def test_a_geometrys_runs_share_one_memo_and_never_clear_it():
+    # every run of a geometry in one process, marker off and on, under both
+    # runtimes, fills one memo; a clear would show as a size that falls
+    for geometry in (SMALL_GEOMETRY, DEFAULT_GEOMETRY):
+        sizes, memos = [], set()
+        for marker in (False, True):
+            for runtime, trials in (("centralized", 4000), ("refined", 2500)):
+                policy = DoubleSlitRoundPolicy(geometry, marker)
+                memos.add(id(policy.memo))
+                sizes += [len(policy.memo) for _ in interaction.run_trials(policy, trials, 0, runtime, "round-robin")]
+        assert len(memos) == 1 and sizes == sorted(sizes)
+    # each runtime claims the marking in its own order and fans its own two
+    # products, so together they fill more than four entries per cell
+    assert sizes[-1] > 4 * DEFAULT_GEOMETRY.n_cells + 16
+
+
 @pytest.mark.parametrize("runtime", ["centralized", "refined"])
 def test_marking_candidates_are_detected_once_per_run(runtime, monkeypatch):
     # detected when a claim order first runs: the centralized trial claims

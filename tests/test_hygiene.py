@@ -44,6 +44,11 @@ that use arrays import them inside their functions.
 Every function the benchmark hooks exists: perfbench/run.py wraps each
 target in its HOOKS, and a target that is gone turns its layer metric
 into null, which the benchmark refuses as malformed output.
+
+Every process-wide cache under src/ names its bound: no bare @lru_cache or
+@cache, no functools.cache, and no lru_cache with maxsize None.  A cache
+lives as long as the process, so an unbounded one grows with every
+distinct input a long sweep passes it.
 """
 
 import ast
@@ -614,3 +619,57 @@ def test_every_perfbench_hook_target_exists(monkeypatch):
     run = _perfbench_run(monkeypatch)
     assert len(run.HOOKS) == 30
     assert unresolved_hooks(run) == []
+
+
+def _functools(node, name: str) -> bool:
+    """node names functools' name, bare or as functools.name."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == name and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Line of each cache that names no bound: a bare @lru_cache or @cache
+    decorator, a cache(...) call, or an lru_cache(...) call whose maxsize is
+    missing or None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [d.lineno for d in node.decorator_list if _functools(d, "lru_cache") or _functools(d, "cache")]
+        elif isinstance(node, ast.Call) and _functools(node.func, "cache"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and _functools(node.func, "lru_cache"):
+            bound = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if not bound or (isinstance(bound[0], ast.Constant) and bound[0].value is None):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_cache_scanner_flags_caches_without_a_bound():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(x): return x\n"
+        "@lru_cache\n"
+        "def b(x): return x\n"
+        "@functools.cache\n"
+        "def c(x): return x\n"
+        "@functools.lru_cache(None)\n"
+        "def d(x): return x\n"
+        "e = lru_cache()(len)\n"
+        "f = cache(len)\n"
+        "@lru_cache(maxsize=4)\n"
+        "def g(x): return x\n"
+        "@functools.lru_cache(1024)\n"
+        "def h(x): return x\n"
+        "i = self.cache(len), other.lru_cache(maxsize=None)\n"
+    )
+    assert unbounded_caches(source) == [3, 5, 7, 9, 11, 12]
+
+
+def test_every_process_wide_cache_is_bounded():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        offenders += [f"{path.relative_to(ROOT)}:{line}" for line in unbounded_caches(path.read_text())]
+    assert offenders == []

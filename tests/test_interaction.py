@@ -613,23 +613,32 @@ def test_two_slit_effects_served_from_the_memo_equal_fresh_ones(marker, schedule
     assert len({id(out) for out in checked}) == len(effects)
 
 
-def test_two_slit_effect_memo_is_per_run_and_never_written_into(monkeypatch):
+def test_two_slit_effect_memo_outlives_the_run_and_is_never_written_into(monkeypatch):
     policies = _recorded_policies(monkeypatch)
-    computed = []
+    computed, fanned, fan = [], [], doubleslit.propagate_to_screen
 
     def counted(*args):
         computed.append(args)
         return interaction_effect(*args)
 
+    def counted_fan(obj, geometry):
+        fanned.append(obj)
+        return fan(obj, geometry)
+
     monkeypatch.setattr(interaction, "interaction_effect", counted)
+    monkeypatch.setattr(doubleslit, "propagate_to_screen", counted_fan)
     geometry = doubleslit.DEFAULT_GEOMETRY
-    runs = [doubleslit.run_double_slit(True, 2000, geometry, seed=9) for _ in range(2)]
+    runs, built = [], []
+    for _ in range(2):
+        runs.append(doubleslit.run_double_slit(True, 2000, geometry, seed=9))
+        built.append((len(computed), len(fanned)))
     assert np.array_equal(runs[0].counts, runs[1].counts)
     first, second = policies
-    assert first.memo is not second.memo
+    assert first.memo is second.memo
     effects = _effects(first)
-    # a new run starts empty, so it computes exactly what the first did
-    assert len(computed) == 2 * len(effects) == 2 * len(_effects(second))
+    # what was built so far, after each run: the first run fills the
+    # geometry's memo, and the second, warm, builds nothing
+    assert built == [(len(effects), 2), (len(effects), 2)]
     assert len(effects) <= 2 + 2 * geometry.n_cells and len(first.memo) <= MAX_MEMO
     for key, ((a, b, chosen, table, tag), effect) in effects.items():
         again = interaction_effect(a, b, chosen, table, str(key[-1]))
@@ -667,7 +676,7 @@ def _memo_run(world, marker, runtime, scheduler, trials):
 
 @pytest.mark.parametrize("world, marker, runtime, scheduler", MEMO_RUNS)
 def test_every_memo_hit_equals_a_fresh_build(world, marker, runtime, scheduler, monkeypatch):
-    memoised, served = RoundPolicy.memoised, {}
+    memoised, served, missed = RoundPolicy.memoised, {}, []
 
     def checked(self, key, build, *args):
         hit = key in self.memo
@@ -677,6 +686,8 @@ def test_every_memo_hit_equals_a_fresh_build(world, marker, runtime, scheduler, 
         assert repr(_comparable(got)) == repr(_comparable(fresh))
         if hit:
             served[key[0]] = served.get(key[0], 0) + 1
+        else:
+            missed.append(key)
         return got
 
     monkeypatch.setattr(RoundPolicy, "memoised", checked)
@@ -685,6 +696,12 @@ def test_every_memo_hit_equals_a_fresh_build(world, marker, runtime, scheduler, 
     bell_kinds = {"candidates", "effect", "analyzed", "ports", "first-candidates", "first-effect"}
     kinds = bell_kinds if world == "bell" else {"candidates", "effect", "fan"}
     assert set(served) == kinds and min(served.values()) >= 10
+    if world == "doubleslit":
+        # a second run of the geometry in this process is warm: the same
+        # trials are served every entry from the first run's memo
+        missed.clear()
+        assert _memo_run(world, marker, runtime, scheduler, 80)[1] == outcomes
+        assert missed == []
     monkeypatch.undo()
     assert _memo_run(world, marker, runtime, scheduler, 80)[1] == outcomes
 

@@ -145,6 +145,19 @@ def test_run_pendulum_validation():
         assert math.isfinite(run_pendulum(mode, amplitude=large).deviation_from_closed_form)
 
 
+@pytest.mark.parametrize(
+    "params, coupled",
+    [
+        ({"omega0": 1e308}, "inf"),  # omega0**2 overflows
+        ({"omega0": 1e-320, "k": 0.0}, "0.0"),  # omega0**2 underflows: no period
+        ({"k": 1e308}, "inf"),  # 2k/m overflows
+    ],
+)
+def test_a_coupled_frequency_that_is_no_positive_float_is_refused(params, coupled):
+    with pytest.raises(ConfigError, match=rf"^pendulum\.omega0 .* = {coupled}, not a positive finite number$"):
+        run_pendulum("in-phase", steps_per_period=8, periods=1, **params)
+
+
 def test_result_serialization(tmp_path):
     res = run_pendulum("anti-phase", periods=1.0, steps_per_period=64)
     d = res.to_json_dict()

@@ -168,6 +168,18 @@ def test_energy_frozen_value():
     assert wave_energy(grid) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize(
+    "v, delta_x, match",
+    [
+        (1e308, 1.0, "Courant number"),  # omega = k v overflows
+        (1e-310, 1e-310, "phase omega\\*dt is not finite"),  # k = 2 pi / (n dx) overflows at Courant 1
+    ],
+)
+def test_a_standing_wave_whose_phase_overflows_is_refused(v, delta_x, match):
+    with pytest.raises(ConfigError, match=match):
+        standing_wave_grid(3, 1, v, delta_x, 1.0)
+
+
 def test_run_wave_snapshots():
     grid = make_grid(np.zeros(8), v=1.0, delta_x=1.0, delta_t=1.0)
     traj = run_wave(grid, steps=10, snapshot_stride=4).trajectory
