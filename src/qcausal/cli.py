@@ -19,7 +19,9 @@ and experiments.pendulum are imported inside cmd_doubleslit, cmd_wave and
 cmd_pendulum, and the parser reads its choices from numpy-free modules:
 the other subcommands, and --help, never load numpy.  Likewise only
 analyze classifies models, so cmd_analyze imports locality, and no other
-subcommand loads it.
+subcommand loads it.  main builds the parser once per process
+(build_parser), so repeated invocations in one process (a benchmark, the
+tests) share it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .choices import BOUNDARIES, PENDULUM_MODES
@@ -73,7 +76,10 @@ def _angles_triple(raw: str) -> tuple[float, float, float]:
     return tuple(_finite_float(p) for p in parts)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing changes no state of
+    a parser, so every main call shares it."""
     parser = _Parser(prog="qcausal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
     sub.required = True
@@ -410,20 +416,33 @@ def _check_pendulum(args):
         )
 
 
+# run_pendulum's parameters by the flag that sets each
+_PENDULUM_FLAGS = {
+    "m": "--m", "omega0": "--omega", "k": "--k", "amplitude": "--amplitude",
+    "periods": "--periods", "steps_per_period": "--steps",
+}
+
+
 def cmd_pendulum(args) -> int:
     from .experiments import pendulum
 
     _check_pendulum(args)
     outdir = _output_dir(args)
-    result = pendulum.run_pendulum(
-        mode=args.mode,
-        m=args.m,
-        omega0=args.omega,
-        k=args.k,
-        amplitude=args.amplitude,
-        periods=args.periods,
-        steps_per_period=args.steps,
-    )
+    try:
+        result = pendulum.run_pendulum(
+            mode=args.mode,
+            m=args.m,
+            omega0=args.omega,
+            k=args.k,
+            amplitude=args.amplitude,
+            periods=args.periods,
+            steps_per_period=args.steps,
+        )
+    except ConfigError as exc:  # an error run_pendulum names by its parameter
+        flag = _PENDULUM_FLAGS.get(exc.param)
+        if flag is None:
+            raise
+        raise ConfigError(flag + str(exc).removeprefix(f"pendulum.{exc.param}")) from None
     payload = result.to_json_dict()
     jpath = _write_json(outdir, "pendulum", payload)
     cpath = outdir / "pendulum.csv"

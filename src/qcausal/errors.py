@@ -9,7 +9,13 @@ import sys
 
 
 class ConfigError(ValueError):
-    """A configuration value or file is invalid.  Message names the field."""
+    """A configuration value or file is invalid.  Message names the field;
+    param, when given, is the parameter whose qualified name starts it, so
+    a front end can name the flag that set it instead."""
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class ParseError(ConfigError):

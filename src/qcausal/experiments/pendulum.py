@@ -155,7 +155,8 @@ class PendulumResult:
     mode_b: np.ndarray
 
     def _rel_max(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.max(np.abs(x - y)) / abs(self.params.amplitude))
+        with np.errstate(over="ignore"):  # samples near the float limit differ by inf, which run_pendulum refuses
+            return float(np.max(np.abs(x - y)) / abs(self.params.amplitude))
 
     @property
     def deviation_from_normal_mode(self) -> float:
@@ -264,5 +265,8 @@ def run_pendulum(
     # every sample enters a deviation, so an overflowed sample, or difference
     # of two, leaves one not finite
     if not all(map(math.isfinite, (result.deviation_from_normal_mode, result.deviation_from_closed_form))):
-        raise ConfigError(f"pendulum.amplitude {amplitude!r} overflows: a trajectory sample or deviation is not finite")
+        raise ConfigError(
+            f"pendulum.amplitude {amplitude!r} overflows: a trajectory sample or deviation is not finite",
+            param="amplitude",
+        )
     return result

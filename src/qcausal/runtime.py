@@ -16,9 +16,11 @@ Objects are frozen records, and most of a round's objects are the very
 ones of the round before, or of the trial before (a screen, a pump, a
 memoised fan).  The rest mostly repeat what they advertise: Bell's
 emitted pair is a new object in every trial, but only its spins are new,
-and nothing on the board reads a spin.  So a runtime keeps, for the
-trials it serves, bounded stores, each keyed by exactly what its value
-is a function of:
+and nothing on the board reads a spin.  So the runtime keeps bounded
+stores, each keyed by exactly what its value is a function of.  They
+live for the process, one set per space in a table of 4 spaces
+(_stores), like a two-slit geometry's world (doubleslit._world): every
+runtime of a space, and every trial and run it serves, shares them.
 
   - a publication (an object's advertisements and the sorted cells they
     occupy) by what _advertise and object_problem read of the object:
@@ -43,8 +45,8 @@ the others are keyed: in a warm Bell run, the pair at the source and
 once drifted.  Each store is cleared when it reaches MAX_RECORDS, or
 the policy's memo_bound if that is larger: past round 0 the live
 objects are what the memo served, so a world whose memo needs more
-room (two-slit at 128 cells lays out about 261 boards) sizes the stores
-too.
+room (two-slit at 128 cells, marker off and on, lays out about 380
+boards) sizes the stores too.
 
 Why serving is exact:
 
@@ -53,7 +55,8 @@ Why serving is exact:
     in path order and sorted cell order, and its cells the sorted union;
     the check is a function of the key and the space (rectangularity,
     lattice containment, and a message naming the id), and the stores
-    are dropped when the space changes.  A weight is abs(a) ** 2, never
+    are keyed by the space: equal Spaces contain the same points, so
+    they check objects alike.  A weight is abs(a) ** 2, never
     -0.0, and equal floats other than signed zeros have the same repr; a
     NaN weight is a new float in every key, so it never matches a stored
     one.  An object with a problem raises before anything is stored.
@@ -77,9 +80,9 @@ Why serving is exact:
     draws, so the events, the rejections and the draws are unchanged.
 
 Each trial has its own mediator, which draws from the trial's "events"
-substream and starts on an empty board, on which every engine proposes
-nothing.  The engines' ids are sorted once per change of the engine
-set, and detect and propagate share that order.
+substream and starts on the space's empty board, on which every engine
+proposes nothing.  The engines' ids are sorted once per change of the
+engine set, and detect and propagate share that order.
 
 A round has four phases:
 
@@ -120,21 +123,22 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .engine import RngState, random_draw
 from .errors import ConfigError, InvariantViolation
 from .experiments import bell as _bell
 from .interaction import SCHEDULERS, RoundPolicy, claim
-from .state import QuantumObject, SystemState, _conserved_signature, total_conserved
+from .state import QuantumObject, Space, SystemState, _conserved_signature, total_conserved
 
 BellRoundPolicy = _bell.BellRoundPolicy  # lives beside its world; re-exported
 
 # rounds an object must sit on the board before it may move; detection of
 # a standing overlap takes one round of lag plus one to act on it
 PROPAGATION_DELAY = 2
-# a runtime clears each of its stores (publications, boards, a board's
-# plans, the identity index and its marks) when it holds this many, or its
-# policy's memo_bound if that is larger
+# a runtime clears each of its space's stores (publications, boards, a
+# board's plans, the identity index and its marks) when it holds this many,
+# or its policy's memo_bound if that is larger
 MAX_RECORDS = 256
 
 
@@ -193,6 +197,18 @@ def _lay_out(publications) -> tuple[dict, dict]:
             for ad in ads:
                 board.setdefault(ad.cell, []).append(ad)
     return board, published
+
+
+@lru_cache(maxsize=4)
+def _stores(space: Space) -> tuple:
+    """The stores of the objects checked in space, for the process: publication
+    key -> publication; publication id()s -> board; (*object ids, *id()s) ->
+    (board, the objects in id order, which hold the id()s), and the marks, the
+    same keys seen once; and every trial's first board, the empty one.  A
+    board is a tuple: the publications it was laid out from (they key it by
+    identity, so no id can be reused), _lay_out's two dicts, and its plans
+    (mediator.plan) by engine order, a tuple of ids."""
+    return {}, {}, {}, {}, ((), _lay_out(()), {})
 
 
 def _store(store: dict, key, value, bound: int):
@@ -347,7 +363,8 @@ class RefinedRuntime:
     """Round loop driver over a store, engines, mediator, and policy.
 
     The constructor starts the first trial; next_trial starts each later
-    one on the same runtime, which keeps its stores.
+    one on the same runtime.  The stores belong to the trial's space
+    (_stores), not to the runtime, so a later run in the space starts warm.
     """
 
     def __init__(
@@ -365,25 +382,14 @@ class RefinedRuntime:
         # round 0 the policy's memo serves those objects: a world that sizes
         # its memo (memo_bound) sizes the stores too
         self._bound = max(MAX_RECORDS, policy.memo_bound)
-        # a board is a tuple: the publications it was laid out from (they
-        # key it by identity, so no id can be reused), _lay_out's two
-        # dicts, and its plans (mediator.plan) by engine order, a tuple of ids
-        self._empty = ((), _lay_out(()), {})  # every trial's first board
-        self._space = None  # the space the stores' objects were checked in
         self.next_trial(state, rng)
 
     def next_trial(self, state: SystemState, rng: RngState):
         """Start a trial on state: fresh engines, ledger and counters, and a
-        mediator that draws from rng's "events" substream.  The stores carry
-        over while the trial's space is the previous trial's."""
-        if state.space is not self._space:
-            self._publications: dict[tuple, _Publication] = {}  # publication key -> publication
-            self._boards: dict[tuple, tuple] = {}  # publication id()s -> board
-            # (*object ids, *id()s) -> (board, the objects in id order, which hold the id()s)
-            self._by_identity: dict[tuple, tuple] = {}
-            # the same keys, seen once: the entry their second sighting stores
-            self._seen: dict[tuple, tuple] = {}
-            self._space = state.space
+        mediator that draws from rng's "events" substream.  The trial is
+        served from its space's stores, which every trial, run and runtime
+        in that space shares."""
+        self._publications, self._boards, self._by_identity, self._seen, self._empty = _stores(state.space)
         self.state = state
         self.mediator = SpaceMediator(rng.substream("events"), self.scheduler)
         # the live objects' identity key and their board entry

@@ -298,6 +298,7 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
         (["pendulum", "--mode", "in-phase", "--k", "-1"], ["--k"]),
         (["pendulum", "--mode", "in-phase", "--m", "0"], ["--m"]),
         (["pendulum", "--mode", "in-phase", "--amplitude", "0"], ["--amplitude"]),
+        (["pendulum", "--mode", "anti-phase", "--amplitude", "5e307"], ["--amplitude"]),
         (["pendulum", "--mode", "in-phase", "--steps", "7"], ["--steps"]),
         (["pendulum", "--mode", "in-phase", "--periods", "-1"], ["--periods"]),
         (["pendulum", "--mode", "in-phase", "--periods", "1e-9"], ["--periods", "--steps"]),
@@ -488,6 +489,28 @@ def test_parser_choices_are_the_modules_own():
     for name in ("bell", "doubleslit"):
         assert choices[(name, "runtime")] is interaction.RUNTIMES
         assert choices[(name, "scheduler")] is interaction.SCHEDULERS
+
+
+def test_a_reused_parser_carries_nothing_from_one_call_into_the_next(tmp_path, capsys):
+    # main builds the parser once per process; a value parsed in one call
+    # must not show in the next, nor a help or usage text change
+    parser = cli.build_parser()
+    argv = ["bell", "--angle-a", "0", "--angle-b", "30", "--trials", "50", "--seed", "4"]
+    assert run_cli(*argv, "--spindir", "10", "--out", str(tmp_path / "fixed")) == 0
+    assert run_cli(*argv, "--out", str(tmp_path / "reused")) == 0
+    cli.build_parser.cache_clear()
+    assert run_cli(*argv, "--out", str(tmp_path / "fresh")) == 0
+    reused, fresh, fixed = ((tmp_path / name / "bell.json").read_bytes() for name in ("reused", "fresh", "fixed"))
+    assert reused == fresh != fixed
+    assert cli.build_parser() is cli.build_parser() is not parser
+    capsys.readouterr()
+    for argv in (["--help"], ["bell", "--help"], ["doubleslit", "--marker", "sideways"]):
+        texts = []
+        for _ in range(2):
+            code = run_cli(*argv)
+            texts.append((code, capsys.readouterr()))
+        assert texts[0] == texts[1]
+        assert texts[0][0] == (1 if argv[0] == "doubleslit" else 0)
 
 
 # --- any argv: strict JSON and exit 0, or one line and exit 1 ------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ def test_run_pendulum_validation():
             run_pendulum(mode, amplitude=huge)
     for mode, large in (("anti-phase", 3e307), ("in-phase", 8e307)):
         assert math.isfinite(run_pendulum(mode, amplitude=large).deviation_from_closed_form)
+
+
+def test_an_overflowing_deviation_is_refused_without_a_warning():
+    # two finite samples near the float limit whose difference overflows;
+    # the CLI property test drew it as pendulum --amplitude=1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="amplitude .* overflows") as raised:
+            run_pendulum("in-phase", steps_per_period=8, periods=1.0, omega0=0.5, amplitude=1e308)
+    assert raised.value.param == "amplitude"
 
 
 @pytest.mark.parametrize(

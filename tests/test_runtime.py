@@ -1,6 +1,7 @@
 """Round mechanics of the decentralized runtime: mediator, engines, ledger."""
 
 import gc
+import operator
 import weakref
 
 import numpy as np
@@ -840,12 +841,13 @@ def test_snapshot_store_stays_within_its_bound(monkeypatch, world):
     # a bound small enough to clear every store often changes no trial; the two-slit world's memo_bound would raise
     # the bound, so it is zeroed (its memo stays far under MAX_MEMO here)
     monkeypatch.setattr(runtime_module, "MAX_RECORDS", 4)
+    runtime_module._stores.cache_clear()  # the stores outlive the run: start this one cold too
     bounded, small = _per_trial(world, "round-robin", reuse=True, trials=300, size=_store_sizes, memo_bound=0)
     assert bounded == full[:300]
     assert max(map(max, small)) <= 4
 
 
-def test_snapshots_are_dropped_when_the_space_changes():
+def test_each_space_keeps_stores_of_its_own():
     atom = _atom("a", (6,))
     first = _world(atom)
     runtime = RefinedRuntime(first, VetoPolicy(), RngState(0))
@@ -855,9 +857,22 @@ def test_snapshots_are_dropped_when_the_space_changes():
     # the second sighting of the atom stored its identity entry, and its
     # engine's one detect (on the first trial's empty board) its plan
     assert _store_sizes(runtime) == (1, 1, 1, 0, 1)
-    small = SystemState(space=Space(dims=1, extent=(4,), delta_x=1.0), objects={"a": atom})
+    kept = runtime._publications, runtime._boards, runtime._by_identity, runtime._seen, runtime._empty
+    # another space gets empty stores of its own, and fills them
+    small = SystemState(space=Space(dims=1, extent=(4,), delta_x=1.0), objects={"a": _atom("a", (2,))})
     runtime.next_trial(small, RngState(2))
-    assert runtime._publications == runtime._boards == runtime._by_identity == runtime._seen == {}
+    assert _store_sizes(runtime) == (0, 0, 0, 0, 0)
+    runtime.run_round()
+    assert _store_sizes(runtime) == (1, 1, 0, 1, 1)
+    # back in an equal space, a new runtime finds the first space's stores
+    # intact, and is served the atom's board by identity
+    equal = SystemState(space=Space(dims=1, extent=(8,), delta_x=1.0), objects={"a": atom})
+    assert equal.space is not first.space
+    again = RefinedRuntime(equal, VetoPolicy(), RngState(3))
+    assert all(map(operator.is_, (again._publications, again._boards, again._by_identity, again._seen, again._empty), kept))
+    again.run_round()
+    assert _store_sizes(again) == (1, 1, 1, 0, 1)
+    assert again._entry is next(iter(again._by_identity.values()))
 
 
 # -- publications keyed by what they advertise ---------------------------------------
@@ -959,6 +974,7 @@ def _first_cells(rows, change):
        st.sampled_from(["cell", "weight", "particles", "id"]))
 def test_a_publication_is_shared_exactly_by_what_it_advertises(table, alike, unlike):
     n_particles, rows = table
+    runtime_module._stores.cache_clear()  # the examples share one test call, and the stores outlive each
     state = _CountingState(space=Space(dims=2, extent=(4, 4), delta_x=1.0))
     base = _table_object("a", n_particles, rows)
     runtime = RefinedRuntime(state, VetoPolicy(), RngState(0))
@@ -1206,3 +1222,112 @@ def test_the_engine_order_follows_every_spawn_and_retirement():
         assert runtime._order in (None, tuple(sorted(runtime.engines)))
     # an engine may move PROPAGATION_DELAY rounds after its spawn
     assert asked == [[], [], ["b", "d"], ["b", "d"], ["a", "b", "d"], ["a", "d"], ["a", "d"]]
+
+
+# -- stores that outlive the run: one set per space, for the process ---------------
+
+
+def _recording(monkeypatch):
+    """Per run: each trial's rounds, interactions, events by round, rejections
+    with their reasons, outcome and final objects, and the draws per stream."""
+    record = {"trials": [], "events": [], "draws": {}}
+    run, collect_events, draw = RefinedRuntime.run, SpaceMediator.collect_events, RngState.random
+
+    def recorded_run(runtime, max_rounds=64):
+        rounds = run(runtime, max_rounds)
+        record["trials"].append((
+            rounds, runtime.interactions, record["events"], runtime.mediator.rejections,
+            runtime.policy.outcome(), dict(runtime.state.objects),
+        ))
+        record["events"] = []
+        return rounds
+
+    def recorded_collect_events(mediator, plan):
+        events = collect_events(mediator, plan)
+        record["events"].append(list(events))
+        return events
+
+    def counted_draw(rng):
+        record["draws"][rng.key] = record["draws"].get(rng.key, 0) + 1
+        return draw(rng)
+
+    monkeypatch.setattr(RefinedRuntime, "run", recorded_run)
+    monkeypatch.setattr(SpaceMediator, "collect_events", recorded_collect_events)
+    monkeypatch.setattr(RngState, "random", counted_draw)
+
+    def recorded(start):
+        record["trials"], record["draws"] = [], {}
+        output = start()
+        return record["trials"], record["draws"], output
+
+    return recorded
+
+
+def _refined_run(world, setting, seed, scheduler, trials=200):
+    """What a refined run of the world at setting returns: Bell's joint
+    counts at angles (0, setting), or the two-slit histogram, marker setting."""
+    if world == "bell":
+        cfg = BellConfig(0.0, setting, trials=trials, seed=seed, runtime="refined", scheduler=scheduler)
+        return lambda: run_bell_experiment(cfg).stats
+    return lambda: run_double_slit(setting, trials, SMALL_GEOMETRY, seed, runtime="refined", scheduler=scheduler).counts.tolist()
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("world, setting, other", [
+    ("bell", 30.0, 90.0), ("bell", 90.0, 30.0), ("doubleslit", False, True), ("doubleslit", True, False),
+])
+def test_a_run_on_warm_stores_equals_one_on_cleared_stores(monkeypatch, world, setting, other, scheduler):
+    recorded = _recording(monkeypatch)
+    unlike = SCHEDULERS[1 - SCHEDULERS.index(scheduler)]
+    recorded(_refined_run(world, other, 7, unlike))  # warms the stores at another seed, setting and scheduler
+    warm = recorded(_refined_run(world, setting, 3, scheduler))
+    runtime_module._stores.cache_clear()
+    cold = recorded(_refined_run(world, setting, 3, scheduler))
+    assert len(warm[0]) == 200 and all(trial[1] for trial in warm[0])
+    assert warm == cold
+    assert repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("marker", [False, True])
+def test_a_warm_two_slit_run_lays_out_plans_detects_and_keys_nothing(monkeypatch, marker, scheduler):
+    # each run built a runtime with empty stores: a 400-trial marked run
+    # made 38 layouts, 6 plans, 14 detects and 71 keyings, every run as
+    # many as the first
+    run_double_slit(marker, 400, SMALL_GEOMETRY, seed=1, runtime="refined", scheduler=scheduler)
+    calls = {"_lay_out": 0, "plan": 0, "detect": 0, "_publication_key": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(runtime_module, "_lay_out")
+    counted(SpaceMediator, "plan")
+    counted(ObjectEngine, "detect")
+    counted(runtime_module, "_publication_key")
+    started = _counting_trials(monkeypatch)
+    run_double_slit(marker, 400, SMALL_GEOMETRY, seed=2, runtime="refined", scheduler=scheduler)
+    assert started[0] == 400
+    assert calls == {"_lay_out": 0, "plan": 0, "detect": 0, "_publication_key": 0}
+
+
+def test_a_128_cell_space_holds_every_run_of_its_geometry_without_a_clear(monkeypatch):
+    # marker off and on under both schedulers share the space's stores, and
+    # the geometry's memo_bound holds all of them
+    started = _counting_trials(monkeypatch)
+    cleared = _counting_clears(monkeypatch, started, -1)
+    for marker in (False, True):
+        for scheduler in SCHEDULERS:
+            run_double_slit(marker, 3000, DEFAULT_GEOMETRY, seed=1, runtime="refined", scheduler=scheduler)
+    assert started[0] == 4 * 3000 and len(started[1]) == 4
+    assert cleared == []
+    (runtime, *others) = started[1]
+    assert all(other._boards is runtime._boards for other in others)
+    sizes = _store_sizes(runtime)
+    assert max(sizes) <= runtime._bound == DoubleSlitRoundPolicy(DEFAULT_GEOMETRY, True).memo_bound
+    assert len(runtime._boards) > MAX_RECORDS
