@@ -11,7 +11,8 @@ directory (--out, else $QCAUSAL_OUTPUT_DIR, else the working directory)
 and prints a short text summary.  JSON is sorted and timestamp-free, so a
 repeated invocation with the same seed is byte-identical.  Exit codes:
 0 success, 1 configuration or usage error or out of memory, 2 internal
-invariant failure.
+invariant failure.  Only the library checks a value: main renames the
+parameters its error names (wave.sigma) to their flags (--sigma, _FLAGS).
 
 bell, lhv and analyze use no array, and loading numpy is most of the
 time it takes to import this module.  So numpy, wave, experiments.doubleslit
@@ -37,7 +38,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .choices import BOUNDARIES, PENDULUM_MODES
-from .errors import ConfigError, InvariantViolation, check_array_length
+from .errors import ConfigError, InvariantViolation
 from .experiments import bell
 from .interaction import RUNTIMES, SCHEDULERS
 
@@ -302,7 +303,6 @@ def cmd_wave(args) -> int:
     import numpy as np
 
     from .wave import (
-        MAX_COURANT,
         compare_analytic,
         gaussian_profile,
         make_grid,
@@ -314,20 +314,7 @@ def cmd_wave(args) -> int:
 
     _wave_defaults(args)
     outdir = _output_dir(args)
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
-    if args.steps < 0:
-        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
-    if args.sigma is not None and not args.sigma > 0:
-        raise ConfigError(f"--sigma must be > 0, got {args.sigma}")
-    if not 0 < args.courant <= MAX_COURANT:
-        raise ConfigError(f"--courant must be > 0 and at most 1 (stable), got {args.courant}")
-    if args.cells < 3:
-        raise ConfigError(f"--cells must be >= 3, got {args.cells}")
-    check_array_length(args.cells, "--cells")
     n = args.cells
-    if args.init == "sine" and not 1 <= 2 * args.mode <= n:
-        raise ConfigError(f"--mode must be between 1 and --cells / 2 = {n // 2}, got {args.mode}")
     v = args.courant  # dx = dt = 1
     oracle = None
     if args.init == "sine":
@@ -339,16 +326,15 @@ def cmd_wave(args) -> int:
             return profile0 * math.cos(k * v * t)
 
     else:
-        sigma = args.sigma if args.sigma is not None else n / 16.0
         if args.velocity == "traveling":
-            grid = traveling_pulse_grid(n, sigma, v, 1.0, 1.0)
+            grid = traveling_pulse_grid(n, args.sigma, v, 1.0, 1.0)
             profile0 = grid.psi_now.copy()
             if v == 1.0:
                 def oracle(t):
                     return np.roll(profile0, int(round(t)))
 
         else:
-            grid = make_grid(gaussian_profile(n, n / 2.0, sigma), v, 1.0, 1.0, boundary=args.boundary)
+            grid = make_grid(gaussian_profile(n, sigma=args.sigma), v, 1.0, 1.0, boundary=args.boundary)
 
     run = run_wave(grid, args.steps, args.stride)
     e0 = run.energy_initial
@@ -385,64 +371,19 @@ def cmd_wave(args) -> int:
     return 0
 
 
-def _check_pendulum(args):
-    """Refuse what run_pendulum refuses, naming the flags rather than its
-    parameters, and a coupled frequency sqrt(omega^2 + 2k/m) that is not a
-    positive float, which it has no period for."""
-    for flag, value in (("--m", args.m), ("--omega", args.omega)):
-        if not value > 0:
-            raise ConfigError(f"{flag} must be > 0, got {value}")
-    if args.k < 0:
-        raise ConfigError(f"--k must be >= 0, got {args.k}")
-    if args.amplitude == 0:
-        raise ConfigError("--amplitude must be non-zero")
-    if args.steps < 8:
-        raise ConfigError(f"--steps must be >= 8, got {args.steps}")
-    if not args.periods > 0:
-        raise ConfigError(f"--periods must be > 0, got {args.periods}")
-    check_array_length(args.steps, "--steps")
-    samples = args.periods * args.steps
-    check_array_length(samples, "--periods * --steps")
-    if round(samples) < 1:
-        raise ConfigError(f"--periods * --steps = {samples:g} rounds to zero integration steps")
-    try:
-        coupled = math.sqrt(args.omega**2 + 2.0 * args.k / args.m)
-    except OverflowError:
-        coupled = math.inf
-    if not 0 < coupled < math.inf:
-        raise ConfigError(
-            f"--omega {args.omega} and --k {args.k} (with --m {args.m}) give a coupled frequency "
-            f"sqrt(omega^2 + 2k/m) = {coupled}, not a positive finite number"
-        )
-
-
-# run_pendulum's parameters by the flag that sets each
-_PENDULUM_FLAGS = {
-    "m": "--m", "omega0": "--omega", "k": "--k", "amplitude": "--amplitude",
-    "periods": "--periods", "steps_per_period": "--steps",
-}
-
-
 def cmd_pendulum(args) -> int:
     from .experiments import pendulum
 
-    _check_pendulum(args)
     outdir = _output_dir(args)
-    try:
-        result = pendulum.run_pendulum(
-            mode=args.mode,
-            m=args.m,
-            omega0=args.omega,
-            k=args.k,
-            amplitude=args.amplitude,
-            periods=args.periods,
-            steps_per_period=args.steps,
-        )
-    except ConfigError as exc:  # an error run_pendulum names by its parameter
-        flag = _PENDULUM_FLAGS.get(exc.param)
-        if flag is None:
-            raise
-        raise ConfigError(flag + str(exc).removeprefix(f"pendulum.{exc.param}")) from None
+    result = pendulum.run_pendulum(
+        mode=args.mode,
+        m=args.m,
+        omega0=args.omega,
+        k=args.k,
+        amplitude=args.amplitude,
+        periods=args.periods,
+        steps_per_period=args.steps,
+    )
     payload = result.to_json_dict()
     jpath = _write_json(outdir, "pendulum", payload)
     cpath = outdir / "pendulum.csv"
@@ -512,6 +453,21 @@ _COMMANDS = {
 }
 
 
+# per subcommand, the flag that sets each library parameter its errors name
+_FLAGS = {
+    "bell": {"bell.trials": "--trials"},
+    "doubleslit": {"doubleslit.trials": "--trials"},
+    "wave": {
+        "wave.n_cells": "--cells", "wave.steps": "--steps", "wave.v": "--courant", "wave.courant": "--courant",
+        "wave.sigma": "--sigma", "wave.mode": "--mode", "wave.snapshot_stride": "--stride",
+    },
+    "pendulum": {
+        "pendulum.m": "--m", "pendulum.omega0": "--omega", "pendulum.k": "--k", "pendulum.amplitude": "--amplitude",
+        "pendulum.periods": "--periods", "pendulum.steps_per_period": "--steps",
+    },
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -519,8 +475,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # argparse usage errors (code 1) and --help (0)
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"qcausal: error: {exc}", file=sys.stderr)
+    except ConfigError as exc:  # named by qualified names, each renamed to its flag
+        flags = _FLAGS.get(args.subcommand, {})
+        message = re.sub(r"\w+(?:\.\w+)+", lambda name: flags.get(name[0], name[0]), str(exc))
+        print(f"qcausal: error: {message}", file=sys.stderr)
         return 1
     except (OSError, MemoryError) as exc:  # unreadable input, unwritable output, no memory
         print(f"qcausal: error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -5,17 +5,20 @@ raise ConfigError; violations of internal model invariants raise
 InvariantViolation.  The CLI maps these to distinct exit codes.
 """
 
+import re
 import sys
 
 
 class ConfigError(ValueError):
-    """A configuration value or file is invalid.  Message names the field;
-    param, when given, is the parameter whose qualified name starts it, so
-    a front end can name the flag that set it instead."""
+    """A configuration value or file is invalid.  The library checks each
+    input once, where it is taken, naming each parameter it refuses by a
+    qualified name (wave.sigma), which a front end may rename (the CLI to
+    its flag); param is the parameter whose name starts the message."""
 
-    def __init__(self, message, param=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.param = param
+        qualified = re.match(r"[a-z_]+\.(\w+)", message)
+        self.param = qualified and qualified[1]
 
 
 class ParseError(ConfigError):

@@ -701,7 +701,7 @@ def evaluate_bell(p_ab: float, p_ac: float, p_bc: float, form: str = "identical"
     anticorrelated form: margin = (1 + P(b,c)) - |P(a,b) - P(a,c)|
     """
     if form not in FORMS:
-        raise ConfigError(f"form must be one of {FORMS}, got {form!r}")
+        raise ConfigError(f"bell.form must be one of {FORMS}, got {form!r}")
     slack = (1.0 - p_bc) if form == "identical" else (1.0 + p_bc)
     return slack - abs(p_ab - p_ac)
 
@@ -777,9 +777,10 @@ class LhvReport:
 
 
 def lhv_oracle(angles: tuple[float, float, float], form: str = "identical") -> LhvReport:
-    """Enumerate every deterministic local strategy and its Bell margin."""
-    if form not in FORMS:
-        raise ConfigError(f"form must be one of {FORMS}, got {form!r}")
+    """Enumerate every deterministic local strategy and its Bell margin
+    (evaluate_bell refuses an unknown form at the first strategy)."""
+    if len(angles) != 3:
+        raise ConfigError(f"lhv.angles must be three angles, got {angles!r}")
     _check_finite("lhv.angles", angles)
     report = LhvReport(angles=tuple(float(a) for a in angles), form=form)
     signs = (-1, 1)

@@ -32,11 +32,12 @@ from functools import lru_cache
 import numpy as np
 
 from ..engine import RngState
-from ..errors import ConfigError
+from ..errors import ConfigError, check_array_length
 from ..interaction import (
     OutcomeRow,
     OutcomeTable,
     RoundPolicy,
+    check_trials,
     claim,
     run_trials,
 )
@@ -74,6 +75,7 @@ class SlitGeometry:
     def __post_init__(self):
         if self.n_cells < 4:
             raise ConfigError(f"geometry.n_cells must be >= 4, got {self.n_cells}")
+        check_array_length(self.n_cells, "geometry.n_cells")
         if not 1 <= self.slit_separation < self.n_cells:
             raise ConfigError(
                 f"geometry.slit_separation must be in [1, {self.n_cells}), got {self.slit_separation}"
@@ -83,10 +85,14 @@ class SlitGeometry:
                 "geometry: slits must land on integer cells "
                 f"(n_cells - 1 - slit_separation = {self.n_cells - 1 - self.slit_separation} is odd)"
             )
-        if not self.screen_distance > 0:
-            raise ConfigError(f"geometry.screen_distance must be > 0, got {self.screen_distance}")
-        if not self.wavelength > 0:
-            raise ConfigError(f"geometry.wavelength must be > 0, got {self.wavelength}")
+        for name in ("screen_distance", "wavelength"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"geometry.{name} must be finite and > 0, got {getattr(self, name)}")
+        if not math.isfinite(2.0 * math.pi * math.hypot(self.screen_distance, self.n_cells) / self.wavelength):
+            raise ConfigError(
+                f"geometry.screen_distance {self.screen_distance} and geometry.wavelength {self.wavelength} "
+                "give a path phase 2*pi*L/lambda that is not finite"
+            )
 
     @property
     def slit_cells(self) -> tuple[int, int]:
@@ -462,6 +468,7 @@ def run_double_slit(
     policy under either scheduler."""
     if not isinstance(marker, bool):
         raise ConfigError(f"marker must be a bool, got {marker!r}")
+    check_trials(trials, "doubleslit.")
     policy = DoubleSlitRoundPolicy(geometry, marker)
     counts = np.zeros(geometry.n_cells, dtype=np.int64)
     for cell in run_trials(policy, trials, seed, runtime, scheduler):

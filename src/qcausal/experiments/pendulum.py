@@ -60,8 +60,8 @@ class PendulumParams:
             coupled = math.inf
         if not 0 < coupled < math.inf:
             raise ConfigError(
-                f"pendulum.omega0 {self.omega0!r} and k {self.k!r} (with m {self.m!r}) give a coupled "
-                f"frequency sqrt(omega0^2 + 2k/m) = {coupled}, not a positive finite number"
+                f"pendulum.omega0 {self.omega0!r} and pendulum.k {self.k!r} (with pendulum.m {self.m!r}) give "
+                f"a coupled frequency sqrt(omega0^2 + 2k/m) = {coupled}, not a positive finite number"
             )
 
 
@@ -72,7 +72,7 @@ def coupled_frequency(params: PendulumParams) -> float:
 
 def _check_mode(mode: str):
     if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(f"pendulum.mode must be one of {MODES}, got {mode!r}")
 
 
 def closed_form_trajectory(mode: str, params: PendulumParams, times: np.ndarray):
@@ -107,12 +107,12 @@ def integrate_local(mode: str, params: PendulumParams, delta_t: float, steps: in
     """
     _check_mode(mode)
     if not delta_t > 0:
-        raise ConfigError(f"delta_t must be > 0, got {delta_t}")
+        raise ConfigError(f"pendulum.delta_t must be > 0, got {delta_t}")
     if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
+        raise ConfigError(f"pendulum.steps must be >= 0, got {steps}")
     if coupled_frequency(params) * delta_t >= 2.0:
         raise ConfigError(
-            f"delta_t {delta_t} unstable: omega' * delta_t = "
+            f"pendulum.delta_t {delta_t} unstable: omega' * delta_t = "
             f"{coupled_frequency(params) * delta_t:.3f} >= 2"
         )
     w2 = params.omega0**2
@@ -236,17 +236,17 @@ def run_pendulum(
     """
     params = PendulumParams(m=m, omega0=omega0, k=k, amplitude=amplitude)
     if steps_per_period < 8:
-        raise ConfigError(f"steps_per_period must be >= 8, got {steps_per_period}")
-    if not (periods > 0 and math.isfinite(periods)):
-        raise ConfigError(f"periods must be finite and > 0, got {periods}")
-    check_array_length(steps_per_period, "steps_per_period")
-    samples = periods * steps_per_period
-    check_array_length(samples, "periods * steps_per_period")
+        raise ConfigError(f"pendulum.steps_per_period must be >= 8, got {steps_per_period}")
+    if not periods > 0:
+        raise ConfigError(f"pendulum.periods must be > 0, got {periods}")
+    check_array_length(steps_per_period, "pendulum.steps_per_period")
+    samples, product = periods * steps_per_period, "pendulum.periods * pendulum.steps_per_period"
+    check_array_length(samples, product)  # refuses infinite periods
     period = 2.0 * math.pi / coupled_frequency(params)
     delta_t = period / steps_per_period
     steps = round(samples)
     if steps < 1:
-        raise ConfigError(f"periods * steps_per_period = {samples:g} rounds to zero integration steps")
+        raise ConfigError(f"{product} = {samples:g} rounds to zero integration steps")
     times, local_a, local_b = integrate_local(mode, params, delta_t, steps)
     closed_a, closed_b = closed_form_trajectory(mode, params, times)
     mode_a, mode_b = normal_mode_trajectory(mode, params, times)
@@ -266,7 +266,6 @@ def run_pendulum(
     # of two, leaves one not finite
     if not all(map(math.isfinite, (result.deviation_from_normal_mode, result.deviation_from_closed_form))):
         raise ConfigError(
-            f"pendulum.amplitude {amplitude!r} overflows: a trajectory sample or deviation is not finite",
-            param="amplitude",
+            f"pendulum.amplitude {amplitude!r} overflows: a trajectory sample or deviation is not finite"
         )
     return result

@@ -22,16 +22,19 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .choices import BOUNDARIES
-from .errors import ConfigError
+from .errors import ConfigError, check_array_length
 
 # the largest Courant number v*dt/dx a grid takes: the stability limit 1,
 # plus a roundoff allowance
 MAX_COURANT = 1.0 + 1e-12
+# the update squares v, dx and dt, so each must be at most about sqrt(max float)
+_MAX_SQUARABLE = 1e154
 
 
 @dataclass
@@ -51,17 +54,22 @@ class WaveGrid:
         self.psi_now = np.asarray(self.psi_now, dtype=float)
         self.psi_prev = np.asarray(self.psi_prev, dtype=float)
         if self.psi_now.ndim != 1 or self.psi_now.size < 3:
-            raise ConfigError("wave grid needs at least 3 cells")
+            raise ConfigError(f"wave.psi_now must be 1-D with at least 3 cells, got shape {self.psi_now.shape}")
         if self.psi_now.shape != self.psi_prev.shape:
-            raise ConfigError("psi_now and psi_prev must have the same shape")
-        if self.delta_x <= 0 or self.delta_t <= 0 or self.v <= 0:
-            raise ConfigError("wave v, delta_x, delta_t must all be > 0")
+            raise ConfigError(f"wave.psi_prev must have shape {self.psi_now.shape}, got {self.psi_prev.shape}")
+        scales = {"wave.v": self.v, "wave.delta_x": self.delta_x, "wave.delta_t": self.delta_t}
+        for name, value in scales.items():
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.boundary not in BOUNDARIES:
-            raise ConfigError(f"wave boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
+            raise ConfigError(f"wave.boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.courant > MAX_COURANT:
             raise ConfigError(
-                f"Courant number v*dt/dx = {self.courant} exceeds 1 (unstable)"
+                f"wave.courant, the Courant number v*dt/dx, must be at most 1 (stable), got {self.courant}"
             )
+        for name, value in scales.items():
+            if value > _MAX_SQUARABLE:
+                raise ConfigError(f"{name} must be at most {_MAX_SQUARABLE}, whose square is a float, got {value}")
 
     @property
     def courant(self) -> float:
@@ -160,10 +168,9 @@ def run_wave(grid: WaveGrid, steps: int, snapshot_stride: int = 1) -> WaveRun:
     The initial state is always included; the final state always closes the
     trajectory.  The energy functional is evaluated after every tick.
     """
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
-    if snapshot_stride < 1:
-        raise ConfigError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    for name, value, low in (("wave.steps", steps, 0), ("wave.snapshot_stride", snapshot_stride, 1)):
+        if not isinstance(value, numbers.Integral) or value < low:
+            raise ConfigError(f"{name} must be an int >= {low}, got {value}")
     traj = [(grid.t, grid.psi_now.copy())]
     e0 = energy = wave_energy(grid)
     max_change = 0.0
@@ -211,16 +218,36 @@ def wave_energy(grid: WaveGrid) -> float:
 # -- initializers --------------------------------------------------------------
 
 
-def gaussian_profile(n_cells: int, center: float, sigma: float) -> np.ndarray:
-    x = np.arange(n_cells, dtype=float)
+def _cells(n_cells: int) -> np.ndarray:
+    """A profile's cell coordinates 0, 1, ..., n_cells - 1."""
+    if not n_cells >= 3:
+        raise ConfigError(f"wave.n_cells must be >= 3, got {n_cells}")
+    check_array_length(n_cells, "wave.n_cells")
+    return np.arange(n_cells, dtype=float)
+
+
+def gaussian_profile(n_cells: int, center: float | None = None, sigma: float | None = None) -> np.ndarray:
+    """A gaussian pulse, by default centred on the grid and n_cells / 16 wide."""
+    return _gaussian(n_cells, center, sigma, 0.0)
+
+
+def _gaussian(n_cells: int, center: float | None, sigma: float | None, shift: float) -> np.ndarray:
+    """gaussian_profile moved shift cells to the left."""
+    x = _cells(n_cells)
+    center = n_cells / 2.0 if center is None else center
+    sigma = n_cells / 16.0 if sigma is None else sigma
+    if not sigma > 0:
+        raise ConfigError(f"wave.sigma must be > 0, got {sigma}")
+    if not math.isfinite(center):
+        raise ConfigError(f"wave.center must be finite, got {center}")
     with np.errstate(over="ignore"):  # far from a narrow pulse: exp(-inf) = 0.0, exactly
-        return np.exp(-0.5 * ((x - center) / sigma) ** 2)
+        return np.exp(-0.5 * ((x + shift - center) / sigma) ** 2)
 
 
 def sine_profile(n_cells: int, mode: int) -> np.ndarray:
-    if mode < 1 or 2 * mode > n_cells:
-        raise ConfigError(f"sine mode {mode} not resolvable on {n_cells} cells")
-    x = np.arange(n_cells, dtype=float)
+    x = _cells(n_cells)
+    if not 1 <= 2 * mode <= n_cells:
+        raise ConfigError(f"wave.mode must be between 1 and wave.n_cells / 2 = {n_cells // 2}, got {mode}")
     return np.sin(2.0 * math.pi * mode * x / n_cells)
 
 
@@ -256,24 +283,22 @@ def make_grid(
 
 
 def traveling_pulse_grid(
-    n_cells: int, sigma: float, v: float, delta_x: float, delta_t: float, center: float | None = None
+    n_cells: int, sigma: float | None, v: float, delta_x: float, delta_t: float, center: float | None = None
 ) -> WaveGrid:
     """Right-moving Gaussian: psi_prev is the profile at t = -dt (exact shift).
+    sigma and center default as in gaussian_profile.
 
     At Courant 1 the shift is exactly one cell, so the oracle
     psi(t) = roll(profile, step_count) is exact up to float roundoff.
     """
-    if center is None:
-        center = n_cells / 2.0
     profile = gaussian_profile(n_cells, center, sigma)
-    shift = v * delta_t / delta_x
+    grid = make_grid(profile, v, delta_x, delta_t, boundary="periodic")  # refuses v, dx, dt and Courant first
+    shift = grid.courant
     if abs(shift - round(shift)) < 1e-12:
-        prev = np.roll(profile, -int(round(shift)))
+        grid.psi_prev = np.roll(profile, -int(round(shift)))
     else:
-        x = np.arange(n_cells, dtype=float)
-        with np.errstate(over="ignore"):  # as in gaussian_profile
-            prev = np.exp(-0.5 * ((x + shift - center) / sigma) ** 2)
-    return make_grid(profile, v, delta_x, delta_t, boundary="periodic", psi_prev=prev)
+        grid.psi_prev = _gaussian(n_cells, center, sigma, shift)
+    return grid
 
 
 def standing_wave_grid(
@@ -285,7 +310,9 @@ def standing_wave_grid(
     k = 2.0 * math.pi * mode / (n_cells * delta_x)
     omega = k * v
     if not math.isfinite(omega * delta_t):
-        raise ConfigError(f"wave mode {mode} on {n_cells} cells of dx {delta_x!r}: phase omega*dt is not finite")
+        raise ConfigError(
+            f"wave.delta_x {delta_x!r} with wave.mode {mode} on {n_cells} cells: phase omega*dt is not finite"
+        )
     grid.psi_prev = profile * math.cos(omega * delta_t)
     return grid
 

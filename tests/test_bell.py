@@ -465,6 +465,13 @@ def test_lhv_oracle_needs_finite_angles(bad):
             lhv_oracle(angles)
 
 
+@pytest.mark.parametrize("angles", [(), (0, 0), (0, 30, 60, 90)])
+def test_lhv_oracle_needs_three_angles(angles):
+    # two angles gave a report with angles=(0.0, 0.0)
+    with pytest.raises(ConfigError, match=r"^lhv\.angles must be three angles, got"):
+        lhv_oracle(angles)
+
+
 def test_evaluate_bell_forms():
     assert evaluate_bell(0.5, -0.5, 0.5, "identical") == pytest.approx(-0.5)
     assert evaluate_bell(0.5, -0.5, 0.5, "anticorrelated") == pytest.approx(0.5)

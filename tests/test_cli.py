@@ -310,6 +310,8 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
         (["wave", "--init", "sine", "--mode", "0"], ["--mode"]),
         (["wave", "--init", "sine", "--cells", "8", "--mode", "5"], ["--mode", "--cells"]),
         (["wave", "--steps", "20", "--courant", "0.5", "--sigma", "1e-320", "--boundary", "fixed"], ["--boundary"]),
+        (["bell", "--angle-a", "0", "--angle-b", "30", "--trials", "0"], ["--trials"]),
+        (["doubleslit", "--marker", "on", "--trials", "0"], ["--trials"]),
     ],
 )
 def test_an_error_names_the_flags_given(argv, flags, tmp_path, capsys):

@@ -62,6 +62,25 @@ def test_geometry_validation():
         SlitGeometry(wavelength=-0.4)
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        # accepted, then run_double_slit warned and stopped on weights summing to nan
+        ({"screen_distance": math.inf}, r"^geometry\.screen_distance must be finite and > 0"),
+        ({"wavelength": math.inf}, r"^geometry\.wavelength must be finite and > 0"),
+        ({"screen_distance": math.nan}, r"^geometry\.screen_distance must be finite and > 0"),
+        # finite, but the longest path's phase 2*pi*L/lambda is not
+        ({"screen_distance": 1e308}, r"^geometry\.screen_distance 1e\+308 and geometry\.wavelength 0\.4 give"),
+        ({"wavelength": 1e-320}, r"^geometry\.screen_distance 2000\.0 and geometry\.wavelength 1e-320 give"),
+        # accepted, then a run grew until the process was killed
+        ({"n_cells": 10**30, "slit_separation": 25}, r"^geometry\.n_cells = 10+ is more values than one array"),
+    ],
+)
+def test_a_geometry_no_run_can_use_is_refused_at_construction(fields, match):
+    with pytest.raises(ConfigError, match=match):
+        SlitGeometry(**fields)
+
+
 # --- analytic pattern ------------------------------------------------------------
 
 def test_branch_phases_are_exact_path_lengths():
@@ -385,6 +404,8 @@ def test_run_requires_positive_trials():
     for bad in (2.5, True):
         with pytest.raises(ConfigError, match="trials must be an int"):
             run_double_slit(False, bad, SMALL_GEOMETRY)
+    with pytest.raises(ConfigError, match=r"^doubleslit\.trials must be an int > 0, got 0$"):
+        run_double_slit(True, 0, SMALL_GEOMETRY, runtime="refined")
     for runtime in ("centralized", "refined"):
         with pytest.raises(ConfigError, match="scheduler"):
             run_double_slit(False, 10, SMALL_GEOMETRY, runtime=runtime, scheduler="bogus")

@@ -49,14 +49,23 @@ Every process-wide cache under src/ names its bound: no bare @lru_cache or
 @cache, no functools.cache, and no lru_cache with maxsize None.  A cache
 lives as long as the process, so an unbounded one grows with every
 distinct input a long sweep passes it.
+
+Each CLI error names the flags given, though only the library checks the
+values: cli.main renames each qualified parameter name a library message
+starts with (wave.sigma) through its subcommand's flag table.  So every
+table entry's flag is an option of that subcommand, and its qualified name
+is one the library module writes, whole, or builds from a prefix it
+passes to interaction's check_run or check_trials; a reworded message
+cannot silently stop mapping.
 """
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
-from qcausal import interaction
+from qcausal import cli, interaction
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "demos")
@@ -673,3 +682,51 @@ def test_every_process_wide_cache_is_bounded():
     for path in sorted(PACKAGE.rglob("*.py")):
         offenders += [f"{path.relative_to(ROOT)}:{line}" for line in unbounded_caches(path.read_text())]
     assert offenders == []
+
+
+# the library module whose messages each subcommand's flag table renames
+FLAG_SOURCES = {
+    "bell": "experiments/bell.py",
+    "doubleslit": "experiments/doubleslit.py",
+    "wave": "wave.py",
+    "pendulum": "experiments/pendulum.py",
+}
+
+
+def unmapped_flags(tables: dict) -> list[str]:
+    """Each flag-table entry whose flag is no option of its subcommand, or
+    whose qualified name its library module neither writes whole (so
+    pendulum.m is not read into pendulum.mode) nor builds as a prefix and a
+    parameter that interaction's checks name."""
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    checks = (PACKAGE / "interaction.py").read_text()
+    unmapped = []
+    for command, table in tables.items():
+        options = {option for action in subparsers[command]._actions for option in action.option_strings}
+        source = (PACKAGE / FLAG_SOURCES[command]).read_text()
+        for qualified, flag in table.items():
+            prefix, param = qualified.split(".")
+            whole = re.search(rf"(?<![\w.]){re.escape(qualified)}(?![\w.])", source)
+            built = f'"{prefix}."' in source and f"{{prefix}}{param} must" in checks
+            if flag not in options or not (whole or built):
+                unmapped.append(f"{command}: {qualified} -> {flag}")
+    return unmapped
+
+
+def test_flag_check_names_a_stale_entry():
+    tables = {
+        "pendulum": {"pendulum.m": "--m", "pendulum.omega": "--omega", "pendulum.k": "--spring"},
+        "bell": {"bell.trials": "--trials", "bell.runs": "--trials"},
+        "wave": {"wave.courant": "--courant", "wave.cells": "--cells"},
+    }
+    assert unmapped_flags(tables) == [
+        "pendulum: pendulum.omega -> --omega",
+        "pendulum: pendulum.k -> --spring",
+        "bell: bell.runs -> --trials",
+        "wave: wave.cells -> --cells",
+    ]
+
+
+def test_every_flag_table_entry_maps_a_library_name_to_an_option():
+    assert set(cli._FLAGS) == set(FLAG_SOURCES)
+    assert unmapped_flags(cli._FLAGS) == []

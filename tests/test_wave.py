@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,56 @@ def test_a_standing_wave_whose_phase_overflows_is_refused(v, delta_x, match):
         standing_wave_grid(3, 1, v, delta_x, 1.0)
 
 
+@pytest.mark.parametrize("name", ["v", "delta_x", "delta_t"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_a_grid_refuses_a_step_that_is_not_a_positive_float(name, bad):
+    # NaN compared as > 0, so make_grid returned a grid with v = nan
+    steps = {"v": 0.5, "delta_x": 1.0, "delta_t": 1.0, name: bad}
+    with pytest.raises(ConfigError, match=rf"^wave\.{name} must be finite and > 0"):
+        make_grid(np.zeros(8), **steps)
+
+
+def test_a_grid_refuses_a_step_whose_square_overflows():
+    # the Courant number is tiny, but the update squares dx: an OverflowError
+    with pytest.raises(ConfigError, match=r"^wave\.delta_x must be at most 1e\+154") as raised:
+        make_grid(np.zeros(8), v=1.0, delta_x=1e308, delta_t=1.0)
+    assert raised.value.param == "delta_x"
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_a_pulse_refuses_a_width_that_is_not_positive(sigma):
+    # both gaussian paths returned a NaN grid after two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^wave\.sigma must be > 0"):
+            traveling_pulse_grid(16, sigma, 1.0, 1.0, 1.0)
+        with pytest.raises(ConfigError, match=r"^wave\.sigma must be > 0"):
+            gaussian_profile(16, 8.0, sigma)
+        with pytest.raises(ConfigError, match=r"^wave\.center must be finite"):
+            traveling_pulse_grid(16, 2.0, 0.5, 1.0, 1.0, center=math.nan)
+
+
+@pytest.mark.parametrize("n_cells", [10**30, 10**400])
+def test_a_grid_too_large_for_an_array_is_refused_before_allocating(n_cells):
+    # np.arange raised a bare ValueError: Maximum allowed size exceeded
+    # (and the default center n_cells / 2.0 an OverflowError past 1e308)
+    for build in (
+        lambda: traveling_pulse_grid(n_cells, 3.0, 1.0, 1.0, 1.0),
+        lambda: traveling_pulse_grid(n_cells, None, 1.0, 1.0, 1.0),
+        lambda: standing_wave_grid(n_cells, 1, 1.0, 1.0, 1.0),
+    ):
+        with pytest.raises(ConfigError, match=r"^wave\.n_cells = 10+ is more values than one array can hold$"):
+            build()
+
+
+def test_a_pulse_defaults_to_the_middle_and_a_sixteenth_of_the_grid():
+    np.testing.assert_array_equal(gaussian_profile(40), gaussian_profile(40, 20.0, 2.5))
+    np.testing.assert_array_equal(
+        traveling_pulse_grid(40, None, 0.7, 1.0, 1.0).psi_prev,
+        traveling_pulse_grid(40, 2.5, 0.7, 1.0, 1.0, center=20.0).psi_prev,
+    )
+
+
 def test_run_wave_snapshots():
     grid = make_grid(np.zeros(8), v=1.0, delta_x=1.0, delta_t=1.0)
     traj = run_wave(grid, steps=10, snapshot_stride=4).trajectory
@@ -188,6 +239,11 @@ def test_run_wave_snapshots():
         run_wave(grid, steps=-1)
     with pytest.raises(ConfigError):
         run_wave(grid, steps=1, snapshot_stride=0)
+    for bad in (math.nan, math.inf, 2.5):  # range() raised a TypeError
+        with pytest.raises(ConfigError, match=r"^wave\.steps must be an int >= 0"):
+            run_wave(grid, steps=bad)
+        with pytest.raises(ConfigError, match=r"^wave\.snapshot_stride must be an int >= 1"):
+            run_wave(grid, steps=1, snapshot_stride=bad)
 
 
 def _list_reference(grid, steps, stride):
